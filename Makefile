@@ -4,13 +4,15 @@
 # checks shard/merge/plan against both store backends
 # (see scripts/smoke_sharded.sh).  `make figures` regenerates every
 # paper artifact into figures/ — incrementally, against .repro-cache.
+# `make bench-paper` runs the paper-grid benchmark (paperbench/, see
+# docs/performance.md).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test check typecheck smoke smoke-sharded figures figures-smoke \
 	obs-smoke bench bench-check bench-dir bench-gate bench-exec \
-	clean-cache
+	bench-paper clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -69,6 +71,17 @@ bench-gate:
 
 bench-exec:
 	$(PYTHON) benchmarks/bench_exec_scaling.py
+
+# the paper-grid benchmark: every workload (or WORKLOAD=...) for
+# SECONDS seconds each; the last line of each run is its JSON result
+WORKLOAD ?= paper-cold seeds-pool figures-warm
+SECONDS ?= 20
+
+bench-paper:
+	@for workload in $(WORKLOAD); do \
+		$(PYTHON) paperbench/run.py --workload $$workload \
+			--seconds $(SECONDS) || exit 1; \
+	done
 
 clean-cache:
 	rm -rf .repro-cache .smoke-cache .smoke-shard .smoke-figures \

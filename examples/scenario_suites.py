@@ -17,7 +17,7 @@ import tempfile
 from repro import scenario
 from repro.exec import Executor, ResultStore
 from repro.harness.reporting import format_table
-from repro.scenarios import ScenarioSuite, run_suite, suite
+from repro.scenarios import ScenarioSuite, lower_suite, run_suite, suite
 
 
 def main() -> None:
@@ -36,12 +36,13 @@ def main() -> None:
 
     # The grid is data before it is work: serialize it, ship it, diff it.
     restored = ScenarioSuite.from_json(grid.to_json())
-    specs = restored.expand()
-    assert [s.digest for s in specs] == [s.digest for s in grid.expand()]
+    lowered = lower_suite(restored)  # expand + validate + lower to jobs
+    assert [s.digest for s in lowered.specs] == [
+        s.digest for s in grid.expand()
+    ]
     print("expanded scenarios (spec digest -> job digest):")
-    for spec in specs:
-        print(f"  {spec.digest[:12]} -> {spec.to_job().digest[:12]}  "
-              f"{spec.label()}")
+    for spec, job in zip(lowered.specs, lowered.jobs):
+        print(f"  {spec.digest[:12]} -> {job.digest[:12]}  {spec.label()}")
     print()
 
     with tempfile.TemporaryDirectory() as cache_dir:

@@ -69,7 +69,13 @@ from .harness.sweep import DEFAULT_W0_VALUES, w0_sensitivity
 from .power.cacti import FIG3_CACHE_SIZES_KB, tcc_cache_power_curve, tcc_total_power_factor
 from .power.report import format_energy_report
 from .scenarios.builtin import available_suites, get_suite, suite_help
-from .scenarios.runner import Shard, SuiteRun, plan_suite, run_suite
+from .scenarios.runner import (
+    Shard,
+    SuiteRun,
+    lower_suite,
+    plan_suite,
+    run_suite,
+)
 from .scenarios.suite import load_suite_file
 from .sim.trace import TraceRecorder
 from .workloads.registry import available_workloads, workload_schema
@@ -551,16 +557,16 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
     named = _resolve_suite(args)
     if args.action == "describe":
-        specs = named.expand()
         if args.json:
             import json as _json
 
-            print(_json.dumps([spec.to_dict() for spec in specs], indent=2))
+            print(_json.dumps([spec.to_dict() for spec in named.expand()],
+                              indent=2))
             return 0
+        lowered = lower_suite(named)
         print(named.describe())
-        unique_jobs = len({spec.to_job().digest for spec in specs})
-        print(f"  unique jobs after dedup: {unique_jobs}")
-        for spec in specs:
+        print(f"  unique jobs after dedup: {len(lowered.unique)}")
+        for spec in lowered.specs:
             print(f"  {spec.digest[:12]}  {spec.label()}")
         return 0
     if args.action == "plan":

@@ -10,7 +10,7 @@ from .base import ContentionManager
 from .gating_aware import GatingAwareCM, staircase_term
 from .backoff import ImmediateCM, LinearBackoffCM, ExponentialBackoffCM, PoliteBackoffCM
 from .momentum import MomentumCM
-from .registry import create_cm, available_cms, register_cm
+from .registry import create_cm, available_cms, policy_class, register_cm
 
 __all__ = [
     "ContentionManager",
@@ -24,4 +24,5 @@ __all__ = [
     "create_cm",
     "available_cms",
     "register_cm",
+    "policy_class",
 ]

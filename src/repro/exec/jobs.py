@@ -41,7 +41,6 @@ never see packs at all.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import time
@@ -50,11 +49,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Sequence
 
+from ..cm.registry import policy_class
 from ..config import SystemConfig
 from ..metrics import TxMetricsMixin
 from ..power.energy import EnergyBreakdown
 from ..power.model import PowerModel
-from .serialize import canonical_json
+from .serialize import canonical_json, config_to_dict, power_to_dict
 
 if TYPE_CHECKING:  # imported lazily at run time to avoid a package cycle
     from ..harness.runner import RunResult, RunReuse, WorkloadSpec
@@ -90,10 +90,12 @@ SCHEMA_VERSION = 1
 
 
 def _ungated_w0_independent(config: SystemConfig) -> bool:
-    """Does the configured CM ignore :math:`W_0` when gating is off?"""
-    from ..cm.registry import create_cm
+    """Does the configured CM ignore :math:`W_0` when gating is off?
 
-    return create_cm(config.gating, config.seed).ungated_w0_independent
+    A class constant, read from the registered class without building
+    a contention manager.
+    """
+    return policy_class(config.gating, config.seed).ungated_w0_independent
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class RunJob:
 
     def payload(self) -> dict[str, Any]:
         """The canonical content of this job, as plain JSON-able data."""
-        config = dataclasses.asdict(self.config)
+        config = config_to_dict(self.config)
         if not self.config.gating.enabled and _ungated_w0_independent(
             self.config
         ):
@@ -124,7 +126,7 @@ class RunJob:
                 "overrides": [list(pair) for pair in self.spec.overrides],
             },
             "config": config,
-            "power": dataclasses.asdict(self.power),
+            "power": power_to_dict(self.power),
             "validate": self.validate,
         }
 

@@ -15,6 +15,7 @@ override values.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -35,6 +36,7 @@ __all__ = [
     "canonical_json",
     "config_to_dict",
     "config_from_dict",
+    "power_to_dict",
     "energy_to_dict",
     "energy_from_dict",
     "result_to_dict",
@@ -62,10 +64,26 @@ _SECTION_TYPES = {
 }
 
 
-def config_to_dict(config: SystemConfig) -> dict[str, Any]:
-    import dataclasses
+def _field_names(cls: Any) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
-    return dataclasses.asdict(config)
+
+_CONFIG_FIELDS = _field_names(SystemConfig)
+_SECTION_FIELDS = {
+    name: _field_names(cls) for name, cls in _SECTION_TYPES.items()
+}
+_POWER_FIELDS = _field_names(PowerModel)
+
+
+def config_to_dict(config: SystemConfig) -> dict[str, Any]:
+    """``dataclasses.asdict(config)``, key order included, built by
+    walking the frozen fields: every leaf is an int, float, bool, str or
+    None, so asdict's recursive deep copy would copy nothing."""
+    out = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    for section, names in _SECTION_FIELDS.items():
+        value = out[section]
+        out[section] = {name: getattr(value, name) for name in names}
+    return out
 
 
 def config_from_dict(data: dict[str, Any]) -> SystemConfig:
@@ -74,6 +92,11 @@ def config_from_dict(data: dict[str, Any]) -> SystemConfig:
         section = _SECTION_TYPES.get(key)
         kwargs[key] = section(**value) if section is not None else value
     return SystemConfig(**kwargs)
+
+
+def power_to_dict(power: PowerModel) -> dict[str, Any]:
+    """``dataclasses.asdict(power)``, without the deep copy."""
+    return {name: getattr(power, name) for name in _POWER_FIELDS}
 
 
 # ----------------------------------------------------------------------
@@ -112,13 +135,11 @@ def energy_from_dict(data: dict[str, Any]) -> EnergyBreakdown:
 # ----------------------------------------------------------------------
 def result_to_dict(result: "Any") -> dict[str, Any]:
     """Encode an :class:`~repro.exec.jobs.ExecResult` as plain data."""
-    import dataclasses
-
     return {
         "workload": result.workload,
         "scale": result.scale,
         "config": config_to_dict(result.config),
-        "power": dataclasses.asdict(result.power),
+        "power": power_to_dict(result.power),
         "end_cycle": result.end_cycle,
         "parallel_start": result.parallel_start,
         "parallel_end": result.parallel_end,

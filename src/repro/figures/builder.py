@@ -3,23 +3,29 @@
 The :class:`FigureBuilder` turns "rerun the paper" into one cache-aware
 pass:
 
-1. **Resolve** — every requested figure resolves its scenario suite
-   under one shared :class:`~repro.figures.spec.FigureParams`; suites
-   shared between figures (Figs. 4–6 + headline) are expanded and
-   lowered once.
+1. **Resolve + lower** — every requested figure resolves its scenario
+   suite under one shared :class:`~repro.figures.spec.FigureParams`;
+   each unique suite (Figs. 4–6 + headline share one) is expanded and
+   lowered once by :func:`~repro.scenarios.runner.lower_suite`, and a
+   scenario shared between suites (the evaluation grid sits inside the
+   Fig. 7 grid) is lowered and digested once.
 2. **Plan** — each unique suite is planned against the result store
    with :func:`~repro.scenarios.runner.plan_suite` (digest probes, zero
    simulation); the union of residual misses across all suites is the
    only work left.
-3. **Execute** — the residual specs run as ONE executor batch
-   (``--jobs`` workers, write-through to the store), optionally
-   restricted to a :class:`~repro.scenarios.runner.Shard` of the job
-   list for multi-host builds.
+3. **Execute** — the residual jobs, as already lowered, run as ONE
+   executor batch (``--jobs`` workers, write-through to the store),
+   optionally restricted to a :class:`~repro.scenarios.runner.Shard` of
+   the job list for multi-host builds.
 4. **Extract + render** — each figure's extractor runs over the store's
-   records and the JSON artifact is written with full provenance.
-   Artifacts whose content digest already matches on disk are skipped
-   (``fresh``); a warm store plus fresh artifacts makes a repeat build
-   report **0 simulations** and leave every byte untouched.
+   records and the JSON artifact is written with full provenance.  Each
+   job digest is read from the store once, its result shared by every
+   figure and suite that needs it.  Artifacts whose content digest
+   already matches on disk are skipped (``fresh``); a warm store plus
+   fresh artifacts makes a repeat build report **0 simulations** and
+   leave every byte untouched.
+
+Every memo of a pass lives in one :class:`_Pass` and dies with it.
 """
 
 from __future__ import annotations
@@ -32,11 +38,20 @@ from typing import Any, Sequence
 
 from ..errors import FigureError
 from ..exec.executor import BatchReport, Executor
+from ..exec.jobs import ExecResult, RunJob
 from ..exec.progress import ProgressListener
 from ..exec.store import ResultStore
 from ..obs import get_recorder
 from ..power.model import PowerModel
-from ..scenarios.runner import ScenarioResult, Shard, SuitePlan, plan_suite
+from ..scenarios.runner import (
+    LoweredSuite,
+    ScenarioResult,
+    Shard,
+    SuitePlan,
+    lower_suite,
+    plan_suite,
+)
+from ..scenarios.spec import ScenarioSpec
 from .extract import ExtractionContext, get_extractor
 from .registry import available_figures, get_figure
 from .render import figure_payload, render_csv, render_json, render_png
@@ -116,6 +131,30 @@ class BuildReport:
         )
 
 
+#: (figure, resolved suite or None, figure digest)
+Resolved = tuple[FigureSpec, Any, str]
+
+#: a suite's scenario results and its sorted unique job digests
+Covered = tuple[list[ScenarioResult], list[str]]
+
+
+@dataclass
+class _Pass:
+    """What one build or status pass derived from the grid."""
+
+    figures: list[Resolved]
+    #: each figure's suite key (its suite JSON), None for analytic ones
+    keys: list[str | None]
+    #: suite key -> the suite, expanded and lowered once
+    lowered: dict[str, LoweredSuite]
+    #: suite key -> its plan against the store
+    plans: dict[str, SuitePlan]
+    #: job digest -> its result (None: not in the store), read once
+    results: dict[str, ExecResult | None] = field(default_factory=dict)
+    #: suite key -> its scenario results, or None when not covered
+    covered: dict[str, Covered | None] = field(default_factory=dict)
+
+
 class FigureBuilder:
     """Builds declarative figures incrementally against a result store.
 
@@ -193,9 +232,7 @@ class FigureBuilder:
     def artifact_path(self, name: str) -> Path:
         return self.out_dir / f"{name}.json"
 
-    def _resolved(
-        self, names: Sequence[str] | None
-    ) -> list[tuple[FigureSpec, Any, str]]:
+    def _resolved(self, names: Sequence[str] | None) -> list[Resolved]:
         """(figure, resolved suite or None, figure digest) per figure."""
         out = []
         for spec in self.figures(names):
@@ -207,24 +244,27 @@ class FigureBuilder:
             )
         return out
 
-    def _suite_plans(
-        self, resolved: Sequence[tuple[FigureSpec, Any, str]]
-    ) -> dict[str, SuitePlan]:
-        """One :func:`plan_suite` per *unique* suite (keyed by suite JSON).
-
-        Figures sharing a suite (Figs. 4–6 + headline) are planned — and
-        later expanded/lowered — exactly once.
-        """
-        plans: dict[str, SuitePlan] = {}
-        for _spec, suite, _digest in resolved:
-            if suite is None:
-                continue
-            key = suite.to_json()
-            if key not in plans:
-                plans[key] = plan_suite(
-                    suite, store=self.store, power_model=self._model
+    def _plan_pass(self, names: Sequence[str] | None) -> _Pass:
+        """Resolve the figures, then lower and plan each unique suite
+        (keyed by suite JSON) once; scenarios shared between suites share
+        one lowered job."""
+        figures = self._resolved(names)
+        keys = [
+            suite.to_json() if suite is not None else None
+            for _spec, suite, _digest in figures
+        ]
+        memo: dict[ScenarioSpec, RunJob] = {}
+        lowered: dict[str, LoweredSuite] = {}
+        for (_spec, suite, _digest), key in zip(figures, keys):
+            if key is not None and key not in lowered:
+                lowered[key] = lower_suite(
+                    suite, power_model=self._model, memo=memo
                 )
-        return plans
+        plans = {
+            key: plan_suite(suite, store=self.store)
+            for key, suite in lowered.items()
+        }
+        return _Pass(figures=figures, keys=keys, lowered=lowered, plans=plans)
 
     def _artifact_state(self, path: Path, digest: str) -> str:
         if not path.exists():
@@ -239,16 +279,16 @@ class FigureBuilder:
     @staticmethod
     def _collect_misses(
         plans: dict[str, SuitePlan],
-    ) -> tuple[dict[str, Any], set[str]]:
-        """(uncached digest -> representative spec, all unique digests)
-        across every planned suite — figures sharing jobs count once."""
-        misses: dict[str, Any] = {}
+    ) -> tuple[dict[str, RunJob], set[str]]:
+        """(uncached digest -> lowered job, all unique digests) across
+        every planned suite — figures sharing jobs count once."""
+        misses: dict[str, RunJob] = {}
         total: set[str] = set()
         for plan in plans.values():
             for entry in plan.entries:
                 total.add(entry.digest)
                 if not entry.cached:
-                    misses.setdefault(entry.digest, entry.spec)
+                    misses.setdefault(entry.digest, entry.job)
         return misses, total
 
     # ------------------------------------------------------------------
@@ -265,10 +305,9 @@ class FigureBuilder:
         in the status rows — so "residual" is exactly what a build
         would simulate.
         """
-        resolved = self._resolved(names)
-        plans = self._suite_plans(resolved)
-        misses, total = self._collect_misses(plans)
-        return self._statuses(resolved, plans), len(misses), len(total)
+        planned = self._plan_pass(names)
+        misses, total = self._collect_misses(planned.plans)
+        return self._statuses(planned), len(misses), len(total)
 
     def residual_jobs(
         self, names: Sequence[str] | None = None
@@ -281,14 +320,10 @@ class FigureBuilder:
         """Artifact freshness + store coverage per figure; no simulation."""
         return self.overview(names)[0]
 
-    def _statuses(
-        self,
-        resolved: Sequence[tuple[FigureSpec, Any, str]],
-        plans: dict[str, SuitePlan],
-    ) -> list[FigureStatus]:
+    def _statuses(self, planned: _Pass) -> list[FigureStatus]:
         statuses = []
-        for spec, suite, digest in resolved:
-            plan = plans.get(suite.to_json()) if suite is not None else None
+        for (spec, suite, digest), key in zip(planned.figures, planned.keys):
+            plan = planned.plans[key] if key is not None else None
             statuses.append(FigureStatus(
                 name=spec.name,
                 kind=spec.kind,
@@ -321,18 +356,17 @@ class FigureBuilder:
             "figures.build",
             shard=str(shard) if shard is not None else None,
         ) as span:
-            resolved = self._resolved(names)
-            plans = self._suite_plans(resolved)
+            planned = self._plan_pass(names)
 
             # union of residual misses across every suite, deduped by digest
-            misses, total_jobs = self._collect_misses(plans)
+            misses, total_jobs = self._collect_misses(planned.plans)
             residual = [
-                (digest, spec)
-                for digest, spec in misses.items()
+                job
+                for digest, job in misses.items()
                 if shard is None or shard.owns(digest)
             ]
             span.annotate(
-                figures=len(resolved),
+                figures=len(planned.figures),
                 total_jobs=len(total_jobs),
                 planned_misses=len(misses),
                 residual=len(residual),
@@ -341,13 +375,7 @@ class FigureBuilder:
             executed = 0
             batch = None
             if residual:
-                from ..scenarios.runner import run_specs
-
-                run_specs(
-                    [spec for _digest, spec in residual],
-                    executor=self._executor,
-                    power_model=self._model,
-                )
+                self._executor.run(residual)
                 batch = self._executor.last_report
                 executed = (
                     batch.executed if batch is not None else len(residual)
@@ -360,48 +388,48 @@ class FigureBuilder:
                 batch=batch,
                 shard=shard,
             )
-            fetched: dict[str, Any] = {}  # suite JSON -> store results, once
-            for spec, suite, digest in resolved:
+            for (spec, suite, digest), key in zip(planned.figures,
+                                                  planned.keys):
                 with recorder.span(
                     "figure", figure=spec.name, digest=digest
                 ) as fig_span:
                     artifact = self._render_one(
                         spec, suite, digest, force=force,
-                        csv=csv, png=png, fetched=fetched,
+                        csv=csv, png=png, planned=planned, key=key,
                     )
                     fig_span.annotate(status=artifact.status)
                 report.artifacts.append(artifact)
             return report
 
     def _suite_results(
-        self, suite: Any
-    ) -> tuple[list[ScenarioResult], list[str]] | None:
-        """Every expanded scenario's result from the store, or ``None``
-        when coverage is incomplete (returns the unique job digests on
-        success)."""
-        results: list[ScenarioResult] = []
-        digests: set[str] = set()
-        for spec in suite.expand():
-            digest = spec.to_job(power=self._model).digest
-            result = self.store.get(digest)
+        self,
+        lowered: LoweredSuite,
+        results: dict[str, ExecResult | None],
+    ) -> Covered | None:
+        """Every scenario's result from the store, or ``None`` when
+        coverage is incomplete.  ``results`` holds each job digest's
+        store read, so a digest is read once however many scenarios,
+        suites and figures share it."""
+        out: list[ScenarioResult] = []
+        for spec, job in zip(lowered.specs, lowered.jobs):
+            digest = job.digest
+            if digest not in results:
+                results[digest] = self.store.get(digest)
+            result = results[digest]
             if result is None:
                 return None
-            digests.add(digest)
-            results.append(ScenarioResult(spec=spec, result=result))
-        return results, sorted(digests)
+            out.append(ScenarioResult(spec=spec, result=result))
+        return out, sorted(lowered.unique)
 
-    def _fetch_suite(
-        self, suite: Any, fetched: dict[str, Any] | None
-    ) -> tuple[list[ScenarioResult], list[str]] | None:
-        """:meth:`_suite_results`, memoized per build pass — the shared
-        evaluation suite is expanded and deserialized once, not once per
-        consuming figure."""
-        if fetched is None:
-            return self._suite_results(suite)
-        key = suite.to_json()
-        if key not in fetched:
-            fetched[key] = self._suite_results(suite)
-        return fetched[key]
+    def _fetch_suite(self, planned: _Pass, key: str) -> Covered | None:
+        """:meth:`_suite_results`, once per suite per pass — the shared
+        evaluation suite is collected once, not once per consuming
+        figure."""
+        if key not in planned.covered:
+            planned.covered[key] = self._suite_results(
+                planned.lowered[key], planned.results
+            )
+        return planned.covered[key]
 
     def _render_one(
         self,
@@ -411,7 +439,8 @@ class FigureBuilder:
         force: bool,
         csv: bool,
         png: bool,
-        fetched: dict[str, Any] | None = None,
+        planned: _Pass,
+        key: str | None,
     ) -> FigureArtifact:
         path = self.artifact_path(spec.name)
         state = self._artifact_state(path, digest)
@@ -429,8 +458,8 @@ class FigureBuilder:
 
         results: tuple[ScenarioResult, ...] = ()
         job_digests: list[str] = []
-        if suite is not None:
-            covered = self._fetch_suite(suite, fetched)
+        if key is not None:
+            covered = self._fetch_suite(planned, key)
             if covered is None:
                 return FigureArtifact(name=spec.name, status="incomplete",
                                       digest=digest)
@@ -470,7 +499,9 @@ class FigureBuilder:
         for spec, suite, _digest in self._resolved([name]):
             results: tuple[ScenarioResult, ...] = ()
             if suite is not None:
-                fetched = self._suite_results(suite)
+                fetched = self._suite_results(
+                    lower_suite(suite, power_model=self._model), {}
+                )
                 if fetched is None:
                     raise FigureError(
                         f"figure {name!r}: result store does not cover "

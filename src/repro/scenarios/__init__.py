@@ -10,8 +10,10 @@ The scenario layer turns evaluation matrices into *data*:
   axes; expansion takes the cartesian product and validates every
   point before anything is simulated.
 * :mod:`~repro.scenarios.runner` — lowers specs to
-  :class:`~repro.exec.jobs.RunJob` values and submits the whole grid
-  as one batch through the executor and its content-addressed cache.
+  :class:`~repro.exec.jobs.RunJob` values in one step
+  (:func:`~repro.scenarios.runner.lower_suite`) and submits the whole
+  grid as one batch through the executor and its content-addressed
+  cache.
 * :mod:`~repro.scenarios.builtin` — the paper's figure grids (and
   extensions over the new kernels) as named suites:
   ``repro suite run --suite paper-fig7``.
@@ -21,11 +23,15 @@ from __future__ import annotations
 
 from .builtin import available_suites, get_suite, register_suite, suite_help
 from .runner import (
+    LoweredJob,
+    LoweredSuite,
     PlanEntry,
     ScenarioResult,
     Shard,
     SuitePlan,
     SuiteRun,
+    lower_specs,
+    lower_suite,
     plan_suite,
     run_specs,
     run_suite,
@@ -44,8 +50,12 @@ __all__ = [
     "ScenarioResult",
     "SuiteRun",
     "Shard",
+    "LoweredJob",
+    "LoweredSuite",
     "PlanEntry",
     "SuitePlan",
+    "lower_specs",
+    "lower_suite",
     "plan_suite",
     "run_specs",
     "run_suite",

@@ -8,6 +8,12 @@ and the result store answers repeat runs with zero simulations), and
 results come back paired with the spec that requested them, in
 submission order.
 
+:func:`lower_suite` (and :func:`lower_specs` for an explicit spec list)
+is the one place specs become jobs: planning, running, sharding and the
+figure builder all consume its :class:`LoweredSuite`.  A caller lowering
+several suites in one pass shares a ``memo`` dict, so a scenario that
+appears in more than one grid is lowered and digested once.
+
 Two multi-host primitives live here as well:
 
 * :class:`Shard` — a deterministic ``K/N`` slice of a suite's deduped
@@ -23,12 +29,14 @@ Two multi-host primitives live here as well:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Any, NamedTuple, Sequence
 
 from ..errors import ExecutionError
 from ..exec.executor import BatchReport, Executor
-from ..exec.jobs import ExecResult
+from ..exec.jobs import ExecResult, RunJob
 from ..exec.store import ResultStore
 from ..obs import get_recorder
 from ..power.model import PowerModel
@@ -39,8 +47,12 @@ __all__ = [
     "ScenarioResult",
     "SuiteRun",
     "Shard",
+    "LoweredJob",
+    "LoweredSuite",
     "PlanEntry",
     "SuitePlan",
+    "lower_specs",
+    "lower_suite",
     "plan_suite",
     "run_specs",
     "run_suite",
@@ -92,15 +104,104 @@ class Shard:
         """The sub-list of *specs* whose lowered job digest this shard
         owns (``power_model``/``validate`` must match the run's, since
         both enter the digest)."""
-        model = power_model if power_model is not None else PowerModel.derive()
-        return [
-            spec
-            for spec in specs
-            if self.owns(spec.to_job(power=model, validate=validate).digest)
-        ]
+        return list(
+            lower_specs(specs, power_model, validate).owned_by(self).specs
+        )
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"
+
+
+class LoweredJob(NamedTuple):
+    """One unique job of a lowered suite."""
+
+    #: the first expanded scenario that lowers to this job
+    spec: ScenarioSpec
+    job: RunJob
+    #: how many expanded scenarios collapse onto this job digest
+    scenarios: int
+
+
+@dataclass(frozen=True)
+class LoweredSuite:
+    """A suite's scenarios, each paired with the job it lowers to.
+
+    ``specs[i]`` lowers to ``jobs[i]``, in expansion order; distinct
+    scenarios may share one job (ungated W0 variants do).
+    """
+
+    suite: Any  # ScenarioSuite or SpecListSuite; None for a bare spec list
+    specs: tuple[ScenarioSpec, ...]
+    jobs: tuple[RunJob, ...]
+
+    @cached_property
+    def unique(self) -> dict[str, LoweredJob]:
+        """Job digest -> :class:`LoweredJob`, in first-seen order."""
+        counts = Counter(job.digest for job in self.jobs)
+        out: dict[str, LoweredJob] = {}
+        for spec, job in zip(self.specs, self.jobs):
+            if job.digest not in out:
+                out[job.digest] = LoweredJob(spec, job, counts[job.digest])
+        return out
+
+    def owned_by(self, shard: Shard | None) -> "LoweredSuite":
+        """The scenarios whose job digest *shard* owns (all when None)."""
+        if shard is None:
+            return self
+        kept = [
+            (spec, job)
+            for spec, job in zip(self.specs, self.jobs)
+            if shard.owns(job.digest)
+        ]
+        return LoweredSuite(
+            suite=self.suite,
+            specs=tuple(spec for spec, _job in kept),
+            jobs=tuple(job for _spec, job in kept),
+        )
+
+
+def lower_specs(
+    specs: Sequence[ScenarioSpec],
+    power_model: PowerModel | None = None,
+    validate: bool = True,
+    memo: dict[ScenarioSpec, RunJob] | None = None,
+) -> LoweredSuite:
+    """Lower already-expanded scenarios to jobs, in order (the result's
+    ``suite`` is None).
+
+    ``memo`` maps scenario values to the jobs they lowered to; share one
+    dict across the suites of a pass (under one ``power_model`` and
+    ``validate``, which both enter the digest) and a scenario that
+    recurs is lowered and digested once.
+    """
+    model = power_model if power_model is not None else PowerModel.derive()
+    cache = memo if memo is not None else {}
+    jobs: list[RunJob] = []
+    for spec in specs:
+        try:
+            job = cache[spec]
+        except KeyError:
+            job = cache[spec] = spec.to_job(power=model, validate=validate)
+        except TypeError:  # an unhashable override value (a list)
+            job = spec.to_job(power=model, validate=validate)
+        jobs.append(job)
+    return LoweredSuite(suite=None, specs=tuple(specs), jobs=tuple(jobs))
+
+
+def lower_suite(
+    suite: Any,
+    power_model: PowerModel | None = None,
+    validate: bool = True,
+    memo: dict[ScenarioSpec, RunJob] | None = None,
+) -> LoweredSuite:
+    """Expand *suite* (validating every scenario) and lower it to jobs.
+
+    The single lowering step behind :func:`plan_suite`,
+    :func:`run_suite` and the figure builder; see :func:`lower_specs`
+    for ``memo``.
+    """
+    lowered = lower_specs(suite.expand(), power_model, validate, memo)
+    return replace(lowered, suite=suite)
 
 
 @dataclass(frozen=True)
@@ -204,12 +305,11 @@ def run_specs(
 ) -> list[ScenarioResult]:
     """Execute scenarios as one batch; results in submission order."""
     exe = executor if executor is not None else Executor()
-    model = power_model if power_model is not None else PowerModel.derive()
-    jobs = [spec.to_job(power=model, validate=validate) for spec in specs]
-    results = exe.run(jobs)
+    lowered = lower_specs(specs, power_model, validate)
+    results = exe.run(list(lowered.jobs))
     return [
         ScenarioResult(spec=spec, result=result)
-        for spec, result in zip(specs, results)
+        for spec, result in zip(lowered.specs, results)
     ]
 
 
@@ -228,24 +328,15 @@ def run_suite(
     merge`` the stores to reassemble the full grid.
     """
     exe = executor if executor is not None else Executor()
-    model = power_model if power_model is not None else PowerModel.derive()
     recorder = get_recorder()
     with recorder.span(
         "suite.run", suite=suite.name,
         shard=str(shard) if shard is not None else None,
     ) as span:
-        specs = suite.expand()
         # lower once: the same jobs serve the shard filter and the execution
-        jobs = [spec.to_job(power=model, validate=validate) for spec in specs]
-        if shard is not None:
-            kept = [
-                (spec, job)
-                for spec, job in zip(specs, jobs)
-                if shard.owns(job.digest)
-            ]
-            specs = [spec for spec, _job in kept]
-            jobs = [job for _spec, job in kept]
-        span.annotate(scenarios=len(specs))
+        lowered = lower_suite(suite, power_model, validate).owned_by(shard)
+        jobs = list(lowered.jobs)
+        span.annotate(scenarios=len(jobs))
         if recorder.enabled and jobs:
             import hashlib
 
@@ -258,7 +349,7 @@ def run_suite(
         results = exe.run(jobs)
         scenario_results = [
             ScenarioResult(spec=spec, result=result)
-            for spec, result in zip(specs, results)
+            for spec, result in zip(lowered.specs, results)
         ]
         return SuiteRun(
             suite=suite, results=scenario_results, report=exe.last_report,
@@ -279,6 +370,8 @@ class PlanEntry:
     scenarios: int
     #: the first expanded scenario that lowers to this job
     spec: ScenarioSpec
+    #: the job it lowered to (what a build hands the executor on a miss)
+    job: RunJob
 
     @property
     def label(self) -> str:
@@ -360,7 +453,7 @@ class SuitePlan:
 
 
 def plan_suite(
-    suite: ScenarioSuite,
+    suite: ScenarioSuite | SpecListSuite | LoweredSuite,
     store: ResultStore | None = None,
     power_model: PowerModel | None = None,
     validate: bool = True,
@@ -368,36 +461,35 @@ def plan_suite(
 ) -> SuitePlan:
     """Walk a suite's expanded grid and report hit/miss per job digest.
 
-    Nothing is simulated: every spec lowers to its job digest and the
-    store is probed with ``in`` (which counts toward the store's
-    session hit/miss statistics — the documented accounting contract).
-    ``store=None`` plans against an empty cache (everything a miss);
-    ``shard`` restricts the plan to one slice of the job list, mirroring
-    ``run_suite``'s partition exactly.
+    Nothing is simulated: the suite is lowered with :func:`lower_suite`
+    (unless it already was — ``power_model``/``validate`` are then the
+    lowering's) and the store is probed with ``in`` once per unique job
+    digest (which counts toward the store's session hit/miss statistics
+    — the documented accounting contract).  ``store=None`` plans against
+    an empty cache (everything a miss); ``shard`` restricts the plan to
+    one slice of the job list, mirroring ``run_suite``'s partition
+    exactly.
     """
-    model = power_model if power_model is not None else PowerModel.derive()
+    source = suite.suite if isinstance(suite, LoweredSuite) else suite
     with get_recorder().span(
-        "suite.plan", suite=suite.name,
+        "suite.plan", suite=source.name,
         shard=str(shard) if shard is not None else None,
     ) as span:
-        first_spec: dict[str, ScenarioSpec] = {}
-        counts: dict[str, int] = {}
-        for spec in suite.expand():
-            digest = spec.to_job(power=model, validate=validate).digest
-            if shard is not None and not shard.owns(digest):
-                continue
-            first_spec.setdefault(digest, spec)
-            counts[digest] = counts.get(digest, 0) + 1
+        lowered = (
+            suite if isinstance(suite, LoweredSuite)
+            else lower_suite(suite, power_model, validate)
+        )
         entries = [
             PlanEntry(
                 digest=digest,
                 cached=(store is not None and digest in store),
-                scenarios=counts[digest],
-                spec=spec,
+                scenarios=unique.scenarios,
+                spec=unique.spec,
+                job=unique.job,
             )
-            for digest, spec in first_spec.items()
+            for digest, unique in lowered.owned_by(shard).unique.items()
         ]
-        plan = SuitePlan(suite=suite, entries=entries, shard=shard)
+        plan = SuitePlan(suite=source, entries=entries, shard=shard)
         span.annotate(
             unique_jobs=plan.unique_jobs, hits=plan.hits, misses=plan.misses
         )

@@ -15,6 +15,8 @@ Lowering: :meth:`ScenarioSpec.to_job` produces the ``RunJob`` the
 executor actually runs; :meth:`ScenarioSpec.from_workload_config` goes
 the other way, diffing a concrete ``SystemConfig`` against the defaults
 so existing harness entry points can re-express their grids as specs.
+A spec builds its ``SystemConfig`` once: validation and lowering share
+it.
 
 System overrides use dotted paths into the config dataclasses
 (``"memory.latency"``, ``"cache.ways"``, ``"num_dirs"``).  The fields
@@ -29,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Any, Mapping
 
 from ..config import SystemConfig
@@ -144,7 +147,12 @@ class ScenarioSpec:
         )
 
     def system_config(self) -> SystemConfig:
-        """Build the concrete machine configuration this spec names."""
+        """The concrete machine configuration this spec names."""
+        return self._system_config
+
+    @cached_property
+    def _system_config(self) -> SystemConfig:
+        # built on first use; frozen, like the spec it derives from
         base = SystemConfig(num_procs=self.threads, seed=self.seed)
         sections: dict[str, dict[str, Any]] = {}
         scalars: dict[str, Any] = {}
