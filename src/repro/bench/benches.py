@@ -85,8 +85,7 @@ def bench_engine(check: bool = False, repeats: int = 5, warmup: int = 2) -> Benc
         # A sprinkling of cancellations so the lazy-deletion path stays
         # on the profile (aborted HTM operations cancel their events).
         for i in range(0, horizon, 50):
-            event = engine.schedule(i + 1, one_shot)
-            event.cancel()
+            engine.cancel(engine.schedule(i + 1, one_shot))
         engine.run()
         return engine.events_executed
 
@@ -249,13 +248,10 @@ class _SinkProc:
 
 
 class _SinkMachine:
-    __slots__ = ("_procs",)
+    __slots__ = ("procs",)
 
     def __init__(self, procs):
-        self._procs = procs
-
-    def proc(self, pid):
-        return self._procs[pid]
+        self.procs = procs
 
 
 def bench_directory(check: bool = False, repeats: int = 5, warmup: int = 2) -> BenchResult:

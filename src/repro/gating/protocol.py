@@ -114,7 +114,7 @@ class GatingUnit:
         entry = self.table.entry(victim)
         send_stop = not entry.off
 
-        entry.cancel_timer()  # re-arm below; bumps epoch
+        entry.cancel_timer(self._m.engine)  # re-arm below; bumps epoch
         entry.bump_abort(self._config.gating.abort_counter_max)
         entry.aborter_proc = aborter
         entry.aborter_site = aborter_site
@@ -205,10 +205,10 @@ class GatingUnit:
     def _renew(self, entry: GatingEntry) -> None:
         if entry.abort_count < 1:
             # The victim committed since this episode began (stale-OFF
-            # recovery let it resume; notify_commit reset its counters)
-            # while this timer chain was still in flight.  The episode
-            # is over: renewing would query Eq. 8 with N_a = 0.  End the
-            # chain in its guaranteed Turn-On instead.
+            # recovery let it resume; Machine.notify_commit reset its
+            # counters) while this timer chain was still in flight.  The
+            # episode is over: renewing would query Eq. 8 with N_a = 0.
+            # End the chain in its guaranteed Turn-On instead.
             self._send_on(entry, reason="victim-committed")
             return
         entry.renew_count += 1
@@ -227,7 +227,7 @@ class GatingUnit:
 
     def _send_on(self, entry: GatingEntry, reason: str) -> None:
         entry.off = False
-        entry.cancel_timer()
+        entry.cancel_timer(self._m.engine)
         self._c_turn_ons.add()
         if self._trace_on:
             self._trace.emit(
@@ -269,8 +269,3 @@ class GatingUnit:
                     directory=self._dir.dir_id,
                     proc=proc,
                 )
-
-    # ------------------------------------------------------------------
-    def notify_commit(self, proc: int) -> None:
-        """``proc`` committed: reset its abort counter here."""
-        self.table.entry(proc).reset_on_commit()

@@ -29,9 +29,8 @@ local knowledge about the abort behavior of the processor").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from ..sim.engine import Event
+from ..sim.engine import Engine, Event
 
 __all__ = ["GatingEntry", "GatingTable"]
 
@@ -51,8 +50,8 @@ class GatingEntry:
     gated_at: int = -1
     #: victim's invested work at abort time (momentum-aware policies)
     momentum: int = 0
-    #: live timer event, if any (engine Event; cancelled on re-arm)
-    timer_event: Optional[Event] = field(default=None, repr=False)
+    #: live timer event, if any (cancelled on re-arm)
+    timer_event: Event | None = field(default=None, repr=False)
     #: guards stale timer/TxInfo callbacks after the entry is re-armed
     epoch: int = 0
 
@@ -71,9 +70,9 @@ class GatingEntry:
         self.abort_count = 0
         self.renew_count = 0
 
-    def cancel_timer(self) -> None:
+    def cancel_timer(self, engine: Engine) -> None:
         if self.timer_event is not None:
-            self.timer_event.cancel()
+            engine.cancel(self.timer_event)
             self.timer_event = None
         self.epoch += 1
 

@@ -30,6 +30,7 @@ from ..cm.registry import create_cm
 from ..config import SystemConfig
 from ..errors import ConfigError, DeadlockError, SimulationError
 from ..gating.protocol import GatingUnit
+from ..gating.table import GatingEntry
 from ..mem.address import AddressMap
 from ..mem.bus import Bus
 from ..mem.cache import L1Cache
@@ -165,6 +166,13 @@ class Machine:
                 )
                 self.gating_units.append(unit)
             directory.attach(self, unit)
+        # proc id -> that processor's entry in every gating table, for
+        # the commit fan-out.  Tables are reset in place, so the lists
+        # survive Machine.reset.
+        self._gating_entries: list[list[GatingEntry]] = [
+            [unit.table.entry(p) for unit in self.gating_units]
+            for p in range(config.num_procs)
+        ]
 
         self.procs: list[Processor] = [
             Processor(p, self) for p in range(config.num_procs)
@@ -335,8 +343,8 @@ class Machine:
     # -- commit fan-out ----------------------------------------------------
     def notify_commit(self, proc_id: int) -> None:
         """Reset the committer's abort counters in every directory."""
-        for unit in self.gating_units:
-            unit.notify_commit(proc_id)
+        for entry in self._gating_entries[proc_id]:
+            entry.reset_on_commit()
 
     def record_committed_tx(self, tx: TxState) -> None:
         self.commit_log.append(

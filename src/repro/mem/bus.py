@@ -25,7 +25,7 @@ from heapq import heappush
 from typing import Any, Callable
 
 from ..config import BusConfig
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 
 __all__ = ["Bus"]
@@ -53,11 +53,11 @@ class Bus:
     # than delegating to a shared helper: every protocol message crosses
     # one of them, and the extra call frame was a measured cost.  Keep
     # the two bodies in sync (they differ only in the occupancy used).
-    # Counter bumps are likewise inlined (.value +=, not .add()), and so
-    # is the body of Engine.schedule_at (pool reuse + heappush): the
+    # Counter bumps are likewise inlined (.value +=, not .add()), and the
+    # event tuple is pushed onto the engine's queue directly: the
     # arrival time is >= now by construction (depart >= now, occupancy
-    # and wire latency non-negative), so the past-check and the *args
-    # repack of a delegated call buy nothing here.
+    # and wire latency non-negative), so Engine.schedule_at's past-check
+    # and the *args repack of a delegated call buy nothing here.
     def send_ctrl(
         self, fn: Callable[..., Any], *args: Any, _push=heappush
     ) -> int:
@@ -71,17 +71,7 @@ class Bus:
         arrival = busy + self._wire_latency
         seq = engine._seq
         engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = arrival
-            event[1] = seq
-            event[2] = fn
-            event[3] = args or None
-            event.cancelled = False
-        else:
-            event = Event(arrival, seq, fn, args or None)
-        _push(engine._queue, event)
+        _push(engine._queue, (arrival, seq, fn, args or None))
 
         self._c_messages.value += 1
         self._c_busy_cycles.value += occupancy
@@ -102,33 +92,7 @@ class Bus:
         arrival = busy + self._wire_latency
         seq = engine._seq
         engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = arrival
-            event[1] = seq
-            event[2] = fn
-            event[3] = args or None
-            event.cancelled = False
-        else:
-            event = Event(arrival, seq, fn, args or None)
-        _push(engine._queue, event)
-
-        self._c_messages.value += 1
-        self._c_busy_cycles.value += occupancy
-        if depart > now:
-            self._c_queue_cycles.value += depart - now
-        return arrival
-
-    def _send(self, occupancy: int, fn: Callable[..., Any], *args: Any) -> int:
-        """Generic send at an explicit occupancy (tests / cold paths)."""
-        engine = self._engine
-        now = engine.now
-        busy = self._busy_until
-        depart = busy if busy > now else now
-        self._busy_until = busy = depart + occupancy
-        arrival = busy + self._wire_latency
-        engine.schedule_at(arrival, fn, *args)
+        _push(engine._queue, (arrival, seq, fn, args or None))
 
         self._c_messages.value += 1
         self._c_busy_cycles.value += occupancy

@@ -102,13 +102,17 @@ class L1Cache:
             entry.last_use = self._use_clock
         return entry
 
-    def fill(self, line: int, partial: bool = False) -> int | None:
+    def fill(
+        self, line: int, partial: bool = False, spec_read: bool = False
+    ) -> int | None:
         """Install ``line``; returns the evicted line id, if any.
 
         ``partial=True`` is the store-allocation path (no data fetched,
         no directory registration — see :class:`CacheLineState`).  A
         completing (non-partial) fill upgrades a resident partial line;
-        a partial fill never downgrades a complete one.
+        a partial fill never downgrades a complete one.  ``spec_read``
+        sets the installed line's SR bit (a transactional load's fill),
+        as :meth:`mark_spec_read` would right after the fill.
 
         Idempotent for resident lines.  Victim selection prefers an
         empty way, then non-speculative LRU, then speculative LRU (see
@@ -121,6 +125,8 @@ class L1Cache:
             entry.last_use = self._use_clock
             if not partial:
                 entry.partial = False
+            if spec_read:
+                entry.spec_read = True
             return None
 
         victim_line: int | None = None
@@ -144,7 +150,9 @@ class L1Cache:
             if victim.spec_read or victim.spec_written:
                 self._c_spec_evictions.value += 1
 
-        set_[line] = CacheLineState(line, partial=partial, last_use=self._use_clock)
+        set_[line] = CacheLineState(
+            line, spec_read=spec_read, partial=partial, last_use=self._use_clock
+        )
         self._c_fills.value += 1
         return victim_line
 

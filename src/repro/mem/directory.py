@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from ..config import DirectoryConfig
 from ..errors import ProtocolError
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 from ..sim.trace import NullTrace
 from .address import AddressMap
@@ -118,7 +118,7 @@ class Directory:
     # wiring
     # ------------------------------------------------------------------
     def attach(self, machine, gating: "GatingUnit | None" = None) -> None:
-        """Connect to the machine (processor lookup) and gating unit."""
+        """Connect to the machine (its ``procs`` list) and gating unit."""
         self._machine = machine
         self.gating = gating
 
@@ -190,21 +190,11 @@ class Directory:
         busy = self._busy_until
         start = busy if busy > now else now
         self._busy_until = done = start + self._latency
-        # Engine.schedule_at inlined (see Bus.send_ctrl): ``done`` is
-        # >= now by construction, so the past-check is redundant.
+        # Pushed directly (see Bus.send_ctrl): ``done`` is >= now by
+        # construction, so Engine.schedule_at's past-check is redundant.
         seq = engine._seq
         engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = done
-            event[1] = seq
-            event[2] = self._fill_serviced
-            event[3] = (req,)
-            event.cancelled = False
-        else:
-            event = Event(done, seq, self._fill_serviced, (req,))
-        heappush(engine._queue, event)
+        heappush(engine._queue, (done, seq, self._fill_serviced, (req,)))
 
     def _fill_serviced(self, req: FillRequest) -> None:
         # Sharer registration happens at service time, before the data
@@ -216,7 +206,7 @@ class Directory:
         self._memory.access(self._fill_data_ready, req)
 
     def _fill_data_ready(self, req: FillRequest) -> None:
-        proc = self._machine.proc(req.proc)
+        proc = self._machine.procs[req.proc]
         reply = FillReply(req.proc, req.line, req.req_id)
         self._bus.send_data(proc.receive_fill_reply, reply)
 
@@ -252,21 +242,11 @@ class Directory:
         busy = self._busy_until
         start = busy if busy > now else now
         self._busy_until = done = start + service
-        # Engine.schedule_at inlined (see Bus.send_ctrl): ``done`` is
-        # >= now by construction, so the past-check is redundant.
+        # Pushed directly (see Bus.send_ctrl): ``done`` is >= now by
+        # construction, so Engine.schedule_at's past-check is redundant.
         seq = engine._seq
         engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = done
-            event[1] = seq
-            event[2] = self._flush_complete
-            event[3] = (req,)
-            event.cancelled = False
-        else:
-            event = Event(done, seq, self._flush_complete, (req,))
-        heappush(engine._queue, event)
+        heappush(engine._queue, (done, seq, self._flush_complete, (req,)))
 
     def _flush_complete(self, req: FlushRequest) -> None:
         now = self._engine.now
@@ -284,6 +264,7 @@ class Directory:
         #    per line (no per-line set allocation).
         sharers = self._sharers
         owner = self._owner
+        procs = self._machine.procs
         committer_bit = 1 << committer
         victims: dict[int, list[int]] = {}
         for line in req.lines:
@@ -308,11 +289,10 @@ class Directory:
             #    gating-table entry is created (the Stop-Clock command
             #    rides with the invalidation either way).
             ordered = sorted(victims.items())
-            proc_of = self._machine.proc
             gating = self.gating
             stop_clock = 0
             for victim, lines in ordered:
-                if proc_of(victim).would_abort_on(lines):
+                if procs[victim].would_abort_on(lines):
                     self._c_aborts_caused.add()
                     if self._trace_on:
                         self._trace.emit(
@@ -333,7 +313,7 @@ class Directory:
             for victim, lines in ordered:
                 msg = Invalidation(victim, committer, dir_id, tuple(lines))
                 send_data(
-                    proc_of(victim).receive_invalidation,
+                    procs[victim].receive_invalidation,
                     msg,
                     bool(stop_clock & (1 << victim)),
                 )
@@ -341,7 +321,7 @@ class Directory:
         # 4. acknowledge the committer — after the invalidations, so the
         #    FIFO bus guarantees delivery order.
         done = FlushDone(committer, tid, self.dir_id)
-        self._bus.send_ctrl(self._machine.proc(committer).receive_flush_done, done)
+        self._bus.send_ctrl(procs[committer].receive_flush_done, done)
 
     # ------------------------------------------------------------------
     @property

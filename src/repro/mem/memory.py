@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping
 
 from ..config import MemoryConfig
 from ..errors import MemoryModelError
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 from .address import WORD_BYTES
 
@@ -67,6 +67,18 @@ class MainMemory:
     def read_word(self, addr: int) -> int:
         """Committed value at ``addr`` (zero if never written)."""
         return self._data.get(self._check(addr), 0)
+
+    @property
+    def words(self) -> dict[int, int]:
+        """The committed store itself: ``addr -> value``, absent is zero.
+
+        For readers whose addresses are validated already — load
+        completions bind ``words.get`` once and skip :meth:`read_word`'s
+        re-check.  :meth:`reset` clears the dict in place, so such a
+        binding stays valid.  Writes go through :meth:`write_word` and
+        :meth:`write_words`.
+        """
+        return self._data
 
     def write_word(self, addr: int, value: int, writer_tid: int = -1) -> None:
         """Commit ``value`` at ``addr`` (used by directory flushes)."""
@@ -131,21 +143,11 @@ class MainMemory:
         start = busy if busy > now else now
         self._port_busy_until = start + self._port_occupancy
         done = start + self._latency
-        # Engine.schedule_at inlined (see Bus.send_ctrl): ``done`` is
-        # >= now by construction, so the past-check is redundant.
+        # Pushed directly (see Bus.send_ctrl): ``done`` is >= now by
+        # construction, so Engine.schedule_at's past-check is redundant.
         seq = engine._seq
         engine._seq = seq + 1
-        pool = engine._pool
-        if pool:
-            event = pool.pop()
-            event[0] = done
-            event[1] = seq
-            event[2] = fn
-            event[3] = args or None
-            event.cancelled = False
-        else:
-            event = Event(done, seq, fn, args or None)
-        _push(engine._queue, event)
+        _push(engine._queue, (done, seq, fn, args or None))
 
         # Inlined counter bumps: every fill and flush pays this path.
         self._c_accesses.value += 1

@@ -9,11 +9,25 @@ history (tested in ``tests/test_determinism.py``).
 
 Design notes
 ------------
-* Cancellation is *lazy*: :meth:`Event.cancel` flips a flag and the
-  event is discarded when popped.  This keeps ``heapq`` usage O(log n)
-  and avoids the O(n) cost of removing from the middle of a heap.  The
-  abort path of the HTM relies on this (a processor whose in-flight
-  memory operation is aborted simply cancels its completion event).
+* Every scheduled event is a plain tuple ``(time, seq, fn, args)`` —
+  the :data:`Event` type — and is its own heap entry.  ``heapq`` orders
+  entries with C-level tuple comparison, which never looks past the
+  unique ``seq``; nothing is allocated per event beyond the tuple
+  itself.  ``args`` is ``None`` for zero-argument callbacks, which are
+  then invoked as ``fn()``.
+* The sequence number is taken when an event is *scheduled*, so
+  same-cycle ties break by schedule order.  Splitting or merging the
+  events of a protocol path therefore changes which same-cycle event
+  runs first; keeping results bit-identical means keeping the event
+  graph.
+* Cancellation is *lazy*: :meth:`Engine.cancel` records the event's
+  sequence number in a set, and the event is discarded when it is
+  popped.  The drain loop consults the set only while it is non-empty,
+  so runs without cancellations pay one truthiness test per event.
+  Cancelling an event that already fired (or was never scheduled on
+  this engine) is a no-op that records nothing.  The HTM layer cancels
+  a processor's pending restart when a Stop-Clock freezes it, and the
+  gating units cancel re-armed timers.
 * The engine never advances time backwards; scheduling in the past is a
   :class:`~repro.errors.SimulationError` (it would silently reorder
   causality).
@@ -22,26 +36,13 @@ Design notes
   HTM layer installs a deadlock watchdog on top (see
   :mod:`repro.htm.machine`).
 
-Hot-path engineering (PR 3; measured by ``repro bench bench_engine``)
----------------------------------------------------------------------
-Every simulated cycle pays the dispatch loop, so it is built around
-three constant-factor decisions:
-
-* :class:`Event` **is** its own heap entry — a ``list`` subclass laid
-  out as ``[time, seq, fn, args]``.  ``heapq`` then orders events with
-  C-level list comparison (which never looks past the unique ``seq``),
-  instead of calling a Python-level ``__lt__`` per sift step.
-* A bounded **event reuse pool**: executed and dead-popped entries are
-  reinitialised in place by the next ``schedule`` instead of being
-  reallocated.  The safety contract is that an :class:`Event` handle
-  must not be touched after it has fired — every holder in this
-  codebase clears its reference in (or before) the fired callback, and
-  a cancelled handle is dropped by its holder at cancel time.
-* **Zero-arg fast path**: events scheduled without arguments store
-  ``None`` and are invoked as ``fn()``, skipping tuple unpacking.
-
-``heappush``/``heappop`` are bound once at import and passed as default
-arguments into the hot methods, avoiding a global lookup per event.
+The hottest senders (bus, memory port, directory service) push their
+tuples onto ``_queue`` directly with a sequence number taken from
+``_seq``: their times are at or after ``now`` by construction, so the
+past-check and call frame of :meth:`Engine.schedule_at` buy nothing
+there.  ``heappush``/``heappop`` are bound once at import and passed as
+default arguments into the hot methods, avoiding a global lookup per
+event.
 """
 
 from __future__ import annotations
@@ -53,63 +54,10 @@ from ..errors import SimulationError
 
 __all__ = ["Event", "Engine"]
 
-#: Upper bound on recycled Event objects kept per engine.  Sized to the
-#: in-flight event population of a 16-processor machine with slack; the
-#: pool exists to stop steady-state allocation, not to cache bursts.
-_POOL_MAX = 512
-
-
-class Event(list):
-    """A scheduled callback.  Returned by :meth:`Engine.schedule`.
-
-    The instance is simultaneously the caller-facing handle and the
-    heap entry ``[time, seq, fn, args]``; instances order by
-    ``(time, seq)`` through plain list comparison, which gives the
-    deterministic execution order described in the module docstring.
-    ``args`` is ``None`` for zero-argument callbacks (the fast path).
-    """
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any],
-                 args: tuple | None):
-        list.__init__(self, (time, seq, fn, args))
-        self.cancelled = False
-
-    # Named access for callers and debugging; hot code indexes directly.
-    @property
-    def time(self) -> int:
-        return self[0]
-
-    @property
-    def seq(self) -> int:
-        return self[1]
-
-    @property
-    def fn(self) -> Callable[..., Any]:
-        return self[2]
-
-    @property
-    def args(self) -> tuple:
-        return self[3] if self[3] is not None else ()
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped.
-
-        Must only be called while the event is still pending.  Once it
-        has fired (or been dead-popped) the handle is expired: the
-        engine marks it cancelled and may recycle the object for a
-        future ``schedule`` call, so a late ``cancel()`` is a no-op at
-        best and, after reuse, would silently kill an unrelated event.
-        Holders must drop their reference in (or before) the fired
-        callback — see the module docstring's pool contract.
-        """
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
-        name = getattr(self[2], "__qualname__", repr(self[2]))
-        return f"<Event t={self[0]} seq={self[1]} {name}{state}>"
+#: A scheduled event and the handle :meth:`Engine.schedule` returns:
+#: ``(time, seq, fn, args)``, with ``args`` ``None`` when ``fn`` takes
+#: no arguments.
+Event = tuple[int, int, Callable[..., Any], tuple[Any, ...] | None]
 
 
 class Engine:
@@ -124,7 +72,8 @@ class Engine:
         self.now: int = 0
         self._queue: list[Event] = []
         self._seq: int = 0
-        self._pool: list[Event] = []
+        #: sequence numbers of cancelled events still in the queue
+        self._cancelled: set[int] = set()
         self.events_executed: int = 0
 
     # ------------------------------------------------------------------
@@ -134,26 +83,13 @@ class Engine:
         self, delay: int, fn: Callable[..., Any], *args: Any, _push=heappush
     ) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now."""
-        # schedule() is the hottest entry point (every memory access,
-        # bus hop and continuation passes through it), so the body of
-        # schedule_at is inlined here rather than delegated to.
         if delay < 0:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay} at t={self.now})"
             )
-        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event[0] = time
-            event[1] = seq
-            event[2] = fn
-            event[3] = args or None
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn, args or None)
+        event = (self.now + delay, seq, fn, args or None)
         _push(self._queue, event)
         return event
 
@@ -167,52 +103,36 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event[0] = time
-            event[1] = seq
-            event[2] = fn
-            event[3] = args or None
-            event.cancelled = False
-        else:
-            event = Event(time, seq, fn, args or None)
+        event = (time, seq, fn, args or None)
         _push(self._queue, event)
         return event
+
+    def cancel(self, event: Event) -> None:
+        """Discard ``event`` when it is popped, if it is still pending.
+
+        A late cancel — the event already fired, was already dropped,
+        or belongs to a queue since cleared by :meth:`reset` — is a
+        no-op and leaves nothing behind.  The pending check scans the
+        queue by identity; cancels are rare, so that is cheaper than
+        keeping an index on the scheduling path.
+        """
+        for pending in self._queue:
+            if pending is event:
+                self._cancelled.add(event[1])
+                return
 
     def reset(self) -> None:
         """Return the engine to its just-constructed state.
 
-        Pending events are dropped (marked cancelled and stripped of
-        their callback/argument references, honouring the expired-handle
-        contract) and recycled into the reuse pool, which is kept warm
-        across resets — pooled entries are inert until the next
-        ``schedule`` reinitialises them, so a reset engine schedules and
-        drains exactly like a fresh one.  Part of the
-        :meth:`repro.htm.machine.Machine.reset` pristine-state contract.
+        Pending events and pending cancellations are dropped.  Part of
+        the :meth:`repro.htm.machine.Machine.reset` pristine-state
+        contract.
         """
-        pool = self._pool
-        for event in self._queue:
-            event.cancelled = True
-            event[2] = event[3] = None
-            if len(pool) < _POOL_MAX:
-                pool.append(event)
         self._queue.clear()
+        self._cancelled.clear()
         self.now = 0
         self._seq = 0
         self.events_executed = 0
-
-    def _recycle(self, event: Event) -> None:
-        """Return a finished heap entry to the reuse pool.
-
-        The expired handle reads as cancelled so a (contract-breaking)
-        late ``cancel()`` in the fire-to-reuse window is a no-op.
-        """
-        if len(self._pool) < _POOL_MAX:
-            event.cancelled = True
-            event[2] = None  # release the callback and its closure
-            event[3] = None  # release argument references
-            self._pool.append(event)
 
     # ------------------------------------------------------------------
     # execution
@@ -220,26 +140,18 @@ class Engine:
     def step(self, _pop=heappop) -> bool:
         """Execute the next live event.  Returns False when queue is empty."""
         queue = self._queue
-        pool = self._pool
+        cancelled = self._cancelled
         while queue:
-            event = _pop(queue)
-            if event.cancelled:
-                # Cold branch: dead-popping is rare, a method call is fine.
-                self._recycle(event)
+            time, seq, fn, args = _pop(queue)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
                 continue
-            self.now = event[0]
+            self.now = time
             self.events_executed += 1
-            fn = event[2]
-            args = event[3]
             if args is None:
                 fn()
             else:
                 fn(*args)
-            # _recycle() inlined — this runs once per executed event.
-            if len(pool) < _POOL_MAX:
-                event.cancelled = True
-                event[2] = event[3] = None
-                pool.append(event)
             return True
         return False
 
@@ -261,41 +173,33 @@ class Engine:
             a safety valve against protocol livelock bugs.
         """
         queue = self._queue
+        cancelled = self._cancelled
         if until is None and max_events is None:
             # Unbounded drain: inline the dispatch loop (no per-event
             # method call, no head peeking).
-            pool = self._pool
             executed = 0
             try:
                 while queue:
-                    event = _pop(queue)
-                    if event.cancelled:
-                        # Cold branch: dead-popping is rare.
-                        self._recycle(event)
+                    time, seq, fn, args = _pop(queue)
+                    if cancelled and seq in cancelled:
+                        cancelled.discard(seq)
                         continue
-                    self.now = event[0]
+                    self.now = time
                     executed += 1
-                    fn = event[2]
-                    args = event[3]
                     if args is None:
                         fn()
                     else:
                         fn(*args)
-                    # _recycle() inlined — once per executed event.
-                    if len(pool) < _POOL_MAX:
-                        event.cancelled = True
-                        event[2] = event[3] = None
-                        pool.append(event)
             finally:
                 self.events_executed += executed
             return
 
         executed = 0
         while queue:
-            # Peek past cancelled heads without executing them.
+            # Drop cancelled heads without executing them.
             head = queue[0]
-            if head.cancelled:
-                self._recycle(_pop(queue))
+            if cancelled and head[1] in cancelled:
+                cancelled.discard(_pop(queue)[1])
                 continue
             if until is not None and head[0] > until:
                 return
@@ -310,14 +214,16 @@ class Engine:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        # Every recorded cancellation names an event still in the queue.
+        return len(self._queue) - len(self._cancelled)
 
     def next_event_time(self) -> int | None:
         """Time of the earliest live event, or ``None`` if drained."""
-        for event in sorted(self._queue):
-            if not event.cancelled:
-                return event[0]
-        return None
+        cancelled = self._cancelled
+        return min(
+            (event[0] for event in self._queue if event[1] not in cancelled),
+            default=None,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Engine t={self.now} pending={self.pending()}>"

@@ -17,6 +17,7 @@ from repro.htm.machine import Machine
 from repro.htm.ops import Compute, Load, Store, TxOp
 from repro.htm.program import ThreadProgram
 from repro.power.states import ProcState
+from repro.sim.engine import Engine
 from repro.sim.trace import TraceRecorder
 
 A = 0x1000
@@ -47,10 +48,16 @@ class TestGatingEntry:
         assert entry.renew_count == 0
 
     def test_cancel_timer_bumps_epoch(self):
+        engine = Engine()
+        fired: list[int] = []
         entry = GatingEntry(0)
+        entry.timer_event = engine.schedule(5, fired.append, 1)
         epoch = entry.epoch
-        entry.cancel_timer()
+        entry.cancel_timer(engine)
         assert entry.epoch == epoch + 1
+        assert entry.timer_event is None
+        engine.run()
+        assert fired == []
 
     def test_table_off_procs(self):
         table = GatingTable(4)

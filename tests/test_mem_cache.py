@@ -88,6 +88,23 @@ class TestSpeculativeBits:
         assert entry.spec_read and not entry.spec_written
         assert entry.speculative
 
+    def test_fill_with_spec_read_matches_fill_then_mark(self):
+        # A transactional load's fill installs the line with its SR bit;
+        # that must equal a plain fill followed by mark_spec_read, for a
+        # new line and for a resident store-allocated (partial) one.
+        for resident_partial in (False, True):
+            one, two = make_cache(), make_cache()
+            for cache in (one, two):
+                cache.fill(8)  # the other way of set 0
+                if resident_partial:
+                    cache.fill(0, partial=True)
+                    cache.mark_spec_written(0)
+            one.fill(0, spec_read=True)
+            two.fill(0)
+            two.mark_spec_read(0)
+            assert one.lookup(0) == two.lookup(0)
+            assert one.lookup(0).spec_read and not one.lookup(0).partial
+
     def test_clear_on_commit_keeps_lines(self):
         cache = make_cache()
         cache.fill(1)

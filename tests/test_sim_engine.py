@@ -49,9 +49,54 @@ def test_cancelled_event_is_skipped():
     fired: list[int] = []
     event = engine.schedule(10, fired.append, 1)
     engine.schedule(20, fired.append, 2)
-    event.cancel()
+    engine.cancel(event)
     engine.run()
     assert fired == [2]
+
+
+def test_late_cancel_is_a_no_op():
+    """Cancelling an event that already fired must not touch later ones."""
+    engine = Engine()
+    fired: list[str] = []
+    first = engine.schedule(1, fired.append, "a")
+    engine.run()
+    engine.schedule(1, fired.append, "b")
+    engine.cancel(first)
+    assert engine.pending() == 1
+    engine.run()
+    assert fired == ["a", "b"]
+    assert engine.pending() == 0
+
+
+def test_step_and_bounded_run_skip_cancelled():
+    engine = Engine()
+    fired: list[int] = []
+    head = engine.schedule(1, fired.append, 1)
+    engine.schedule(2, fired.append, 2)
+    later = engine.schedule(3, fired.append, 3)
+    engine.schedule(4, fired.append, 4)
+    engine.cancel(head)
+    engine.cancel(later)
+    assert engine.step() is True
+    assert fired == [2] and engine.now == 2
+    engine.run(until=10, max_events=5)
+    assert fired == [2, 4]
+    assert engine.events_executed == 2
+    assert engine.pending() == 0
+
+
+def test_reset_clears_pending_cancellations():
+    engine = Engine()
+    engine.cancel(engine.schedule(5, lambda: None))
+    engine.reset()
+    assert engine.pending() == 0
+    # The first event after a reset reuses sequence number 0; a
+    # cancellation left over from before the reset would drop it.
+    fired: list[int] = []
+    engine.schedule(5, fired.append, 1)
+    assert engine.pending() == 1
+    engine.run()
+    assert fired == [1]
 
 
 def test_cannot_schedule_in_the_past():
@@ -94,8 +139,13 @@ def test_pending_and_next_event_time():
     engine.schedule(3, lambda: None)
     assert engine.pending() == 2
     assert engine.next_event_time() == 3
-    e1.cancel()
+    engine.cancel(e1)
     assert engine.pending() == 1
+    e3 = engine.schedule(1, lambda: None)
+    assert engine.next_event_time() == 1
+    engine.cancel(e3)
+    assert engine.pending() == 1
+    assert engine.next_event_time() == 3
 
 
 def test_step_returns_false_when_empty():
@@ -110,14 +160,29 @@ def test_events_executed_counter():
     assert engine.events_executed == 5
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=60))
-def test_execution_order_is_stable_sort(delays):
-    """Events fire in (time, schedule-order): a stable sort of delays."""
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1000), st.booleans()),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_execution_order_is_stable_sort(events):
+    """Events fire in (time, schedule-order): a stable sort of delays,
+    minus the cancelled events."""
     engine = Engine()
     fired: list[tuple[int, int]] = []
-    for idx, delay in enumerate(delays):
+    handles = [
         engine.schedule(delay, lambda d=delay, i=idx: fired.append((d, i)))
+        for idx, (delay, _) in enumerate(events)
+    ]
+    for handle, (_, cancelled) in zip(handles, events):
+        if cancelled:
+            engine.cancel(handle)
     engine.run()
-    assert fired == sorted(
-        ((d, i) for i, d in enumerate(delays)), key=lambda pair: (pair[0], pair[1])
+    expected = sorted(
+        ((d, i) for i, (d, cancelled) in enumerate(events) if not cancelled),
+        key=lambda pair: (pair[0], pair[1]),
     )
+    assert fired == expected
+    assert engine.events_executed == len(expected)
