@@ -234,16 +234,15 @@ class _SinkProc:
         self.read_lines = set(read_lines)
 
     def would_abort_on(self, lines) -> bool:
-        read = self.read_lines
-        return any(line in read for line in lines)
+        return not self.read_lines.isdisjoint(lines)
 
-    def receive_invalidation(self, msg, gate) -> None:
+    def receive_invalidation(self, committer, directory, lines, gate) -> None:
         pass
 
-    def receive_flush_done(self, msg) -> None:
+    def receive_flush_done(self, tid) -> None:
         pass
 
-    def receive_fill_reply(self, msg) -> None:
+    def receive_fill_reply(self, line, req_id) -> None:
         pass
 
 
@@ -260,7 +259,6 @@ def bench_directory(check: bool = False, repeats: int = 5, warmup: int = 2) -> B
     from ..mem.bus import Bus
     from ..mem.directory import Directory
     from ..mem.memory import MainMemory
-    from ..mem.messages import FillRequest, FlushRequest
     from ..sim.engine import Engine
     from ..sim.stats import StatsRegistry
 
@@ -304,9 +302,7 @@ def bench_directory(check: bool = False, repeats: int = 5, warmup: int = 2) -> B
         for pid in range(procs):
             for line in block:
                 fill_seq += 1
-                directory.receive_fill_request(
-                    FillRequest(pid, line, engine.now, fill_seq)
-                )
+                directory.receive_fill_request(pid, line, engine.now, fill_seq)
         engine.run()
 
         tid = 0
@@ -314,9 +310,7 @@ def bench_directory(check: bool = False, repeats: int = 5, warmup: int = 2) -> B
             for pid in range(procs):
                 tid += 1
                 directory.receive_flush_request(
-                    FlushRequest(
-                        pid, tid, block, writes_of[pid], engine.now, "bench"
-                    )
+                    pid, tid, block, writes_of[pid], engine.now, "bench"
                 )
                 engine.run()
         return rounds * procs * lines_per_flush

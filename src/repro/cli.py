@@ -30,7 +30,7 @@ Commands
 Execution control (``compare``, ``evaluate``, ``sweep``, ``suite run``)
 -----------------------------------------------------------------------
 ``--jobs N``       fan simulation runs across N worker processes
-                   (``0`` = one per CPU; default 1 = serial)
+                   (``0`` = one per usable CPU; default 1 = serial)
 ``--cache-dir P``  content-addressed result cache: re-running an
                    unchanged figure or sweep performs zero simulations
 ``--store B``      cache backend: ``jsonl``, ``sqlite``, or ``auto``
@@ -98,7 +98,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_exec(parser: argparse.ArgumentParser) -> None:
     """Parallel-execution and result-cache flags (repro.exec)."""
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (0 = one per CPU; default 1)")
+                        help="worker processes (0 = one per usable CPU; default 1)")
     parser.add_argument("--cache-dir", metavar="PATH",
                         help="content-addressed result cache directory")
     _add_store(parser)
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also plot <name>.png (needs matplotlib)")
     p_fbuild.add_argument("--jobs", type=int, default=1, metavar="N",
                           help="worker processes for residual simulations "
-                               "(0 = one per CPU; default 1)")
+                               "(0 = one per usable CPU; default 1)")
     p_fbuild.add_argument("--no-cache", action="store_true",
                           help="use a throw-away store: simulate "
                                "everything, persist nothing")

@@ -47,7 +47,13 @@ from .backends import (
     create_backend,
     detect_backend,
 )
-from .executor import BatchExecutionError, BatchReport, Executor, JobFailure
+from .executor import (
+    BatchExecutionError,
+    BatchReport,
+    Executor,
+    JobFailure,
+    usable_cpus,
+)
 from .jobs import SCHEMA_VERSION, ExecResult, RunJob, execute_job
 from .progress import ConsoleProgress, NullProgress, ProgressListener
 from .store import PruneReport, ResultStore, StoreStats
@@ -61,6 +67,7 @@ __all__ = [
     "BatchReport",
     "BatchExecutionError",
     "JobFailure",
+    "usable_cpus",
     "ResultStore",
     "StoreStats",
     "PruneReport",

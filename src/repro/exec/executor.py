@@ -65,7 +65,9 @@ from .jobs import (
 from .progress import ProgressListener
 from .store import ResultStore
 
-__all__ = ["Executor", "BatchReport", "BatchExecutionError", "JobFailure"]
+__all__ = [
+    "Executor", "BatchReport", "BatchExecutionError", "JobFailure", "usable_cpus",
+]
 
 #: environment switch disabling replicate packing (``--no-packs`` on the
 #: CLI); any non-empty value other than ``0``/``false``/``no`` disables
@@ -76,6 +78,31 @@ MIN_PACK_SIZE = 2
 
 #: never split a pack below this size when balancing across workers
 MIN_PACK_SPLIT = 4
+
+
+#: cgroup v2 CPU quota file: ``"<quota> <period>"`` or ``"max <period>"``
+CGROUP_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: ``--jobs 0``'s worker count.
+
+    The scheduler-affinity set, capped by the cgroup v2 quota (rounded
+    down, at least one) — ``os.cpu_count()`` counts the host's CPUs,
+    so a 2-CPU container on a 64-core host would start 64 workers.
+    Falls back to ``os.cpu_count()`` where affinity is unavailable.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = os.cpu_count() or 1
+    try:
+        quota, period = CGROUP_CPU_MAX.read_text().split()
+        if quota != "max":
+            cpus = min(cpus, int(quota) // int(period))
+    except (OSError, ValueError, ZeroDivisionError):
+        pass
+    return max(1, cpus)
 
 
 def packs_enabled_from_env() -> bool:
@@ -213,7 +240,7 @@ class Executor:
     ----------
     jobs:
         Worker processes.  ``1`` (default) executes inline in this
-        process; ``0`` means one per CPU.
+        process; ``0`` means one per usable CPU (:func:`usable_cpus`).
     store:
         Optional :class:`~repro.exec.store.ResultStore` consulted before
         executing and updated after.  A plain directory path is also
@@ -253,7 +280,7 @@ class Executor:
     ) -> None:
         if jobs < 0:
             raise ExecutionError(f"worker count cannot be negative: {jobs}")
-        self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
+        self.jobs = jobs if jobs > 0 else usable_cpus()
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store = store

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 
 from ..cm.base import ContentionManager
 from ..config import SystemConfig
-from ..mem.messages import TurnOn
 from ..sim.stats import StatsRegistry
 from ..sim.trace import NullTrace
 from .table import GatingEntry, GatingTable
@@ -102,9 +101,9 @@ class GatingUnit:
 
         ``aborter_site`` is the committing transaction's identity,
         carried by the flush request (see
-        :class:`~repro.mem.messages.FlushRequest` for why this replaces
-        the paper's *initial* TxInfoReq round-trip; the renewal-check
-        TxInfoReq below is unchanged).
+        :meth:`~repro.mem.directory.Directory.receive_flush_request` for
+        why this replaces the paper's *initial* TxInfoReq round-trip;
+        the renewal-check TxInfoReq below is unchanged).
 
         Returns True when a Stop-Clock command should ride with the
         invalidation (i.e. this directory did not already believe the
@@ -238,9 +237,7 @@ class GatingUnit:
                 reason=reason,
             )
         proc = self._m.proc(entry.proc)
-        self._m.bus.send_ctrl(
-            proc.receive_turn_on, TurnOn(entry.proc, self._dir.dir_id)
-        )
+        self._m.bus.send_ctrl(proc.receive_turn_on, self._dir.dir_id)
 
     # ------------------------------------------------------------------
     # 3. stale-OFF recovery

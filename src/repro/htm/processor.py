@@ -1,10 +1,14 @@
-"""The processor model: in-order core executing a thread program.
+"""The processor model: an in-order core executing a thread program.
 
 One :class:`Processor` owns one thread program, one private L1 cache
-and one power-state timeline.  It is a message-driven FSM: intents from
-the program generator are executed with timing against the memory
-system, and asynchronous protocol messages (invalidations, Stop-Clock,
-Turn-On, flush acknowledgements) arrive as bus-delivered callbacks.
+and one power-state timeline.  Two generators drive it: the thread
+program, and the body of the live transaction attempt.  Each has one
+step loop — :meth:`Processor._program_step` and
+:meth:`Processor._tx_step` — that resumes its generator, executes the
+yielded intent with timing against the memory system, and schedules
+itself as the intent's continuation.  Protocol traffic (fill replies,
+invalidations, flush acknowledgements, Turn-On) arrives as bus-delivered
+calls whose fields are plain positional arguments.
 
 Transactional execution model (TCC)
 -----------------------------------
@@ -17,13 +21,15 @@ Transactional execution model (TCC)
 * *Re-execution* — an abort discards the attempt's ``TxState`` and
   re-instantiates the body generator.
 
-Epoch discipline
-----------------
-Every abort bumps ``self._epoch``; every deferred continuation carries
-the epoch it was scheduled in and becomes a no-op if stale.  This is
-how "cancel all in-flight work" is implemented without hunting down
-individual events (the engine's lazy cancellation plus the epoch guard
-are belt and braces).
+Continuations
+-------------
+Each op schedules exactly one continuation, or one fill request on a
+miss; the step loops push the event tuple onto the engine queue
+themselves, as the bus, memory and directories do.  The engine breaks
+same-cycle ties by scheduling order, so results stay bit-identical
+only while that event graph does.  Every abort bumps ``self._epoch``,
+and a transactional continuation scheduled in an older epoch is a
+no-op: that cancels all in-flight work of an attempt at once.
 
 Clock gating (Section V of the paper)
 -------------------------------------
@@ -37,14 +43,14 @@ freeze and the wake-up merely restarts the attempt.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import ProtocolError, WorkloadError
-from ..mem.messages import FillReply, FillRequest, FlushDone, FlushRequest, Invalidation, TurnOn
 from ..power.states import ProcState
 from ..sim.engine import Event
 from ..sim.rng import derive_seed_from, seed_prefix
-from .ops import BarrierOp, Compute, Load, Op, Store, TxOp
+from .ops import BarrierOp, Compute, Load, Store, TxOp
 from .program import ThreadContext, ThreadProgram
 from .transaction import TxHandle, TxState, TxStatus
 
@@ -54,9 +60,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Processor"]
 
 # Enum member access is a descriptor call (~0.1 µs on CPython 3.11);
-# the per-load and per-miss handlers use these module constants instead.
+# the step loops and handlers compare against these module constants.
 _RUN = ProcState.RUN
 _MISS = ProcState.MISS
+_COMMIT = ProcState.COMMIT
+_GATED = ProcState.GATED
+_COMMITTING = TxStatus.COMMITTING
+_LIVE = (TxStatus.RUNNING, _COMMITTING)
+
+#: the intent classes the step loops dispatch on by exact type; a
+#: subclass is first mapped to the one of them it derives from (their
+#: slot layouts conflict, so no class derives from two)
+_INTENT_BASES = (Load, Store, Compute, TxOp, BarrierOp)
+_INTENTS = frozenset(_INTENT_BASES)
 
 
 class Processor:
@@ -66,17 +82,13 @@ class Processor:
         self.proc_id = proc_id
         self._m = machine
         self._engine = machine.engine
-        self._bus = machine.bus
         self._memory = machine.memory
-        self._addr_map = machine.addr_map
         self._vendor = machine.vendor
-        self._stats = machine.stats
         self._trace = machine.trace
         self._cm = machine.cm
         self.cache = machine.build_cache(proc_id)
         self.timeline = machine.timeline(proc_id)
 
-        self._program_gen: Generator | None = None
         self._program_send = None  # bound .send of the program generator
         self._ctx: ThreadContext | None = None
 
@@ -94,8 +106,9 @@ class Processor:
         self._commit_start = 0
         self._consecutive_aborts = 0
         self._epoch = 0
-        #: directories involved in the in-flight commit, computed once
-        #: at TID-accept time (the footprint is frozen from then on)
+        #: footprint of the in-flight commit and the directories homing
+        #: it, computed once at TID accept (it is frozen from then on)
+        self._commit_footprint: set[int] | None = None
         self._commit_dirs: list[int] | None = None
         #: (line, addr, epoch, in_tx, req_id) of the outstanding miss
         self._awaiting_fill: tuple[int, int, int, bool, int] | None = None
@@ -110,47 +123,34 @@ class Processor:
         self.finished = False
         self._prefix = f"proc{proc_id}"
 
-        # Hot-path bindings: counter/histogram handles resolved once
-        # (see repro.sim.stats — no per-access f-string keys), plus the
-        # constant hit latency every cache access schedules with.
-        stats = machine.stats
-        prefix = self._prefix
+        # Hot-path bindings, resolved once: latencies, address-math
+        # constants (the checked slow path re-raises with the full
+        # message) and the bound methods every op goes through.
+        addr_map = machine.addr_map
         self._hit_latency = machine.config.cache.hit_latency
-        # Bound-method fast paths: the per-op dispatch loop goes through
-        # these thousands of times per run, so the two-level attribute
-        # chains (engine/bus/map/cache lookups) are resolved once here.
-        self._schedule = self._engine.schedule
-        self._check_word_addr = machine.addr_map.check_word_addr
-        self._line_of = machine.addr_map.line_of
-        self._home_of_line = machine.addr_map.home_of_line
-        self._lines_by_home = machine.addr_map.lines_by_home
-        # Constants for the inlined per-access address math (the checked
-        # slow path _check_word_addr re-raises with the full message).
-        self._mem_bytes = machine.addr_map.memory_bytes
-        self._line_bytes = machine.addr_map.line_bytes
-        self._num_dirs = machine.addr_map.num_dirs
+        self._check_word_addr = addr_map.check_word_addr
+        self._mem_bytes = addr_map.memory_bytes
+        self._line_bytes = addr_map.line_bytes
+        self._num_dirs = addr_map.num_dirs
         self._dirs = machine.dirs
         # Load completions read committed memory with one dict lookup:
         # the address was validated when the load issued.
         self._committed_word = machine.memory.words.get
         self._send_ctrl = machine.bus.send_ctrl
         self._send_data = machine.bus.send_data
-        self._dir_of = machine.dir
         self._tl_set_state = self.timeline.set_state
-        # Mirror of the timeline's current state: set_state with an
-        # unchanged state is a recorded no-op, so _set_state can skip
-        # the call entirely — most ops run RUN → RUN.  Must start as
-        # the timeline's initial state (ProcState.RUN).
-        self._cur_state = ProcState.RUN
+        # Mirror of the timeline's current state, so a state is recorded
+        # only when it changes (most ops run RUN -> RUN).  Must start as
+        # the timeline's initial state.
+        self._cur_state = _RUN
         self._cache_touch = self.cache.touch
         self._cache_fill = self.cache.fill
-        #: footprint of the in-flight commit, computed once at TID
-        #: accept (it cannot grow while COMMITTING) and shared by the
-        #: involved-directory pass and the finalize cleanup
-        self._commit_footprint: set[int] | None = None
         # Tracing is decided per run; a disabled trace must cost
         # nothing, not even the kwargs dict an emit() call builds.
         self._trace_on = self._trace.enabled
+
+        stats = machine.stats
+        prefix = self._prefix
         self._c_cache_hits = stats.counter(f"{prefix}.cache.hits")
         self._c_cache_misses = stats.counter(f"{prefix}.cache.misses")
         self._c_stale_fills = stats.counter(f"{prefix}.stale_fills")
@@ -194,10 +194,9 @@ class Processor:
         self._cm = m.cm
         self.timeline = m.timeline(self.proc_id)
         self._tl_set_state = self.timeline.set_state
-        self._cur_state = ProcState.RUN
+        self._cur_state = _RUN
         self._tx_seed_prefix = seed_prefix(m.config.seed, "tx", self.proc_id)
 
-        self._program_gen = None
         self._program_send = None
         self._ctx = None
         self._txop = None
@@ -225,9 +224,8 @@ class Processor:
     def start(self, program: ThreadProgram, ctx: ThreadContext) -> None:
         """Bind and launch the thread program at the current cycle."""
         self._ctx = ctx
-        self._program_gen = program.generate(ctx)
-        self._program_send = self._program_gen.send
-        self._engine.schedule(0, self._advance_program, None)
+        self._program_send = program.generate(ctx).send
+        self._engine.schedule(0, self._program_step, None)
 
     def _set_state(self, state: ProcState) -> None:
         if state is not self._cur_state:
@@ -238,72 +236,218 @@ class Processor:
         # A finished thread spins at the final synchronization point at
         # full run power until the parallel section ends (Section VII).
         self.finished = True
-        self._set_state(ProcState.RUN)
+        self._set_state(_RUN)
         self._m.proc_finished(self.proc_id)
 
     # ------------------------------------------------------------------
-    # program-level execution
+    # the two step loops
     # ------------------------------------------------------------------
-    def _advance_program(self, value: Any) -> None:
+    def _program_step(self, value: Any, _push=heappush) -> None:
+        """Resume the thread program with ``value`` and run its next op.
+
+        Non-transactional accesses touch setup or thread-private data:
+        a plain store is applied to memory directly and cached locally
+        (no coherence traffic — the documented restriction).
+        """
         try:
             op = self._program_send(value)
         except StopIteration:
             self._finish_program()
             return
-        self._dispatch_program_op(op)
-
-    def _dispatch_program_op(self, op: Op) -> None:
-        if isinstance(op, TxOp):
+        kind = type(op)
+        if kind not in _INTENTS:
+            kind = next((b for b in _INTENT_BASES if isinstance(op, b)), None)
+        if kind is TxOp:
             self._begin_tx(op)
-        elif isinstance(op, Compute):
-            self._set_state(ProcState.RUN)
-            self._schedule(op.cycles, self._advance_program, None)
-        elif isinstance(op, Load):
-            self._plain_load(op)
-        elif isinstance(op, Store):
-            self._plain_store(op)
-        elif isinstance(op, BarrierOp):
-            self._set_state(ProcState.RUN)
-            self._m.barrier_arrive(op.name, self.proc_id, self._advance_program)
+            return
+        if kind is Compute:
+            if self._cur_state is not _RUN:
+                self._cur_state = _RUN
+                self._tl_set_state(self._engine.now, _RUN)
+            delay = op.cycles
+            fn, arg = self._program_step, None
+        elif kind is Load:
+            addr = op.addr
+            if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
+                self._check_word_addr(addr)  # raises the detailed error
+            line = addr // self._line_bytes
+            entry = self._cache_touch(line)
+            if entry is None or entry.partial:
+                self._c_cache_misses.value += 1
+                if self._cur_state is not _MISS:
+                    self._cur_state = _MISS
+                    self._tl_set_state(self._engine.now, _MISS)
+                self._send_fill(line, addr, False)
+                return
+            self._c_cache_hits.value += 1
+            delay = self._hit_latency
+            fn, arg = self._plain_load_done, addr
+        elif kind is Store:
+            addr = op.addr
+            if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
+                self._check_word_addr(addr)
+            self._memory.write_word(addr, op.value, writer_tid=-1)
+            self._cache_fill(addr // self._line_bytes, partial=True)
+            if self._cur_state is not _RUN:
+                self._cur_state = _RUN
+                self._tl_set_state(self._engine.now, _RUN)
+            delay = self._hit_latency
+            fn, arg = self._program_step, None
+        elif kind is BarrierOp:
+            self._set_state(_RUN)
+            self._m.barrier_arrive(op.name, self.proc_id, self._program_step)
+            return
         else:
             raise WorkloadError(f"unknown program-level op: {op!r}")
-
-    # -- non-transactional accesses (setup / thread-private data) ------
-    def _plain_load(self, op: Load) -> None:
-        addr = op.addr
-        if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
-            self._check_word_addr(addr)  # raises the detailed error
-        line = addr // self._line_bytes
-        entry = self._cache_touch(line)
-        if entry is not None and not entry.partial:
-            self._c_cache_hits.value += 1
-            self._schedule(self._hit_latency, self._plain_load_done, addr)
-        else:
-            self._c_cache_misses.value += 1
-            self._set_state(_MISS)
-            self._send_fill(line, addr, in_tx=False)
+        engine = self._engine
+        seq = engine._seq
+        engine._seq = seq + 1
+        _push(engine._queue, (engine.now + delay, seq, fn, (arg,)))
 
     def _plain_load_done(self, addr: int) -> None:
         value = self._committed_word(addr, 0)
-        if self._cur_state is not _RUN:  # _set_state inlined
+        if self._cur_state is not _RUN:
             self._cur_state = _RUN
             self._tl_set_state(self._engine.now, _RUN)
-        self._advance_program(value)
+        self._program_step(value)
 
-    def _plain_store(self, op: Store) -> None:
-        addr = op.addr
-        if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
-            self._check_word_addr(addr)
-        # Non-transactional stores bypass coherence: they are only legal
-        # for thread-private data (documented restriction), so the write
-        # is applied functionally and cached locally.
-        self._memory.write_word(addr, op.value, writer_tid=-1)
-        self._cache_fill(addr // self._line_bytes, partial=True)
-        self._set_state(ProcState.RUN)
-        self._schedule(self._hit_latency, self._advance_program, None)
+    def _tx_step(
+        self, epoch: int, addr: int | None, value: Any, _push=heappush
+    ) -> None:
+        """Resume the live attempt's body and run its next op.
+
+        ``addr`` names a completing load: its committed word is read
+        now, at fire time.  Otherwise ``value`` resumes the body — a
+        forwarded store value, or ``None``.
+        """
+        if epoch != self._epoch:
+            return  # continuation of an aborted attempt
+        tx = self._tx
+        if addr is not None:
+            value = self._committed_word(addr, 0)
+            if tx.read_log is not None:
+                tx.read_log.append((addr, value))
+        try:
+            op = self._tx_send(value)
+        except StopIteration:
+            self._begin_commit()
+            return
+        kind = type(op)
+        if kind not in _INTENTS:
+            kind = next((b for b in _INTENT_BASES if isinstance(op, b)), None)
+        if kind is Load:
+            addr = op.addr
+            if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
+                self._check_word_addr(addr)
+            forwarded = tx.writes.get(addr)
+            if forwarded is not None:
+                # Reading our own buffered store: no read-set
+                # registration, no conflict exposure.
+                args = (epoch, None, forwarded)
+            else:
+                line = addr // self._line_bytes
+                # Register at issue time: an invalidation arriving
+                # between issue and data return must abort this attempt
+                # (fill/flush race).
+                tx.read_lines.add(line)
+                entry = self._cache_touch(line)
+                # A partial (store-allocated) line cannot serve loads of
+                # words the transaction did not write: the data was never
+                # fetched and the processor is not registered as a
+                # sharer (the fuzzer found the resulting stale-read
+                # serializability hole).
+                if entry is None or entry.partial:
+                    self._c_cache_misses.value += 1
+                    if self._cur_state is not _MISS:
+                        self._cur_state = _MISS
+                        self._tl_set_state(self._engine.now, _MISS)
+                    self._send_fill(line, addr, True)
+                    return
+                entry.spec_read = True
+                self._c_cache_hits.value += 1
+                args = (epoch, addr, None)
+            delay = self._hit_latency
+        elif kind is Compute:
+            if self._cur_state is not _RUN:
+                self._cur_state = _RUN
+                self._tl_set_state(self._engine.now, _RUN)
+            delay = op.cycles
+            args = (epoch, None, None)
+        elif kind is Store:
+            addr = op.addr
+            if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
+                self._check_word_addr(addr)
+            line = addr // self._line_bytes
+            tx.buffer_store(addr, op.value, line)
+            # Write-allocate into the store buffer: the line is installed
+            # locally without any directory traffic (hence *partial* — it
+            # holds only the written words); data merges at commit.
+            self._cache_fill(line, partial=True, spec_written=True)
+            delay = self._hit_latency
+            args = (epoch, None, None)
+        elif kind is TxOp or kind is BarrierOp:
+            raise WorkloadError(
+                f"{type(op).__name__} is not allowed inside a transaction "
+                f"(site {tx.site!r}); TCC transactions are flat"
+            )
+        else:
+            raise WorkloadError(f"unknown transactional op: {op!r}")
+        engine = self._engine
+        seq = engine._seq
+        engine._seq = seq + 1
+        _push(engine._queue, (engine.now + delay, seq, self._tx_step, args))
 
     # ------------------------------------------------------------------
-    # transactional execution
+    # L1 misses
+    # ------------------------------------------------------------------
+    def _send_fill(self, line: int, addr: int, in_tx: bool) -> None:
+        """Issue a fill request for an L1 miss (one outstanding at most)."""
+        self._fill_seq = req_id = self._fill_seq + 1
+        self._awaiting_fill = (line, addr, self._epoch, in_tx, req_id)
+        home = self._dirs[line % self._num_dirs]
+        self._send_ctrl(
+            home.receive_fill_request,
+            self.proc_id, line, self._engine.now, req_id,
+        )
+
+    def receive_fill_reply(self, line: int, req_id: int, _push=heappush) -> None:
+        """Bus-arrival handler for the data of an earlier L1 miss.
+
+        The request-id match is load-bearing: a reply belonging to an
+        aborted attempt must not satisfy a newer attempt's miss on the
+        same line (its data may predate a commit whose invalidation the
+        newer attempt — not yet registered as a sharer — never saw).
+        """
+        pending = self._awaiting_fill
+        if (pending is None or pending[4] != req_id or pending[0] != line
+                or pending[2] != self._epoch):
+            self._c_stale_fills.value += 1
+            return
+        _line, addr, epoch, in_tx, _req_id = pending
+        self._awaiting_fill = None
+        tx = self._tx
+        # The line arrives with its SR bit when the load is part of the
+        # live read set (registered at issue, see _tx_step).
+        self._cache_fill(
+            line, spec_read=in_tx and tx is not None and line in tx.read_lines
+        )
+        engine = self._engine
+        now = engine.now
+        if self._cur_state is not _RUN:
+            self._cur_state = _RUN
+            self._tl_set_state(now, _RUN)
+        # The consuming load still pays the load-to-use latency after
+        # the fill returns (data forwarding into the pipeline).
+        seq = engine._seq
+        engine._seq = seq + 1
+        if in_tx:
+            event = (now + self._hit_latency, seq, self._tx_step, (epoch, addr, None))
+        else:
+            event = (now + self._hit_latency, seq, self._plain_load_done, (addr,))
+        _push(engine._queue, event)
+
+    # ------------------------------------------------------------------
+    # transaction attempts
     # ------------------------------------------------------------------
     def _begin_tx(self, op: TxOp) -> None:
         self._txop = op
@@ -339,20 +483,13 @@ class Processor:
             raise ProtocolError(f"proc {self.proc_id}: attempt with no TxOp")
         self._attempt += 1
         self._epoch += 1
+        now = self._engine.now
         handle = TxHandle(
-            self.proc_id,
-            self._ctx.num_threads,
-            op.site,
-            self._attempt,
+            self.proc_id, self._ctx.num_threads, op.site, self._attempt,
             self._tx_rng_seed(),
         )
         tx = TxState(
-            self.proc_id,
-            op.site,
-            self._tx_index,
-            self._attempt,
-            self._engine.now,
-            handle,
+            self.proc_id, op.site, self._tx_index, self._attempt, now, handle
         )
         if self._m.validation_mode:
             tx.read_log = []
@@ -368,177 +505,41 @@ class Processor:
         self._c_tx_attempts.value += 1
         if self._trace_on:
             self._trace.emit(
-                self._engine.now,
-                "tx.begin",
-                proc=self.proc_id,
-                site=op.site,
+                now, "tx.begin", proc=self.proc_id, site=op.site,
                 attempt=self._attempt,
             )
-        self._set_state(ProcState.RUN)
-        self._advance_tx(None)
-
-    def _advance_tx(self, value: Any) -> None:
-        try:
-            op = self._tx_send(value)
-        except StopIteration:
-            self._begin_commit()
-            return
-        if isinstance(op, Load):
-            self._tx_load(op)
-        elif isinstance(op, Store):
-            self._tx_store(op)
-        elif isinstance(op, Compute):
-            self._set_state(ProcState.RUN)
-            self._schedule(op.cycles, self._tx_cont, self._epoch)
-        elif isinstance(op, (TxOp, BarrierOp)):
-            raise WorkloadError(
-                f"{type(op).__name__} is not allowed inside a transaction "
-                f"(site {self._tx.site!r}); TCC transactions are flat"
-            )
-        else:
-            raise WorkloadError(f"unknown transactional op: {op!r}")
-
-    def _tx_cont(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            return
-        self._advance_tx(None)
-
-    # -- transactional loads -------------------------------------------
-    def _tx_load(self, op: Load) -> None:
-        addr = op.addr
-        if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
-            self._check_word_addr(addr)
-        tx = self._tx
-        forwarded = tx.writes.get(addr)  # store-to-load forwarding
-        hit_latency = self._hit_latency
-        if forwarded is not None:
-            # Reading our own buffered store: no read-set registration,
-            # no conflict exposure.
-            self._schedule(
-                hit_latency, self._tx_forwarded_done, self._epoch, forwarded
-            )
-            return
-
-        line = addr // self._line_bytes
-        # Register at issue time: an invalidation arriving between issue
-        # and data return must abort this attempt (fill/flush race).
-        tx.read_lines.add(line)
-        entry = self._cache_touch(line)
-        # A partial (store-allocated) line cannot serve loads of words
-        # the transaction did not write: the data was never fetched and
-        # the processor is not registered as a sharer (the fuzzer found
-        # the resulting stale-read serializability hole).
-        if entry is not None and not entry.partial:
-            entry.spec_read = True
-            self._c_cache_hits.value += 1
-            self._schedule(hit_latency, self._tx_load_done, self._epoch, addr)
-        else:
-            self._c_cache_misses.value += 1
-            self._set_state(_MISS)
-            self._send_fill(line, addr, in_tx=True)
-
-    def _tx_load_done(self, epoch: int, addr: int) -> None:
-        if epoch != self._epoch:
-            return
-        value = self._committed_word(addr, 0)
-        tx = self._tx
-        if tx.read_log is not None:
-            tx.read_log.append((addr, value))
-        self._advance_tx(value)
-
-    def _tx_forwarded_done(self, epoch: int, value: int) -> None:
-        if epoch != self._epoch:
-            return
-        self._advance_tx(value)
-
-    def _send_fill(self, line: int, addr: int, in_tx: bool) -> None:
-        """Issue a fill request for an L1 miss (one outstanding at most)."""
-        self._fill_seq += 1
-        self._awaiting_fill = (line, addr, self._epoch, in_tx, self._fill_seq)
-        home = self._dirs[line % self._num_dirs]
-        self._send_ctrl(
-            home.receive_fill_request,
-            FillRequest(self.proc_id, line, self._engine.now, self._fill_seq),
-        )
-
-    def receive_fill_reply(self, msg: FillReply) -> None:
-        """Bus-arrival handler for the data of an earlier L1 miss.
-
-        The request-id match is load-bearing: a reply belonging to an
-        aborted attempt must not satisfy a newer attempt's miss on the
-        same line (its data may predate a commit whose invalidation the
-        newer attempt — not yet registered as a sharer — never saw).
-        """
-        pending = self._awaiting_fill
-        if (
-            pending is None
-            or pending[4] != msg.req_id
-            or pending[0] != msg.line
-            or pending[2] != self._epoch
-        ):
-            self._c_stale_fills.add()
-            return
-        line, addr, epoch, in_tx, _req_id = pending
-        self._awaiting_fill = None
-        tx = self._tx
-        # The line arrives with its SR bit when the load is part of the
-        # live read set (registered at issue, see _tx_load).
-        self._cache_fill(
-            line, spec_read=in_tx and tx is not None and line in tx.read_lines
-        )
-        if self._cur_state is not _RUN:  # _set_state inlined
-            self._cur_state = _RUN
-            self._tl_set_state(self._engine.now, _RUN)
-        # The consuming load still pays the load-to-use latency after
-        # the fill returns (data forwarding into the pipeline).
-        if in_tx:
-            self._schedule(self._hit_latency, self._tx_load_done, epoch, addr)
-        else:
-            self._schedule(self._hit_latency, self._plain_load_done, addr)
-
-    # -- transactional stores --------------------------------------------
-    def _tx_store(self, op: Store) -> None:
-        addr = op.addr
-        if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
-            self._check_word_addr(addr)
-        line = addr // self._line_bytes
-        self._tx.buffer_store(addr, op.value, line)
-        # Write-allocate into the store buffer: the line is installed
-        # locally without any directory traffic (hence *partial* — it
-        # holds only the written words); data merges at commit.
-        self._cache_fill(line, partial=True)
-        self.cache.mark_spec_written(line)
-        self._schedule(self._hit_latency, self._tx_cont, self._epoch)
+        self._set_state(_RUN)
+        self._tx_step(self._epoch, None, None)
 
     # ------------------------------------------------------------------
     # commit protocol (processor side)
     # ------------------------------------------------------------------
     def _begin_commit(self) -> None:
         tx = self._tx
-        tx.status = TxStatus.COMMITTING
-        self._commit_start = self._engine.now
-        self._set_state(ProcState.COMMIT)
+        tx.status = _COMMITTING
+        now = self._engine.now
+        self._commit_start = now
+        self._set_state(_COMMIT)
         self._c_tx_commit_attempts.value += 1
         if self._trace_on:
             self._trace.emit(
-                self._engine.now, "tx.commit_request", proc=self.proc_id,
-                site=tx.site,
+                now, "tx.commit_request", proc=self.proc_id, site=tx.site,
             )
         self._m.request_tid(self, self._epoch)
 
     def accept_tid(self, epoch: int, tid: int) -> bool:
         """Token-vendor grant arrival; False rejects a stale grant."""
-        if epoch != self._epoch or self._tx is None or not self._tx.live:
-            return False
         tx = self._tx
+        if epoch != self._epoch or tx is None or tx.status not in _LIVE:
+            return False
         tx.tid = tid
         # The footprint cannot grow once the tx is COMMITTING, so it and
         # the involved-directory set are computed once here and reused
         # by the finalize (and abort-while-spinning) unmark pass.
         footprint = tx.read_lines | tx.write_lines
         self._commit_footprint = footprint
-        home_of = self._home_of_line
-        self._commit_dirs = sorted({home_of(line) for line in footprint})
+        num_dirs = self._num_dirs
+        self._commit_dirs = sorted({line % num_dirs for line in footprint})
         dirs = self._dirs
         for dir_id in self._commit_dirs:
             dirs[dir_id].mark_commit(self.proc_id)
@@ -552,48 +553,38 @@ class Processor:
         tx = self._tx
         if tx is None or tx.tid != tid:  # pragma: no cover - defensive
             raise ProtocolError(f"commit-go for unknown TID {tid}")
-        groups = self._lines_by_home(tx.write_lines)
+        # One flush per home directory of the write set, in directory
+        # order: the written lines and the store buffer are each sorted
+        # once and partitioned by home in one pass.
+        num_dirs = self._num_dirs
+        groups: dict[int, list[int]] = {}
+        for line in sorted(tx.write_lines):
+            group = groups.get(line % num_dirs)
+            if group is None:
+                groups[line % num_dirs] = [line]
+            else:
+                group.append(line)
         if not groups:
             self._commit_finalize()
             return
         tx.flush_acks_pending = len(groups)
+        line_bytes = self._line_bytes
+        writes: dict[int, list[tuple[int, int]]] = {home: [] for home in groups}
+        for pair in sorted(tx.writes.items()):
+            writes[pair[0] // line_bytes % num_dirs].append(pair)
         now = self._engine.now
-        send_data = self._send_data
-        all_writes = sorted(tx.writes.items())  # once, not per directory
-        if len(groups) == 1:
-            # Single homed directory (every commit on a 1-directory
-            # machine, and most small transactions): the whole sorted
-            # store buffer is that directory's flush body.
-            dir_id, lines = next(iter(groups.items()))
-            req = FlushRequest(
-                self.proc_id, tid, tuple(lines), tuple(all_writes), now, tx.site
+        for home, lines in sorted(groups.items()):
+            self._send_data(
+                self._dirs[home].receive_flush_request,
+                self.proc_id, tid, tuple(lines), tuple(writes[home]), now, tx.site,
             )
-            send_data(self._dirs[dir_id].receive_flush_request, req)
-            return
-        # Multi-directory commit: partition the sorted store buffer in
-        # one pass (order within each directory stays address-sorted),
-        # instead of re-filtering all writes once per directory.
-        line_of = self._line_of
-        home_of = self._home_of_line
-        writes_by_dir: dict[int, list[tuple[int, int]]] = {d: [] for d in groups}
-        for pair in all_writes:
-            writes_by_dir[home_of(line_of(pair[0]))].append(pair)
-        for dir_id, lines in sorted(groups.items()):
-            req = FlushRequest(
-                self.proc_id,
-                tid,
-                tuple(lines),
-                tuple(writes_by_dir[dir_id]),
-                now,
-                tx.site,
-            )
-            send_data(self._dirs[dir_id].receive_flush_request, req)
 
-    def receive_flush_done(self, msg: FlushDone) -> None:
+    def receive_flush_done(self, tid: int) -> None:
+        """Bus-arrival handler for one directory's flush acknowledgement."""
         tx = self._tx
-        if tx is None or tx.status is not TxStatus.COMMITTING or tx.tid != msg.tid:
+        if tx is None or tx.status is not _COMMITTING or tx.tid != tid:
             raise ProtocolError(
-                f"proc {self.proc_id}: FlushDone for TID {msg.tid} but no "
+                f"proc {self.proc_id}: FlushDone for TID {tid} but no "
                 "matching in-flight commit (post-barrier flushes must not abort)"
             )
         tx.flush_acks_pending -= 1
@@ -633,8 +624,8 @@ class Processor:
         self._tx_gen = None
         self._tx_send = None
         self._txop = None
-        self._set_state(ProcState.RUN)
-        self._advance_program(result)
+        self._set_state(_RUN)
+        self._program_step(result)
 
     # ------------------------------------------------------------------
     # abort and gating
@@ -642,33 +633,38 @@ class Processor:
     def would_abort_on(self, lines) -> bool:
         """Directory-side probe: does ``lines`` conflict with the live tx?"""
         tx = self._tx
-        return tx is not None and tx.live and tx.conflicts_with(lines)
+        return (
+            tx is not None
+            and tx.status in _LIVE
+            and not tx.read_lines.isdisjoint(lines)
+        )
 
-    def receive_invalidation(self, msg: Invalidation, gate: bool) -> None:
-        """Bus-arrival handler for a committed-line invalidation."""
-        for line in msg.lines:
-            self.cache.invalidate(line)
+    def receive_invalidation(
+        self, committer: int, directory: int, lines: tuple[int, ...], gate: bool
+    ) -> None:
+        """Bus-arrival handler for ``lines`` just committed by ``committer``.
+
+        ``gate`` is the Stop-Clock command riding with the invalidation.
+        Only a committed line this attempt speculatively read aborts it
+        (Section III); blind writes merge at word granularity.
+        """
+        self.cache.invalidate_lines(lines)
         if self.gated:
             # Already frozen; the directory-side table was updated, and
             # our rollback already happened at freeze time.
             if gate:
-                self._gated_by.add(msg.directory)
+                self._gated_by.add(directory)
             return
         tx = self._tx
-        conflict = tx is not None and tx.live and tx.conflicts_with(msg.lines)
-        if gate:
+        conflict = (
+            tx is not None
+            and tx.status in _LIVE
+            and not tx.read_lines.isdisjoint(lines)
+        )
+        if gate or conflict:
             self._abort_tx(
-                conflict=conflict,
-                gate=True,
-                from_dir=msg.directory,
-                aborter=msg.committer,
-            )
-        elif conflict:
-            self._abort_tx(
-                conflict=True,
-                gate=False,
-                from_dir=msg.directory,
-                aborter=msg.committer,
+                conflict=conflict, gate=gate, from_dir=directory,
+                aborter=committer,
             )
 
     def _abort_tx(
@@ -687,7 +683,7 @@ class Processor:
                 self._enter_gated(from_dir)
             return
 
-        if tx.status is TxStatus.COMMITTING:
+        if tx.status is _COMMITTING:
             if tx.flush_acks_pending:
                 raise ProtocolError(
                     f"proc {self.proc_id} aborted mid-flush (TID {tx.tid}); "
@@ -728,14 +724,8 @@ class Processor:
         self._tx_send = None
         if self._trace_on:
             self._trace.emit(
-                now,
-                "tx.abort",
-                proc=self.proc_id,
-                site=self._txop.site,
-                cause=kind,
-                aborter=aborter,
-                directory=from_dir,
-                gated=gate,
+                now, "tx.abort", proc=self.proc_id, site=self._txop.site,
+                cause=kind, aborter=aborter, directory=from_dir, gated=gate,
             )
 
         if gate:
@@ -744,7 +734,7 @@ class Processor:
             delay = self._m.config.commit.abort_drain_cycles + max(
                 0, self._cm.retry_delay(self.proc_id, self._consecutive_aborts)
             )
-            self._set_state(ProcState.RUN)
+            self._set_state(_RUN)
             self._restart_event = self._engine.schedule(
                 max(1, delay), self._start_attempt
             )
@@ -760,7 +750,7 @@ class Processor:
         self.gated = True
         self._gated_by = {from_dir} if from_dir is not None else set()
         self._gate_start = self._engine.now
-        self._set_state(ProcState.GATED)
+        self._set_state(_GATED)
         self._c_gated.add()
         if self._trace_on:
             self._trace.emit(
@@ -768,8 +758,8 @@ class Processor:
                 directory=from_dir,
             )
 
-    def receive_turn_on(self, msg: TurnOn) -> None:
-        """Bus-arrival handler for the directory's "on" command."""
+    def receive_turn_on(self, directory: int) -> None:
+        """Bus-arrival handler for ``directory``'s "on" command."""
         if not self.gated:
             self._c_redundant_on.add()
             return
@@ -779,10 +769,8 @@ class Processor:
         self._c_wakeups.add()
         self._h_gated_cycles.record(now - self._gate_start)
         if self._trace_on:
-            self._trace.emit(
-                now, "gate.on", proc=self.proc_id, directory=msg.directory
-            )
-        self._set_state(ProcState.RUN)
+            self._trace.emit(now, "gate.on", proc=self.proc_id, directory=directory)
+        self._set_state(_RUN)
         # The paper's "Self Abort" happened (timing-equivalently) at
         # freeze; waking simply restarts the transaction.
         self._start_attempt()

@@ -67,7 +67,9 @@ class TxHandle:
         self.num_threads = num_threads
         self.site = site
         self.attempt = attempt
-        if isinstance(rng, np.random.Generator):
+        # Every attempt passes an int seed; test that before paying for
+        # numpy's isinstance check.
+        if type(rng) is not int and isinstance(rng, np.random.Generator):
             self._rng_seed = None
             self._rng: np.random.Generator | None = rng
         else:
@@ -167,8 +169,7 @@ class TxState:
         lines abort; blind writes are merged at word granularity by the
         store buffer and need no abort.
         """
-        read = self.read_lines
-        return any(line in read for line in lines)
+        return not self.read_lines.isdisjoint(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -4,6 +4,16 @@ Models the Table II machine: private L1 data caches with speculative
 read/write tracking, a common split-transaction bus, full-bit-vector
 directories that interleave physical memory at cache-line granularity,
 and a single-ported main memory.
+
+Protocol messages are not objects.  A message is a bus-delivered call
+of the receiver's handler, with the message fields as positional
+arguments: a fill request is ``Directory.receive_fill_request(proc,
+line, sent_at, req_id)``, a commit flush is
+``Directory.receive_flush_request(proc, tid, lines, writes, sent_at,
+site)``, and an invalidation is ``Processor.receive_invalidation(
+committer, directory, lines, gate)``, whose ``gate`` flag is the
+Stop-Clock command that rides with it (Section V).  The bus only
+reserves its occupancy and schedules the call.
 """
 
 from .address import AddressMap, WORD_BYTES
@@ -11,17 +21,6 @@ from .bus import Bus
 from .cache import L1Cache, CacheLineState
 from .directory import Directory
 from .memory import MainMemory
-from .messages import (
-    FillRequest,
-    FillReply,
-    FlushRequest,
-    FlushDone,
-    Invalidation,
-    StopClock,
-    TurnOn,
-    TxInfoReq,
-    TxInfoReply,
-)
 
 __all__ = [
     "AddressMap",
@@ -31,13 +30,4 @@ __all__ = [
     "CacheLineState",
     "Directory",
     "MainMemory",
-    "FillRequest",
-    "FillReply",
-    "FlushRequest",
-    "FlushDone",
-    "Invalidation",
-    "StopClock",
-    "TurnOn",
-    "TxInfoReq",
-    "TxInfoReply",
 ]

@@ -22,17 +22,25 @@ On abort, speculatively-modified lines are invalidated (their contents
 were never architectural); speculatively-read lines stay valid since
 they still mirror committed memory.  On commit both kinds survive with
 their speculative bits cleared — the committer becomes the line owner.
+
+Sets are allocated lazily: every set starts as one shared, read-only
+empty mapping and gets its own dict on its first fill, so building a
+cache (512 sets in the Table II geometry) allocates no per-set dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from ..config import CacheConfig
 from ..sim.stats import StatsRegistry
 
 __all__ = ["CacheLineState", "L1Cache"]
+
+#: what every set reads as until its first fill (never written to)
+_EMPTY_SET: Mapping[int, "CacheLineState"] = MappingProxyType({})
 
 
 @dataclass(slots=True)
@@ -68,10 +76,11 @@ class L1Cache:
         self._num_sets = config.num_sets
         self._set_mask = config.num_sets - 1
         self._ways = config.ways
-        # set index -> {line id -> CacheLineState}
-        self._sets: list[dict[int, CacheLineState]] = [
-            {} for _ in range(self._num_sets)
-        ]
+        # set index -> {line id -> CacheLineState}; _EMPTY_SET until
+        # the set's first fill
+        self._sets: list[Mapping[int, CacheLineState]] = (
+            [_EMPTY_SET] * self._num_sets
+        )
         self._use_clock = 0
         self._prefix = f"proc{proc_id}.cache"
         # Counter handles bound once; the access paths must not build
@@ -103,7 +112,11 @@ class L1Cache:
         return entry
 
     def fill(
-        self, line: int, partial: bool = False, spec_read: bool = False
+        self,
+        line: int,
+        partial: bool = False,
+        spec_read: bool = False,
+        spec_written: bool = False,
     ) -> int | None:
         """Install ``line``; returns the evicted line id, if any.
 
@@ -111,14 +124,17 @@ class L1Cache:
         no directory registration — see :class:`CacheLineState`).  A
         completing (non-partial) fill upgrades a resident partial line;
         a partial fill never downgrades a complete one.  ``spec_read``
-        sets the installed line's SR bit (a transactional load's fill),
-        as :meth:`mark_spec_read` would right after the fill.
+        and ``spec_written`` set the installed line's SR and SM bits (a
+        transactional load's fill, a transactional store's allocation),
+        as :meth:`mark_spec_read` and :meth:`mark_spec_written` would
+        right after the fill.
 
         Idempotent for resident lines.  Victim selection prefers an
         empty way, then non-speculative LRU, then speculative LRU (see
         module docstring for why evicting speculative state is safe).
         """
-        set_ = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        set_ = self._sets[index]
         entry = set_.get(line)
         self._use_clock += 1
         if entry is not None:
@@ -127,10 +143,14 @@ class L1Cache:
                 entry.partial = False
             if spec_read:
                 entry.spec_read = True
+            if spec_written:
+                entry.spec_written = True
             return None
 
         victim_line: int | None = None
-        if len(set_) >= self._ways:
+        if set_ is _EMPTY_SET:
+            set_ = self._sets[index] = {}
+        elif len(set_) >= self._ways:
             # Allocation-free victim scan: oldest non-speculative way,
             # falling back to the oldest speculative one.  Ties keep the
             # first-seen entry, matching min() over insertion order.
@@ -151,7 +171,7 @@ class L1Cache:
                 self._c_spec_evictions.value += 1
 
         set_[line] = CacheLineState(
-            line, spec_read=spec_read, partial=partial, last_use=self._use_clock
+            line, spec_read, spec_written, partial, self._use_clock
         )
         self._c_fills.value += 1
         return victim_line
@@ -159,23 +179,31 @@ class L1Cache:
     def reset(self) -> None:
         """Drop all resident lines, returning to the just-built state.
 
-        The set list itself (the measured construction cost for a 64 KB
-        geometry) is kept; only its per-set dicts are cleared.  Counter
+        Every set reads as the shared empty mapping again.  Counter
         handles stay bound — the registry is reset separately as part of
         the :meth:`repro.htm.machine.Machine.reset` contract.
         """
-        for set_ in self._sets:
-            set_.clear()
+        self._sets = [_EMPTY_SET] * self._num_sets
         self._use_clock = 0
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` (coherence invalidation); True if it was resident."""
-        set_ = self._sets[line & self._set_mask]
-        if line in set_:
-            del set_[line]
-            self._c_invalidations.value += 1
-            return True
-        return False
+        return self.invalidate_lines((line,)) == 1
+
+    def invalidate_lines(self, lines) -> int:
+        """Drop every resident line of ``lines`` (one invalidation
+        message); returns how many were resident."""
+        sets = self._sets
+        mask = self._set_mask
+        dropped = 0
+        for line in lines:
+            set_ = sets[line & mask]
+            if line in set_:
+                del set_[line]
+                dropped += 1
+        if dropped:
+            self._c_invalidations.value += dropped
+        return dropped
 
     # ------------------------------------------------------------------
     # speculative state

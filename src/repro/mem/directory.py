@@ -49,7 +49,6 @@ from ..sim.trace import NullTrace
 from .address import AddressMap
 from .bus import Bus
 from .memory import MainMemory
-from .messages import FillReply, FillRequest, FlushDone, FlushRequest, Invalidation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gating.protocol import GatingUnit
@@ -173,16 +172,24 @@ class Directory:
     # ------------------------------------------------------------------
     # fill path
     # ------------------------------------------------------------------
-    def receive_fill_request(self, req: FillRequest) -> None:
-        """Bus-arrival handler for a fill after an L1 miss."""
-        line = req.line
+    def receive_fill_request(
+        self, proc: int, line: int, sent_at: int, req_id: int
+    ) -> None:
+        """Bus-arrival handler for ``proc``'s fill of ``line`` after an L1 miss.
+
+        ``sent_at`` is the issue cycle: the gating protocol's stale-OFF
+        recovery must ignore requests that were already in flight when
+        the sender was gated.  ``req_id`` is the sender's per-processor
+        request tag, echoed by the reply so that a reply belonging to
+        an aborted attempt cannot satisfy a newer miss on the same line.
+        """
         if line % self._num_dirs != self.dir_id:
             self._check_home((line,))  # raises with the full message
         gating = self.gating
         if gating is not None:
             # Stale-OFF recovery (module docstring): any request from a
             # processor the gating table marks OFF proves it is running.
-            gating.notify_access(req.proc, req.sent_at)
+            gating.notify_access(proc, sent_at)
         self._c_fills.value += 1
 
         engine = self._engine
@@ -194,41 +201,58 @@ class Directory:
         # construction, so Engine.schedule_at's past-check is redundant.
         seq = engine._seq
         engine._seq = seq + 1
-        heappush(engine._queue, (done, seq, self._fill_serviced, (req,)))
+        heappush(
+            engine._queue, (done, seq, self._fill_serviced, (proc, line, req_id))
+        )
 
-    def _fill_serviced(self, req: FillRequest) -> None:
+    def _fill_serviced(self, proc: int, line: int, req_id: int) -> None:
         # Sharer registration happens at service time, before the data
         # round-trip: any flush applied after this instant invalidates
         # the requester, closing the fill/flush race.
         sharers = self._sharers
-        line = req.line
-        sharers[line] = sharers.get(line, 0) | (1 << req.proc)
-        self._memory.access(self._fill_data_ready, req)
+        sharers[line] = sharers.get(line, 0) | (1 << proc)
+        self._memory.access(self._fill_data_ready, proc, line, req_id)
 
-    def _fill_data_ready(self, req: FillRequest) -> None:
-        proc = self._machine.procs[req.proc]
-        reply = FillReply(req.proc, req.line, req.req_id)
-        self._bus.send_data(proc.receive_fill_reply, reply)
+    def _fill_data_ready(self, proc: int, line: int, req_id: int) -> None:
+        self._bus.send_data(
+            self._machine.procs[proc].receive_fill_reply, line, req_id
+        )
 
     # ------------------------------------------------------------------
     # commit flush path
     # ------------------------------------------------------------------
-    def receive_flush_request(self, req: FlushRequest) -> None:
+    def receive_flush_request(
+        self,
+        proc: int,
+        tid: int,
+        lines: tuple[int, ...],
+        writes: tuple[tuple[int, int], ...],
+        sent_at: int,
+        site: str | None,
+    ) -> None:
         """Bus-arrival handler for a commit flush (TID-ordered globally).
+
+        ``lines`` are the committer's written lines homed here and
+        ``writes`` the address-sorted ``(addr, value)`` pairs in them.
+        ``site`` is the committing transaction's identity (its PC).
+        The paper obtains it with a TxInfoReq round-trip after gating a
+        victim; carrying it in the commit request is an equally
+        hardware-plausible simplification that avoids racing against
+        the committer's own completion (the renewal-check TxInfoReq of
+        Fig. 2e remains).
 
         The machine's token vendor releases committers in TID order
         (the completion barrier standing in for Scalable TCC's skew
         mechanism), so flush requests reach each directory already
         ordered; this is asserted as a protocol invariant.
         """
-        lines = req.lines
         self._check_home(lines)
         gating = self.gating
         if gating is not None:
-            gating.notify_access(req.proc, req.sent_at)
-        if req.tid <= self.last_committed_tid:
+            gating.notify_access(proc, sent_at)
+        if tid <= self.last_committed_tid:
             raise ProtocolError(
-                f"dir {self.dir_id}: flush TID {req.tid} not after watermark "
+                f"dir {self.dir_id}: flush TID {tid} not after watermark "
                 f"{self.last_committed_tid} — commit order violated"
             )
         num_lines = len(lines)
@@ -246,15 +270,23 @@ class Directory:
         # construction, so Engine.schedule_at's past-check is redundant.
         seq = engine._seq
         engine._seq = seq + 1
-        heappush(engine._queue, (done, seq, self._flush_complete, (req,)))
+        heappush(
+            engine._queue,
+            (done, seq, self._flush_complete, (proc, tid, lines, writes, site)),
+        )
 
-    def _flush_complete(self, req: FlushRequest) -> None:
+    def _flush_complete(
+        self,
+        committer: int,
+        tid: int,
+        flushed: tuple[int, ...],
+        writes: tuple[tuple[int, int], ...],
+        site: str | None,
+    ) -> None:
         now = self._engine.now
-        committer = req.proc
-        tid = req.tid
         # 1. apply committed words to functional memory — one batched
         #    pass (the words were validated when buffered)
-        self._memory.write_words(req.writes, tid)
+        self._memory.write_words(writes, tid)
         if tid > self.last_committed_tid:
             self.last_committed_tid = tid
 
@@ -267,7 +299,7 @@ class Directory:
         procs = self._machine.procs
         committer_bit = 1 << committer
         victims: dict[int, list[int]] = {}
-        for line in req.lines:
+        for line in flushed:
             others = sharers.get(line, 0) & ~committer_bit  # may be stale
             while others:
                 low = others & -others
@@ -304,24 +336,24 @@ class Directory:
                             lines=tuple(lines),
                         )
                     if gating is not None and gating.on_abort(
-                        victim, committer, req.site
+                        victim, committer, site
                     ):
                         stop_clock |= 1 << victim
 
             send_data = self._bus.send_data
             dir_id = self.dir_id
             for victim, lines in ordered:
-                msg = Invalidation(victim, committer, dir_id, tuple(lines))
                 send_data(
                     procs[victim].receive_invalidation,
-                    msg,
+                    committer,
+                    dir_id,
+                    tuple(lines),
                     bool(stop_clock & (1 << victim)),
                 )
 
         # 4. acknowledge the committer — after the invalidations, so the
         #    FIFO bus guarantees delivery order.
-        done = FlushDone(committer, tid, self.dir_id)
-        self._bus.send_ctrl(procs[committer].receive_flush_done, done)
+        self._bus.send_ctrl(procs[committer].receive_flush_done, tid)
 
     # ------------------------------------------------------------------
     @property

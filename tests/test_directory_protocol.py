@@ -9,7 +9,6 @@ from repro.errors import ProtocolError
 from repro.htm.machine import Machine
 from repro.htm.ops import Compute, Load, Store, TxOp
 from repro.htm.program import ThreadProgram
-from repro.mem.messages import FlushRequest
 from repro.sim.trace import TraceRecorder
 
 HOT = 0x2000
@@ -82,10 +81,10 @@ class TestSharerTracking:
         programs = [ThreadProgram(idle_program, "a") for _ in range(2)]
         m2 = Machine(config, programs)
         wrong = m2.dir(0)
-        from repro.mem.messages import FillRequest
 
         with pytest.raises(ProtocolError, match="homed"):
-            wrong.receive_fill_request(FillRequest(0, line=1))  # line 1 -> dir 1
+            # proc 0, line 1 (homed at dir 1), sent_at 0, req_id 0
+            wrong.receive_fill_request(0, 1, 0, 0)
 
 
 class TestCommitOrdering:
@@ -137,9 +136,8 @@ class TestCommitOrdering:
         directory = machine.dir(0)
         directory.last_committed_tid = 10
         with pytest.raises(ProtocolError, match="watermark"):
-            directory.receive_flush_request(
-                FlushRequest(0, tid=5, lines=(0,), writes=())
-            )
+            # proc 0, tid 5, lines (0,), no writes, sent_at 0, no site
+            directory.receive_flush_request(0, 5, (0,), (), 0, None)
 
     def test_marked_set_empty_after_run(self):
         def make():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ExecutionError
-from repro.exec.executor import Executor
+from repro.exec import executor as executor_module
+from repro.exec.executor import Executor, usable_cpus
 from repro.exec.jobs import SCHEMA_VERSION, ExecResult, RunJob, execute_job
 from repro.exec.progress import ConsoleProgress, ProgressListener
 from repro.exec.serialize import (
@@ -165,6 +167,58 @@ class TestExecutor:
     def test_null_progress_is_silent(self, capsys):
         Executor(progress=ProgressListener()).run([self.GRID[0]])
         assert capsys.readouterr().err == ""
+
+
+class TestUsableCpus:
+    """``jobs=0`` sizes the pool by affinity and cgroup quota."""
+
+    @pytest.fixture
+    def host(self, monkeypatch, tmp_path):
+        """An 8-CPU affinity set and a writable fake ``cpu.max``."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cpu_max = tmp_path / "cpu.max"
+        monkeypatch.setattr(executor_module, "CGROUP_CPU_MAX", cpu_max)
+        return cpu_max
+
+    def test_quota_caps_affinity(self, host):
+        host.write_text("200000 100000\n")
+        assert usable_cpus() == 2
+        assert Executor(jobs=0).jobs == 2
+
+    def test_unlimited_quota_uses_affinity_not_cpu_count(self, host):
+        host.write_text("max 100000\n")
+        assert usable_cpus() == 8
+        assert Executor(jobs=0).jobs == 8
+
+    def test_missing_cgroup_file_uses_affinity(self, host):
+        assert not host.exists()
+        assert usable_cpus() == 8
+
+    def test_fractional_quota_rounds_down_to_at_least_one(self, host):
+        host.write_text("150000 100000\n")
+        assert usable_cpus() == 1
+        host.write_text("50000 100000\n")
+        assert usable_cpus() == 1
+
+    def test_quota_above_affinity_keeps_affinity(self, host):
+        host.write_text("1600000 100000\n")
+        assert usable_cpus() == 8
+
+    def test_malformed_cgroup_file_is_ignored(self, host):
+        host.write_text("garbage\n")
+        assert usable_cpus() == 8
+
+    def test_no_affinity_falls_back_to_cpu_count(self, host, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert usable_cpus() == 64
+        host.write_text("300000 100000\n")
+        assert usable_cpus() == 3
+
+    def test_explicit_worker_count_is_kept(self, host):
+        host.write_text("100000 100000\n")
+        assert Executor(jobs=4).jobs == 4
 
 
 class TestResultStore:

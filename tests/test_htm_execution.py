@@ -378,3 +378,141 @@ class TestMachineGuards:
         assert ProcState.RUN in states
         assert ProcState.MISS in states
         assert ProcState.COMMIT in states
+
+
+class _Load(Load):
+    pass
+
+
+class _Store(Store):
+    pass
+
+
+class _Compute(Compute):
+    pass
+
+
+class _NestedTx(TxOp):
+    pass
+
+
+class _Bogus:
+    def __repr__(self):
+        return "<bogus op>"
+
+
+def _intent_program(load, store, compute):
+    """Plain and transactional traffic built from the given intent classes."""
+
+    def program(ctx):
+        private = 0x8000 + ctx.proc_id * 0x100
+        yield store(private, ctx.proc_id + 1)
+        seed = yield load(private)        # partial line: a miss
+        seed += yield load(private)       # now a hit
+        yield compute(0)
+        for _ in range(4):
+            def body(tx):
+                value = yield load(A)
+                yield compute(0)
+                yield store(A, value + 1)
+                forwarded = yield load(A)  # store-to-load forwarding
+                yield compute(3)
+                yield store(B, forwarded + seed)
+                tx.set_result(forwarded)
+
+            yield TxOp(body, site="inc")
+            yield compute(seed)
+
+    return program
+
+
+class TestStepLoop:
+    """Paths of the processor's step loops that the paper grid never takes."""
+
+    def _observe(self, load, store, compute):
+        config = SystemConfig(num_procs=3, seed=0)
+        machine, result = run_machine(
+            config, [_intent_program(load, store, compute)] * 3,
+            validation_mode=True,
+        )
+        timelines = [
+            [(seg.start, seg.end, seg.state) for seg in tl.segments()]
+            for tl in result.timelines
+        ]
+        return result.counters(), timelines, result.memory_snapshot, result
+
+    def test_intent_subclasses_match_exact_types(self):
+        exact = self._observe(Load, Store, Compute)
+        subclassed = self._observe(_Load, _Store, _Compute)
+        assert subclassed[:3] == exact[:3]
+        counters, _, memory, result = exact
+        assert counters["tx.commits"] == 12
+        assert counters["tx.aborts.total"] >= 1  # contention was exercised
+        assert memory[A] == 12
+        assert [tx.reads for tx in subclassed[3].commit_log] == [
+            tx.reads for tx in result.commit_log
+        ]
+
+    def test_zero_cycle_compute_takes_no_time(self):
+        def program(ctx):
+            yield Compute(0)
+            yield _Compute(0)
+            yield Compute(5)
+
+        _, result = single(cfg1(), program)
+        assert result.end_cycle == 5
+
+    @pytest.mark.parametrize(
+        ("op", "message"),
+        [
+            (TxOp(lambda tx: iter(()), site="inner"),
+             "TxOp is not allowed inside a transaction (site 'outer'); "
+             "TCC transactions are flat"),
+            (_NestedTx(lambda tx: iter(()), site="inner"),
+             "_NestedTx is not allowed inside a transaction (site 'outer'); "
+             "TCC transactions are flat"),
+            (BarrierOp("b"),
+             "BarrierOp is not allowed inside a transaction (site 'outer'); "
+             "TCC transactions are flat"),
+            (_Bogus(), "unknown transactional op: <bogus op>"),
+        ],
+    )
+    def test_bad_op_inside_transaction(self, op, message):
+        def body(tx):
+            yield op
+
+        def program(ctx):
+            yield TxOp(body, site="outer")
+
+        with pytest.raises(WorkloadError) as excinfo:
+            single(cfg1(), program)
+        assert str(excinfo.value) == message
+
+    def test_unknown_program_level_op(self):
+        def program(ctx):
+            yield _Bogus()
+
+        with pytest.raises(WorkloadError) as excinfo:
+            single(cfg1(), program)
+        assert str(excinfo.value) == "unknown program-level op: <bogus op>"
+
+    def test_stale_fill_reply_is_ignored_and_counted(self):
+        line = C // 64
+
+        def program(ctx):
+            value = yield Load(C)  # cold miss: the fill is outstanding at t=5
+            assert value == 9
+
+        config = cfg1()
+        programs = [ThreadProgram(program, "t0")]
+        machine = Machine(config, programs, initial_memory={C: 9})
+        proc = machine.proc(0)
+        # A reply to a request never made, and one for another line.
+        machine.engine.schedule(5, proc.receive_fill_reply, line, 99)
+        machine.engine.schedule(5, proc.receive_fill_reply, line + 1, 1)
+        result = machine.run()
+        counters = result.counters()
+        assert counters["proc0.stale_fills"] == 2
+        assert counters["proc0.cache.misses"] == 1
+        assert proc.cache.contains(line)
+        assert not proc.cache.contains(line + 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import CacheConfig
-from repro.mem.cache import L1Cache
+from repro.mem.cache import _EMPTY_SET, L1Cache
 from repro.sim.stats import StatsRegistry
 
 
@@ -105,6 +105,25 @@ class TestSpeculativeBits:
             assert one.lookup(0) == two.lookup(0)
             assert one.lookup(0).spec_read and not one.lookup(0).partial
 
+    def test_fill_with_spec_written_matches_fill_then_mark(self):
+        # A transactional store allocates its line with the SM bit set;
+        # that must equal a partial fill followed by mark_spec_written,
+        # for a new line and for resident complete and partial ones.
+        for resident in (None, "complete", "partial"):
+            one, two = make_cache(), make_cache()
+            for cache in (one, two):
+                cache.fill(8)  # the other way of set 0
+                if resident is not None:
+                    cache.fill(0, partial=resident == "partial")
+                    cache.mark_spec_read(0)
+            assert one.fill(0, partial=True, spec_written=True) == two.fill(
+                0, partial=True
+            )
+            two.mark_spec_written(0)
+            assert one.lookup(0) == two.lookup(0)
+            assert one.lookup(0).spec_written
+            assert one.lookup(8) == two.lookup(8)
+
     def test_clear_on_commit_keeps_lines(self):
         cache = make_cache()
         cache.fill(1)
@@ -150,6 +169,60 @@ class TestInvalidation:
     def test_invalidate_absent(self):
         cache = make_cache()
         assert not cache.invalidate(4)
+
+    def test_invalidate_lines_counts_resident_lines(self):
+        cache = make_cache()
+        for line in (1, 2, 9):
+            cache.fill(line)
+        assert cache.invalidate_lines((1, 3, 9, 1, 17)) == 2  # 3, 17 absent
+        assert cache._stats.get("proc0.cache.invalidations") == 2
+        assert sorted(cache.resident_lines()) == [2]
+        assert cache.invalidate_lines(()) == 0
+        assert cache._stats.get("proc0.cache.invalidations") == 2
+
+
+class TestLazySets:
+    """Every set reads as one shared empty mapping until its first fill."""
+
+    def test_new_cache_allocates_no_set_dict(self):
+        for cache in (make_cache(), L1Cache(CacheConfig(), 0, StatsRegistry())):
+            assert all(set_ is _EMPTY_SET for set_ in cache._sets)
+        assert len(_EMPTY_SET) == 0
+
+    def test_reads_and_drops_leave_untouched_sets_shared(self):
+        cache = make_cache()
+        cache.fill(1)
+        assert cache.lookup(2) is None and cache.touch(2) is None
+        assert not cache.contains(3)
+        assert not cache.invalidate(2)
+        assert cache.invalidate_lines([2, 3, 4]) == 0
+        cache.mark_spec_read(5)
+        cache.mark_spec_written(6)
+        cache.clear_speculative([2, 3, 7], commit=False)
+        cache.clear_speculative([2, 3, 7], commit=True)
+        assert [set_ is _EMPTY_SET for set_ in cache._sets] == [
+            index != 1 for index in range(8)
+        ]
+        assert len(_EMPTY_SET) == 0
+        assert cache.occupancy() == 1
+
+    def test_first_fill_gives_a_set_its_own_dict(self):
+        cache = make_cache()
+        cache.fill(3)
+        cache.fill(11)  # same set
+        assert cache._sets[3] is not _EMPTY_SET
+        assert sorted(cache._sets[3]) == [3, 11]
+        assert len(_EMPTY_SET) == 0
+
+    def test_reset_returns_every_set_to_the_shared_mapping(self):
+        cache = make_cache()
+        for line in range(16):
+            cache.fill(line)
+        cache.reset()
+        assert all(set_ is _EMPTY_SET for set_ in cache._sets)
+        assert cache.occupancy() == 0
+        cache.fill(4)
+        assert cache.contains(4) and len(_EMPTY_SET) == 0
 
 
 class _RefCache:
