@@ -1,5 +1,5 @@
 # Developer entry points.  `make smoke` is the PR gate: tier-1 tests
-# plus one cached parallel sweep end-to-end (see scripts/smoke.sh),
+# plus one cached parallel suite run end-to-end (see scripts/smoke.sh),
 # including the incremental figure pipeline.  `make smoke-sharded`
 # checks shard/merge/plan against both store backends
 # (see scripts/smoke_sharded.sh).  `make figures` regenerates every
@@ -11,8 +11,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test check typecheck smoke smoke-sharded figures figures-smoke \
-	obs-smoke bench bench-check bench-dir bench-gate bench-exec \
-	bench-paper clean-cache
+	obs-smoke bench bench-check bench-dir bench-gate bench-paper \
+	clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -68,9 +68,6 @@ bench-dir:
 # session (BENCH_baseline.json as fallback)
 bench-gate:
 	$(PYTHON) -m repro bench --check --compare
-
-bench-exec:
-	$(PYTHON) benchmarks/bench_exec_scaling.py
 
 # the paper-grid benchmark: every workload (or WORKLOAD=...) for
 # SECONDS seconds each; the last line of each run is its JSON result

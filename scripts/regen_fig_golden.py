@@ -22,7 +22,6 @@ the PR.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import sys
 from pathlib import Path
@@ -39,16 +38,10 @@ GOLDEN_PARAMS = FigureParams(
 
 STORE_DIR = REPO / "tests" / "data" / "figstore"
 GOLDEN_DIR = REPO / "tests" / "data" / "figures_golden"
-BENCH_FIXTURE = REPO / "tests" / "data" / "bench_series"
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # perf-trend reads BENCH_*.json; the goldens are pinned to the
-    # committed fixture series (mirrors tests/test_figures.py) so new
-    # repo-root bench files don't churn them
-    os.environ["REPRO_BENCH_DIR"] = str(BENCH_FIXTURE)
-
     # Reuse the committed store by default: the goldens then regenerate
     # without re-simulating (and without churning the store file).
     # Pass --store when simulation semantics or the exec schema changed

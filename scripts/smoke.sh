@@ -1,42 +1,21 @@
 #!/usr/bin/env bash
-# End-to-end smoke: one W0 sweep AND one named scenario suite through
-# the parallel executor with the result cache, each run twice — the
-# second pass must perform ZERO simulation re-executions (the ISSUE
-# acceptance criteria), and exec-status must see the cached entries.
-# Run from the repo root (or via `make smoke`).
+# End-to-end smoke: one named scenario suite through the parallel
+# executor with the result cache, run twice — the second pass must
+# perform ZERO simulation re-executions, and exec-status must see the
+# cached entries.  Run from the repo root (or via `make smoke`).
 set -euo pipefail
 
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 CACHE_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}
-SWEEP=(sweep counter --scale tiny --procs 2 --w0-values 2 8
-       --jobs 2 --cache-dir "$CACHE_DIR" --progress)
+SUITE=(suite run --suite smoke --jobs 2 --cache-dir "$CACHE_DIR"
+       --progress)
 
 rm -rf "$CACHE_DIR"
 
 echo "== smoke: static analysis (repro check) =="
 python -m repro check src tests scripts
 
-echo "== smoke: cold sweep (parallel, populating cache) =="
-cold=$(python -m repro "${SWEEP[@]}" 2>cold.err)
-cat cold.err
-grep -q "executed 3 of 3 submitted" cold.err  # 1 shared baseline + 2 gated runs
-
-echo "== smoke: warm sweep (must be pure cache hits) =="
-warm=$(python -m repro "${SWEEP[@]}" 2>warm.err)
-cat warm.err
-grep -q "executed 0 of 3 submitted" warm.err
-grep -q "3 cache hit(s)" warm.err
-
-[ "$cold" = "$warm" ] || { echo "smoke FAILED: cached sweep output differs"; exit 1; }
-
-echo "== smoke: exec-status =="
-status=$(python -m repro exec-status --cache-dir "$CACHE_DIR")
-echo "$status"
-echo "$status" | grep -q "3 entries"
-
 echo "== smoke: named suite, cold (expand -> exec cache) =="
-SUITE=(suite run --suite smoke --jobs 2 --cache-dir "$CACHE_DIR/suite"
-       --progress)
 suite_cold=$(python -m repro "${SUITE[@]}" 2>suite_cold.err)
 cat suite_cold.err
 grep -q "executed 3 of 4 submitted" suite_cold.err  # 4 scenarios, 1 deduplicated
@@ -50,9 +29,14 @@ grep -q "3 cache hit(s)" suite_warm.err
 [ "$suite_cold" = "$suite_warm" ] || {
   echo "smoke FAILED: cached suite output differs"; exit 1; }
 
-rm -f cold.err warm.err suite_cold.err suite_warm.err
+echo "== smoke: exec-status =="
+status=$(python -m repro exec-status --cache-dir "$CACHE_DIR")
+echo "$status"
+echo "$status" | grep -q "3 entries"  # 1 shared baseline + 2 gated runs
+
+rm -f suite_cold.err suite_warm.err
 rm -rf "$CACHE_DIR"
-echo "smoke OK: sweep + suite cached end-to-end, zero re-executions"
+echo "smoke OK: suite cached end-to-end, zero re-executions"
 
 echo "== smoke: replicate packs vs per-process (store digest identity) =="
 # A seed family (same spec, four seeds) through the pool executor with

@@ -22,8 +22,8 @@ mkdir -p "$ROOT"
 echo "== figures smoke: cold build (populates the store) =="
 python -m repro "${BUILD[@]}" | tee "$ROOT/cold.out"
 grep -q "simulated 3 residual job(s)" "$ROOT/cold.out"
-grep -q "9 built" "$ROOT/cold.out"
-for name in fig3 fig4 fig5 fig6 fig7 table1 table2 headline perf-trend; do
+grep -q "8 built" "$ROOT/cold.out"
+for name in fig3 fig4 fig5 fig6 fig7 table1 table2 headline; do
   [ -f "$OUT_DIR/$name.json" ] || {
     echo "figures smoke FAILED: missing $name.json"; exit 1; }
 done
@@ -32,13 +32,13 @@ cp -r "$OUT_DIR" "$ROOT/first"
 echo "== figures smoke: warm build (0 simulations, untouched bytes) =="
 python -m repro "${BUILD[@]}" | tee "$ROOT/warm.out"
 grep -q "simulated 0 residual job(s)" "$ROOT/warm.out"
-grep -q "9 fresh" "$ROOT/warm.out"
+grep -q "8 fresh" "$ROOT/warm.out"
 diff -r "$OUT_DIR" "$ROOT/first"
 
 echo "== figures smoke: forced re-render reproduces identical bytes =="
 python -m repro "${BUILD[@]}" --force | tee "$ROOT/force.out"
 grep -q "simulated 0 residual job(s)" "$ROOT/force.out"
-grep -q "9 rebuilt" "$ROOT/force.out"
+grep -q "8 rebuilt" "$ROOT/force.out"
 diff -r "$OUT_DIR" "$ROOT/first"
 
 echo "== figures smoke: status agrees everything is fresh =="

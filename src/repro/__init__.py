@@ -16,8 +16,8 @@ Quickstart::
     result = run_workload(wl, config)
     print(result.parallel_time, result.energy.total)
 
-See ``examples/`` for full scenarios and ``benchmarks/`` for the
-experiments that regenerate every table and figure of the paper.
+See ``examples/`` for full scenarios; ``python -m repro figures
+build`` regenerates every table and figure of the paper.
 """
 
 from .config import (

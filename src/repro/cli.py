@@ -4,8 +4,6 @@ Commands
 --------
 ``run``         one workload on one configuration, with a full report
 ``compare``     paired with/without-gating comparison (Figs. 4–6 metrics)
-``evaluate``    the paper's evaluation grid + Section VIII averages
-``sweep``       Fig. 7 W0 sensitivity for one workload
 ``suite``       declarative scenario suites: ``list``, ``describe``,
                 ``run`` (optionally ``--shard K/N``), ``plan``
                 (cache-aware hit/miss map, no simulation), ``merge``
@@ -13,12 +11,12 @@ Commands
 ``figures``     declarative paper artifacts: ``list``, ``status``,
                 ``build`` — plan each figure's suite against the result
                 store, simulate only residual misses, re-render only
-                stale ``figures/*.json``
+                stale ``figures/*.json`` (``--only NAME --show`` prints
+                one artifact, e.g. Fig. 3, as a text table)
 ``bench``       hot-path benchmarks with ``BENCH_*.json`` output; with
                 ``--compare [BASELINE.json]`` a CI regression gate
                 (bare ``--compare`` gates against the newest committed
                 ``BENCH_*.json`` session, baseline as fallback)
-``cache-power`` the Fig. 3 TCC-cache power analysis
 ``exec-status`` inspect (or ``--prune``, optionally ``--older-than`` /
                 ``--label``) a result-cache directory; ``--json`` for
                 the full machine-readable statistics
@@ -27,12 +25,12 @@ Commands
                 and event logs written under ``--obs-dir``
 ``list``        available workloads and contention managers
 
-Execution control (``compare``, ``evaluate``, ``sweep``, ``suite run``)
------------------------------------------------------------------------
+Execution control (``compare``, ``suite run``)
+----------------------------------------------
 ``--jobs N``       fan simulation runs across N worker processes
                    (``0`` = one per usable CPU; default 1 = serial)
 ``--cache-dir P``  content-addressed result cache: re-running an
-                   unchanged figure or sweep performs zero simulations
+                   unchanged comparison or suite performs zero simulations
 ``--store B``      cache backend: ``jsonl``, ``sqlite``, or ``auto``
                    (detect from the cache directory; default)
 ``--no-cache``     ignore ``--cache-dir`` for this invocation
@@ -62,11 +60,8 @@ from .exec.executor import BatchExecutionError, Executor
 from .exec.progress import ConsoleProgress
 from .exec.store import ResultStore
 from .harness.compare import compare_gating
-from .harness.experiments import EvaluationSuite
-from .harness.reporting import format_matrix, format_table
+from .harness.reporting import format_table
 from .harness.runner import run_workload, workload
-from .harness.sweep import DEFAULT_W0_VALUES, w0_sensitivity
-from .power.cacti import FIG3_CACHE_SIZES_KB, tcc_cache_power_curve, tcc_total_power_factor
 from .power.report import format_energy_report
 from .scenarios.builtin import available_suites, get_suite, suite_help
 from .scenarios.runner import (
@@ -176,19 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("workload")
     _add_common(p_cmp)
     _add_exec(p_cmp)
-
-    p_eval = sub.add_parser("evaluate", help="regenerate Figs. 4-6 + averages")
-    _add_common(p_eval)
-    _add_exec(p_eval)
-    p_eval.add_argument("--grid", type=int, nargs="+", default=[4, 8, 16],
-                        help="processor counts (default 4 8 16)")
-
-    p_sweep = sub.add_parser("sweep", help="Fig. 7 W0 sensitivity")
-    p_sweep.add_argument("workload")
-    _add_common(p_sweep)
-    _add_exec(p_sweep)
-    p_sweep.add_argument("--w0-values", type=int, nargs="+",
-                         default=list(DEFAULT_W0_VALUES))
 
     p_suite = sub.add_parser(
         "suite", help="declarative scenario suites (list/describe/run)"
@@ -361,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allowed per-benchmark throughput drop for "
                               "--compare (default 25)")
 
-    sub.add_parser("cache-power", help="Fig. 3 TCC-cache power analysis")
-
     p_status = sub.add_parser(
         "exec-status", help="inspect a repro.exec result cache"
     )
@@ -471,53 +451,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(format_energy_report(comparison.energy_report()))
     print()
     print(comparison.summary())
-    return 0
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    suite = EvaluationSuite(
-        scale=args.scale, seed=args.seed, procs=tuple(args.grid), w0=args.w0,
-        executor=_executor(args),
-    )
-    suite.run_all()
-    print(format_table(["app", "procs", "N1", "N2", "speed-up"],
-                       suite.fig4_rows(), title="Fig. 4 — execution time"))
-    print()
-    print(format_table(
-        ["app", "procs", "Eug", "Eg", "energy reduction"],
-        [(a, p, round(eu, 1), round(eg, 1), r)
-         for a, p, eu, eg, r in suite.fig5_rows()],
-        title="Fig. 5 — energy",
-    ))
-    print()
-    print(format_table(["app", "procs", "avgP ug", "avgP g", "power red."],
-                       suite.fig6_rows(), title="Fig. 6 — average power"))
-    headline = suite.headline()
-    print()
-    print(f"averages over {int(headline['points'])} points: "
-          f"speed-up {headline['average_speedup_pct']:+.1f}%, "
-          f"energy reduction {headline['average_energy_reduction_pct']:.1f}%, "
-          f"power reduction {headline['average_power_reduction_pct']:.1f}%")
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    curves = w0_sensitivity(
-        workload(args.workload, scale=args.scale, seed=args.seed),
-        _config(args),
-        w0_values=tuple(args.w0_values),
-        executor=_executor(args),
-    )
-    rows = [
-        (w0, point["speedup"], point["energy_reduction"],
-         point["power_reduction"])
-        for w0, point in curves.items()
-    ]
-    print(format_table(
-        ["W0", "speed-up", "energy red.", "power red."],
-        rows,
-        title=f"Fig. 7 — {args.workload} @ {args.procs} procs",
-    ))
     return 0
 
 
@@ -675,6 +608,7 @@ def _figure_builder(args: argparse.Namespace, jobs: int = 1,
 
     from .figures import FigureBuilder
 
+    params = _figure_params(args)  # bad params fail before any store opens
     store = None  # a throw-away temporary store
     if not getattr(args, "no_cache", False):
         if args.action == "status" and not os.path.isdir(args.cache_dir):
@@ -687,7 +621,7 @@ def _figure_builder(args: argparse.Namespace, jobs: int = 1,
     return FigureBuilder(
         store=store,
         out_dir=args.out_dir,
-        params=_figure_params(args),
+        params=params,
         jobs=jobs,
         progress=ConsoleProgress() if progress else None,
         profile=getattr(args, "profile", False),
@@ -821,22 +755,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if compare_path:
         print(f"bench gate OK: no benchmark regressed more than "
               f"{args.max_regression:g}% vs {compare_path}")
-    return 0
-
-
-def _cmd_cache_power(_args: argparse.Namespace) -> int:
-    values = {
-        f"{size}KB": dict(tcc_cache_power_curve(size))
-        for size in FIG3_CACHE_SIZES_KB
-    }
-    print(format_matrix(
-        [f"{s}KB" for s in FIG3_CACHE_SIZES_KB],
-        [64, 32, 16, 8, 4, 2, 1],
-        values,
-        corner="cache \\ B/RW-bit",
-        title="Fig. 3 — normalized TCC data-cache power",
-    ))
-    print(f"full TCC data-cache factor: {tcc_total_power_factor():.3f}x")
     return 0
 
 
@@ -1056,12 +974,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
     "suite": _cmd_suite,
     "figures": _cmd_figures,
     "bench": _cmd_bench,
-    "cache-power": _cmd_cache_power,
     "exec-status": _cmd_exec_status,
     "obs": _cmd_obs,
     "check": _cmd_check,

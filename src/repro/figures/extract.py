@@ -12,9 +12,8 @@ merged from many shard hosts identically.
 This module is also the single home of the row derivations the paper's
 figures need — the gated/ungated pairing, the Fig. 4–6 row shapes, the
 Fig. 7 speed-up matrix, and the Section VIII headline averages.
-:class:`~repro.harness.experiments.EvaluationSuite`, the benchmark
-modules and :meth:`~repro.scenarios.runner.SuiteRun.paired_rows` all
-delegate here instead of keeping private copies.
+:meth:`~repro.scenarios.runner.SuiteRun.paired_rows` delegates here
+instead of keeping a private copy.
 
 Versioning: every registered extractor carries an integer version that
 enters the figure content digest — bump it when an extractor's output

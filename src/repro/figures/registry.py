@@ -13,14 +13,17 @@ fig7      figure   W0 sensitivity grid     fig7-w0-sensitivity
 table1    table    — (analytic)            table1-power-model
 table2    table    — (analytic)            table2-system-config
 headline  table    evaluation grid         headline-averages
-perf-trend figure  — (bench files)         perf-trend
 ========  =======  ======================  ==========================
 
-Figs. 4–6 and the headline averages share ONE suite (the paper derives
-them from the same simulations), and the Fig. 7 grid shares its
-ungated baselines and W0 = 8 gated runs with it by job-digest dedup —
-so a full ``repro figures build`` plans all suites together and
-simulates each unique job exactly once.
+This module is the one definition of the paper's two grids:
+:func:`eval_grid_suite` (Figs. 4–6 and the headline) and
+:func:`w0_grid_suite` (Fig. 7).  The built-in ``paper-eval`` and
+``paper-fig7`` scenario suites return them too.  Figs. 4–6 and the
+headline averages share ONE suite (the paper derives them from the
+same simulations), and the Fig. 7 grid shares its ungated baselines
+and W0 = 8 gated runs with it by job-digest dedup — so a full
+``repro figures build`` plans all suites together and simulates each
+unique job exactly once.
 
 ``register_figure`` accepts user-defined specs (see
 ``examples/figures_pipeline.py``); registration order is presentation
@@ -32,7 +35,6 @@ from __future__ import annotations
 from ..errors import FigureError
 from ..scenarios.spec import ScenarioSpec
 from ..scenarios.suite import ScenarioSuite, suite
-from .perftrend import bench_fingerprint  # registers the extractor too
 from .spec import FigureParams, FigureSpec
 
 __all__ = [
@@ -59,10 +61,8 @@ def _grid_base(params: FigureParams) -> ScenarioSpec:
 def eval_grid_suite(params: FigureParams) -> ScenarioSuite:
     """The Figs. 4–6 grid: every (app × procs) point, both gating modes.
 
-    Axis order (workload, threads, gating) matches the built-in
-    ``paper-eval`` suite and :class:`~repro.harness.experiments.
-    EvaluationSuite`, so all three lower to identical job batches and
-    share one result store.
+    Also the built-in ``paper-eval`` suite, so ``repro suite run`` and
+    ``repro figures build`` fill one result store with the same jobs.
     """
     return suite(
         "paper-eval",
@@ -201,16 +201,4 @@ register_figure(FigureSpec(
     extractor="headline-averages",
     kind="table",
     suite=eval_grid_suite,
-))
-register_figure(FigureSpec(
-    name="perf-trend",
-    title="Toolkit performance trajectory (committed BENCH_*.json series)",
-    extractor="perf-trend",
-    suite=None,
-    description="the repository's committed bench series as one "
-                "rows-shaped artifact; no simulation (see "
-                "docs/performance.md)",
-    # content-hash of every bench file: committing or editing one marks
-    # the artifact stale through the normal figure-digest machinery
-    fingerprint=bench_fingerprint,
 ))

@@ -27,7 +27,6 @@ from typing import Any, Callable, Union
 from ..config import GatingConfig, SystemConfig
 from ..errors import FigureError
 from ..exec.serialize import canonical_json
-from ..harness.sweep import DEFAULT_W0_VALUES
 from ..power.model import PowerModel
 from ..scenarios.suite import ScenarioSuite, SpecListSuite
 from ..workloads.registry import PAPER_APPS
@@ -63,15 +62,21 @@ class FigureParams:
     #: the evaluation-grid gating window (Figs. 4–6)
     w0: int = 8
     #: the Fig. 7 sensitivity sweep
-    w0_values: tuple[int, ...] = DEFAULT_W0_VALUES
+    w0_values: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
     cm: str = "gating-aware"
 
     def __post_init__(self) -> None:
         # tuples, not lists: params are hashed into figure digests
         for name in ("apps", "procs", "w0_values"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
+            value = tuple(getattr(self, name))
+            object.__setattr__(self, name, value)
+            # a repeated value duplicates grid points, which the
+            # extractors cannot pair; reject it before anything runs
+            if len(set(value)) != len(value):
+                raise FigureError(
+                    f"figure params {name} has duplicate values: "
+                    f"{list(value)}"
+                )
         if not self.apps or not self.procs or not self.w0_values:
             raise FigureError(
                 "figure params need at least one app, processor count "
@@ -108,11 +113,6 @@ class FigureSpec:
     #: suite value, ``FigureParams -> suite`` factory, or None (analytic)
     suite: SuiteSource = None
     description: str = ""
-    #: optional extra-identity hook for figures fed by out-of-store
-    #: inputs (e.g. committed ``BENCH_*.json`` files): a callable whose
-    #: JSON-able return value folds into the figure digest, so changed
-    #: inputs mark the artifact stale exactly like a changed suite would
-    fingerprint: Callable[[], Any] | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -159,8 +159,4 @@ def figure_digest(
         "params": params.fingerprint(),
         "power": dataclasses.asdict(power),
     }
-    if spec.fingerprint is not None:
-        # only when the figure declares extra inputs: adding the key
-        # unconditionally would shift every existing figure digest
-        payload["inputs"] = spec.fingerprint()
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

@@ -6,14 +6,13 @@ High-level entry points:
   configuration, with energy accounting and functional validation.
 * :func:`~repro.harness.compare.compare_gating` — the paired
   with/without-clock-gating methodology of Figs. 4–6.
-* :class:`~repro.harness.experiments.EvaluationSuite` — regenerates
-  every table and figure of the paper's evaluation.
+
+The paper's full grids live in :mod:`repro.figures.registry`; ``repro
+figures build`` regenerates every table and figure from them.
 """
 
 from .runner import RunResult, WorkloadSpec, run_workload, workload
 from .compare import GatingComparison, compare_gating
-from .sweep import w0_sensitivity, w0_sensitivity_grid, proc_scaling
-from .experiments import EvaluationSuite
 from .reporting import format_table, format_matrix
 from .validation import check_serializability
 from ..workloads.registry import available_workloads
@@ -25,10 +24,6 @@ __all__ = [
     "workload",
     "GatingComparison",
     "compare_gating",
-    "w0_sensitivity",
-    "w0_sensitivity_grid",
-    "proc_scaling",
-    "EvaluationSuite",
     "format_table",
     "format_matrix",
     "check_serializability",

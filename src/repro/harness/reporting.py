@@ -1,8 +1,7 @@
 """Fixed-width text rendering for experiment output.
 
-The benchmark harness prints the same rows/series the paper's figures
-plot; these helpers keep that output aligned and diff-friendly (they
-are what EXPERIMENTS.md embeds).
+The CLI prints the same rows/series the paper's figures plot; these
+helpers keep that output aligned and diff-friendly.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Formats one run's :class:`~repro.power.energy.EnergyBreakdown`, or a
 gated/ungated pair with the Eq. (6)/(7) reduction factors, as fixed-
-width text tables (the style EXPERIMENTS.md embeds).
+width text tables.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 Each entry is a factory ``(scale, seed) -> ScenarioSuite`` so the same
 grid can run at unit-test (``tiny``), benchmark (``small``) or
-paper-approximation (``medium``) size.  ``repro suite list/describe/run``
-is the CLI surface; :func:`get_suite` is the programmatic one.
+paper-approximation (``medium``) size.  ``paper-eval`` and
+``paper-fig7`` return the figure registry's grids
+(:mod:`repro.figures.registry`) at the default figure parameters.
+``repro suite list/describe/run`` is the CLI surface; :func:`get_suite`
+is the programmatic one.
 """
 
 from __future__ import annotations
@@ -11,14 +14,11 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import WorkloadError
-from ..harness.sweep import DEFAULT_W0_VALUES
-from ..workloads.registry import PAPER_APPS, STAMP_APPS
+from ..workloads.registry import STAMP_APPS
 from .spec import ScenarioSpec
 from .suite import ScenarioSuite, suite
 
 __all__ = ["available_suites", "get_suite", "register_suite", "suite_help"]
-
-_EVAL_PROCS = (4, 8, 16)
 
 
 def _base(workload: str, scale: str, seed: int, **kw: object) -> ScenarioSpec:
@@ -26,37 +26,18 @@ def _base(workload: str, scale: str, seed: int, **kw: object) -> ScenarioSpec:
 
 
 def _paper_fig7(scale: str, seed: int) -> ScenarioSuite:
-    return suite(
-        "paper-fig7",
-        _base("genome", scale, seed),
-        axes={
-            "workload": PAPER_APPS,
-            "threads": _EVAL_PROCS,
-            "gating": (False, True),
-            "w0": DEFAULT_W0_VALUES,
-        },
-        description=(
-            "Fig. 7 sensitivity grid: speed-up vs W0 and Np for the "
-            "paper's three applications (ungated baselines are shared "
-            "across the W0 axis by job-digest dedup)"
-        ),
-    )
+    # lazy: a module-level import cycles through repro.figures.builder
+    from ..figures.registry import w0_grid_suite
+    from ..figures.spec import FigureParams
+
+    return w0_grid_suite(FigureParams(scale=scale, seed=seed))
 
 
 def _paper_eval(scale: str, seed: int) -> ScenarioSuite:
-    return suite(
-        "paper-eval",
-        _base("genome", scale, seed),
-        axes={
-            "workload": PAPER_APPS,
-            "threads": _EVAL_PROCS,
-            "gating": (False, True),
-        },
-        description=(
-            "Figs. 4-6 evaluation grid: every (application x processor "
-            "count) point with and without clock gating at W0=8"
-        ),
-    )
+    from ..figures.registry import eval_grid_suite
+    from ..figures.spec import FigureParams
+
+    return eval_grid_suite(FigureParams(scale=scale, seed=seed))
 
 
 def _stamp_extended(scale: str, seed: int) -> ScenarioSuite:

@@ -262,7 +262,7 @@ class SuiteRun:
         pairs return [].
         """
         # Lazy: repro.figures builds on the scenario layer; importing it
-        # here (like the harness sweep does for scenarios) avoids a cycle.
+        # here avoids a cycle.
         from ..figures.extract import pair_results
         from ..power.energy import average_power_reduction, energy_reduction
 

@@ -275,7 +275,7 @@ class StatsRegistry:
         }
 
     def as_dict(self) -> dict[str, object]:
-        """Flatten to plain data (for reports / EXPERIMENTS.md tables)."""
+        """Flatten to plain data (for reports and tables)."""
         out: dict[str, object] = dict(self.counters())
         for name, h in self.histograms().items():
             out[f"{name}.count"] = h.count

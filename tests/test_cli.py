@@ -13,6 +13,12 @@ def run_cli(capsys, *argv: str) -> str:
     return capsys.readouterr().out
 
 
+def fill_store(capsys, cache_dir) -> None:
+    """3 cached counter runs: 1 shared ungated baseline + 2 gated."""
+    run_cli(capsys, "suite", "run", "--suite", "smoke",
+            "--cache-dir", str(cache_dir))
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -66,27 +72,6 @@ class TestCommands:
         assert "Eq. 6" in out
         assert "speed-up" in out
 
-    def test_evaluate_tiny(self, capsys):
-        out = run_cli(
-            capsys, "evaluate", "--scale", "tiny", "--grid", "2",
-            "--seed", "4",
-        )
-        assert "Fig. 4" in out and "Fig. 5" in out and "Fig. 6" in out
-        assert "averages over 3 points" in out
-
-    def test_sweep(self, capsys):
-        out = run_cli(
-            capsys, "sweep", "counter", "--scale", "tiny", "--procs", "2",
-            "--w0-values", "4", "16",
-        )
-        assert "Fig. 7" in out
-        assert "16" in out
-
-    def test_cache_power(self, capsys):
-        out = run_cli(capsys, "cache-power")
-        assert "Fig. 3" in out
-        assert "105.000" in out
-
     def test_momentum_cm_via_cli(self, capsys):
         out = run_cli(
             capsys, "run", "counter", "--scale", "tiny", "--procs", "2",
@@ -97,22 +82,11 @@ class TestCommands:
 
 class TestExecFlags:
     def test_sweep_parallel_matches_serial(self, capsys):
-        argv = ("sweep", "counter", "--scale", "tiny", "--procs", "2",
-                "--w0-values", "4", "16")
+        # the smoke suite is a one-point W0 sweep (W0 = 2, 8)
+        argv = ("suite", "run", "--suite", "smoke")
         serial = run_cli(capsys, *argv, "--jobs", "1")
         parallel = run_cli(capsys, *argv, "--jobs", "2")
         assert parallel == serial
-
-    def test_sweep_cached_second_run(self, capsys, tmp_path):
-        argv = ("sweep", "counter", "--scale", "tiny", "--procs", "2",
-                "--w0-values", "4", "--cache-dir", str(tmp_path), "--progress")
-        first = run_cli(capsys, *argv)
-        code = main(list(argv))
-        assert code == 0
-        captured = capsys.readouterr()
-        assert captured.out == first
-        assert "executed 0" in captured.err
-        assert "2 cache hit(s)" in captured.err
 
     def test_no_cache_flag_re_executes(self, capsys, tmp_path):
         argv = ("compare", "counter", "--scale", "tiny", "--procs", "2",
@@ -123,22 +97,12 @@ class TestExecFlags:
         assert "Eq. 6" in captured.out
         assert "executed 2" in captured.err
 
-    def test_evaluate_with_workers(self, capsys):
-        out = run_cli(
-            capsys, "evaluate", "--scale", "tiny", "--grid", "2",
-            "--seed", "4", "--jobs", "2",
-        )
-        assert "Fig. 4" in out and "averages over 3 points" in out
-
     def test_exec_status(self, capsys, tmp_path):
-        run_cli(
-            capsys, "sweep", "counter", "--scale", "tiny", "--procs", "2",
-            "--w0-values", "4", "--cache-dir", str(tmp_path),
-        )
+        fill_store(capsys, tmp_path)
         out = run_cli(capsys, "exec-status", "--cache-dir", str(tmp_path),
                       "--verbose")
-        assert "2 entries" in out
-        assert "counter: 2 cached run(s)" in out
+        assert "3 entries" in out
+        assert "counter: 3 cached run(s)" in out
         assert "ungated" in out
 
     def test_exec_status_empty_store(self, capsys, tmp_path):
@@ -154,10 +118,7 @@ class TestExecFlags:
     def test_exec_status_prune(self, capsys, tmp_path):
         from repro.exec.store import ResultStore
 
-        run_cli(
-            capsys, "sweep", "counter", "--scale", "tiny", "--procs", "2",
-            "--w0-values", "4", "8", "--cache-dir", str(tmp_path),
-        )
+        fill_store(capsys, tmp_path)
         store = ResultStore(tmp_path)
         victim = next(digest for digest, _label in store.labels())
         store.invalidate(victim)
@@ -235,10 +196,7 @@ class TestExecStatusGc:
     """`exec-status --prune --older-than/--label` — store GC policies."""
 
     def _seed(self, capsys, tmp_path):
-        run_cli(
-            capsys, "sweep", "counter", "--scale", "tiny", "--procs", "2",
-            "--w0-values", "4", "8", "--cache-dir", str(tmp_path),
-        )
+        fill_store(capsys, tmp_path)
 
     def test_label_gc(self, capsys, tmp_path):
         self._seed(capsys, tmp_path)  # 3 entries: 1 ungated + 2 gated

@@ -20,8 +20,11 @@ from repro.exec.serialize import (
     result_to_dict,
 )
 from repro.exec.store import ResultStore
+from repro.figures.extract import pair_results
+from repro.figures.registry import w0_grid_suite
+from repro.figures.spec import FigureParams
 from repro.harness.runner import run_workload, workload
-from repro.harness.sweep import w0_sensitivity
+from repro.scenarios.runner import run_suite
 
 TINY = SystemConfig(num_procs=2, seed=1)
 
@@ -513,38 +516,45 @@ class TestReplicatePacks:
 
 
 class TestSweepIntegration:
-    """The acceptance criterion: a cached sweep re-runs nothing."""
+    """The acceptance criterion: a cached W0 sweep re-runs nothing."""
+
+    @staticmethod
+    def sweep(w0_values):
+        """The Fig. 7 grid for one (app, procs) point."""
+        return w0_grid_suite(FigureParams(
+            scale="tiny", seed=2, apps=("counter",), procs=(2,),
+            w0_values=w0_values,
+        ))
 
     def test_w0_sweep_is_fully_cached_on_second_run(self, tmp_path):
-        spec = workload("counter", scale="tiny", seed=2)
-        config = SystemConfig(num_procs=2, seed=2)
         w0_values = (2, 8)
 
         exe1 = Executor(store=ResultStore(tmp_path))
-        first = w0_sensitivity(spec, config, w0_values, executor=exe1)
+        first = run_suite(self.sweep(w0_values), executor=exe1)
         assert exe1.last_report.executed == 1 + len(w0_values)
 
         exe2 = Executor(jobs=2, store=ResultStore(tmp_path))
-        second = w0_sensitivity(spec, config, w0_values, executor=exe2)
+        second = run_suite(self.sweep(w0_values), executor=exe2)
         assert exe2.last_report.executed == 0
         assert exe2.last_report.cache_hits == 1 + len(w0_values)
-        assert first == second
+        assert second.results == first.results
 
     def test_sweep_matches_legacy_serial_path(self):
-        """Executor-backed sweep == direct run_workload loop, exactly."""
+        """Suite-backed W0 sweep == direct run_workload loop, exactly."""
         spec = workload("counter", scale="tiny", seed=2)
         config = SystemConfig(num_procs=2, seed=2)
-        curves = w0_sensitivity(spec, config, (4, 16), executor=Executor(jobs=2))
+        outcome = run_suite(self.sweep((4, 16)), executor=Executor(jobs=2))
+        pairs = {
+            gated.spec.w0: (baseline.result, gated.result)
+            for gated, baseline in pair_results(outcome.results)
+        }
+        assert set(pairs) == {4, 16}
 
         baseline = run_workload(spec, config.with_gating(False))
         for w0 in (4, 16):
             gated = run_workload(spec, config.with_gating(True).with_w0(w0))
-            point = curves[w0]
-            assert point["n1"] == float(baseline.parallel_time)
-            assert point["n2"] == float(gated.parallel_time)
-            assert point["speedup"] == (
-                baseline.parallel_time / gated.parallel_time
-            )
-            assert point["energy_reduction"] == (
-                baseline.energy.total / gated.energy.total
-            )
+            suite_baseline, suite_gated = pairs[w0]
+            assert suite_baseline.parallel_time == baseline.parallel_time
+            assert suite_gated.parallel_time == gated.parallel_time
+            assert suite_baseline.energy.total == baseline.energy.total
+            assert suite_gated.energy.total == gated.energy.total

@@ -50,7 +50,6 @@ TINY_PARAMS = FigureParams(
 
 PAPER_ARTIFACTS = (
     "fig3", "fig4", "fig5", "fig6", "fig7", "table1", "table2", "headline",
-    "perf-trend",
 )
 
 
@@ -108,6 +107,15 @@ class TestParams:
     def test_empty_axes_rejected(self):
         with pytest.raises(FigureError):
             FigureParams(apps=())
+
+    @pytest.mark.parametrize("field, values", [
+        ("apps", ("counter", "counter")),
+        ("procs", (2, 2)),
+        ("w0_values", (2, 8, 2)),
+    ])
+    def test_duplicate_axis_values_rejected(self, field, values):
+        with pytest.raises(FigureError, match=f"{field} has duplicate"):
+            FigureParams(**{field: values})
 
     def test_system_config_defaults_to_largest_grid(self):
         config = FigureParams(procs=(2, 8)).system_config()
@@ -266,11 +274,8 @@ class TestGoldenStore:
         return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
     def test_every_figure_builds_byte_stable_from_the_committed_store(
-        self, tmp_path, golden_store, monkeypatch
+        self, tmp_path, golden_store
     ):
-        # perf-trend reads BENCH_*.json: pin it to the committed fixture
-        # series so new repo-root bench files don't churn the goldens
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(DATA / "bench_series"))
         builder = FigureBuilder(
             store=golden_store, out_dir=tmp_path / "out",
             params=GOLDEN_PARAMS,
@@ -300,6 +305,31 @@ class TestGoldenStore:
         assert headline["points"] == float(
             len(GOLDEN_PARAMS.apps) * len(GOLDEN_PARAMS.procs)
         )
+
+    def test_golden_rows_keep_the_paper_identities(
+        self, tmp_path, golden_store
+    ):
+        builder = FigureBuilder(store=golden_store, out_dir=tmp_path,
+                                params=GOLDEN_PARAMS)
+        for _app, _procs, n1, n2, speedup in builder.data("fig4")["rows"]:
+            assert speedup == pytest.approx(n1 / n2)
+        for _app, _procs, eug, eg, reduction in builder.data("fig5")["rows"]:
+            assert reduction == pytest.approx(eug / eg)
+        assert all(len(row) == 5 for row in builder.data("fig6")["rows"])
+
+        headline = builder.data("headline")
+        factor = headline["average_energy_reduction_factor"]
+        assert factor > 0
+        assert headline["average_energy_reduction_pct"] == pytest.approx(
+            (1 - 1 / factor) * 100
+        )
+
+        matrix = builder.data("fig7")["speedup"]
+        assert set(matrix) == set(GOLDEN_PARAMS.apps)
+        for by_procs in matrix.values():
+            assert set(by_procs) == {str(p) for p in GOLDEN_PARAMS.procs}
+            for curve in by_procs.values():
+                assert set(curve) == {str(w) for w in GOLDEN_PARAMS.w0_values}
 
     def test_provenance_records_jobs_and_suite(self, golden_store, tmp_path):
         builder = FigureBuilder(store=golden_store, out_dir=tmp_path / "o",
@@ -404,7 +434,7 @@ class TestFiguresCli:
         code, out, _err = self.run(capsys, *argv)
         assert code == 0
         assert "simulated 0 residual job(s)" in out
-        assert "9 fresh" in out
+        assert "8 fresh" in out
 
         code, out, _err = self.run(capsys, "figures", "status",
                                    "--cache-dir", str(tmp_path / "cache"),
@@ -416,14 +446,28 @@ class TestFiguresCli:
 
     def test_build_only_show(self, capsys, tmp_path):
         code, out, _err = self.run(
-            capsys, "figures", "build", "--only", "table1", "--show",
-            "--cache-dir", str(tmp_path / "cache"),
+            capsys, "figures", "build", "--only", "table1", "--only", "fig3",
+            "--show", "--cache-dir", str(tmp_path / "cache"),
             "--out-dir", str(tmp_path / "figs"), *self.TINY_FLAGS,
         )
         assert code == 0
         assert "table1: built" in out
         assert "Power model" in out
+        # Fig. 3: 64 KB with 2 B RW-bit tracking costs +5 %
+        assert "105.000" in out
+        assert "full TCC data-cache factor" in out
         assert not (tmp_path / "figs" / "fig4.json").exists()
+
+    def test_duplicate_grid_values_fail_before_simulating(
+        self, capsys, tmp_path
+    ):
+        with pytest.raises(FigureError, match="procs has duplicate"):
+            self.run(capsys, "figures", "build", "--only", "fig4",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--out-dir", str(tmp_path / "figs"),
+                     "--scale", "tiny", "--apps", "counter", "--grid", "2", "2")
+        # no store opened, so no records written
+        assert not (tmp_path / "cache").exists()
 
 
 class TestReviewRegressions:
@@ -473,41 +517,28 @@ class TestReviewRegressions:
 
 
 class TestGridParity:
-    """The figure grids must lower to the same job digests as the other
-    two spellings of the paper grid (built-in suites, EvaluationSuite)
-    — that equality is what lets all three share one result store."""
+    """The built-in paper suites are the registry's grids, so ``suite
+    run`` and ``figures build`` share one result store."""
 
-    def test_eval_grid_digests_match_builtin_and_harness(self):
-        from repro.harness.experiments import EvaluationSuite
+    def test_eval_grid_is_the_builtin_suite(self):
         from repro.scenarios.builtin import get_suite
 
-        params = FigureParams(scale="tiny", seed=0)
-        figures_jobs = {
-            s.to_job().digest for s in eval_grid_suite(params).expand()
-        }
-        builtin_jobs = {
-            s.to_job().digest
-            for s in get_suite("paper-eval", scale="tiny", seed=0).expand()
-        }
-        harness_jobs = {
-            s.to_job().digest
-            for s in EvaluationSuite(scale="tiny", seed=0)
-            .scenario_suite().expand()
-        }
-        assert figures_jobs == builtin_jobs == harness_jobs
+        for scale, seed in (("tiny", 0), ("small", 3)):
+            builtin = get_suite("paper-eval", scale=scale, seed=seed)
+            assert builtin.to_dict() == eval_grid_suite(
+                FigureParams(scale=scale, seed=seed)
+            ).to_dict()
+            assert builtin.size == 18
 
     def test_w0_grid_digests_match_builtin(self):
         from repro.scenarios.builtin import get_suite
 
         params = FigureParams(scale="tiny", seed=0)
-        figures_jobs = {
+        builtin = get_suite("paper-fig7", scale="tiny", seed=0)
+        assert builtin.to_dict() == w0_grid_suite(params).to_dict()
+        assert [s.to_job().digest for s in builtin.expand()] == [
             s.to_job().digest for s in w0_grid_suite(params).expand()
-        }
-        builtin_jobs = {
-            s.to_job().digest
-            for s in get_suite("paper-fig7", scale="tiny", seed=0).expand()
-        }
-        assert figures_jobs == builtin_jobs
+        ]
 
 
 class TestDataShapeRobustness:

@@ -1,4 +1,4 @@
-"""Harness: runner, comparison, sweeps, experiments and reporting."""
+"""Harness: runner, comparison, reporting and serializability checks."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import HarnessError, ProtocolError
 from repro.harness.compare import compare_gating
-from repro.harness.experiments import EvaluationSuite
 from repro.harness.reporting import format_matrix, format_table
 from repro.harness.runner import RunResult, WorkloadSpec, run_workload, workload
-from repro.harness.sweep import proc_scaling, w0_sensitivity
 from repro.harness.validation import check_serializability
 from repro.htm.machine import CommittedTx, MachineResult
 from repro.power.report import format_energy_report
@@ -99,81 +97,6 @@ class TestCompareGating:
 
     def test_summary(self, comparison):
         assert "counter x4" in comparison.summary()
-
-
-class TestSweeps:
-    def test_w0_sensitivity_structure(self):
-        curves = w0_sensitivity(
-            workload("counter", scale="tiny", seed=2),
-            SystemConfig(num_procs=2, seed=2),
-            w0_values=(4, 16),
-        )
-        assert set(curves) == {4, 16}
-        for point in curves.values():
-            assert set(point) >= {"speedup", "energy_reduction", "power_reduction"}
-            assert point["n1"] > 0
-
-    def test_proc_scaling(self):
-        results = proc_scaling(
-            workload("counter", scale="tiny", seed=2),
-            SystemConfig(num_procs=2, seed=2),
-            proc_counts=(1, 2),
-        )
-        assert set(results) == {1, 2}
-        assert results[1].config.num_procs == 1
-
-
-class TestEvaluationSuite:
-    @pytest.fixture(scope="class")
-    def suite(self):
-        return EvaluationSuite(
-            scale="tiny", seed=9, procs=(2, 4), apps=("counter", "intruder")
-        )
-
-    def test_comparison_cached(self, suite):
-        first = suite.comparison("counter", 2)
-        second = suite.comparison("counter", 2)
-        assert first is second
-
-    def test_fig4_rows(self, suite):
-        rows = suite.fig4_rows()
-        assert len(rows) == 4  # 2 apps x 2 proc counts
-        for app, procs, n1, n2, speedup in rows:
-            assert speedup == pytest.approx(n1 / n2)
-
-    def test_fig5_rows(self, suite):
-        for app, procs, eug, eg, reduction in suite.fig5_rows():
-            assert reduction == pytest.approx(eug / eg)
-
-    def test_fig6_rows(self, suite):
-        rows = suite.fig6_rows()
-        assert all(len(row) == 5 for row in rows)
-
-    def test_fig7_matrix(self, suite):
-        matrix = suite.fig7_matrix(w0_values=(8, 16))
-        assert set(matrix) == {"counter", "intruder"}
-        assert set(matrix["counter"]) == {2, 4}
-        assert set(matrix["counter"][2]) == {8, 16}
-
-    def test_fig3_static(self):
-        curves = EvaluationSuite.fig3_curves()
-        assert 64 in curves
-        granularities = [g for g, _ in curves[64]]
-        assert granularities[0] == 64 and granularities[-1] == 1
-
-    def test_tables(self, suite):
-        assert ("Run", 1.0) in suite.table1_rows()
-        assert dict(suite.table2_rows(16))["CPU"].startswith("16")
-
-    def test_headline(self, suite):
-        headline = suite.headline()
-        assert headline["points"] == 4.0
-        assert headline["average_energy_reduction_factor"] > 0
-        # percentage mapping consistency
-        f = headline["average_energy_reduction_factor"]
-        assert headline["average_energy_reduction_pct"] == pytest.approx(
-            (1 - 1 / f) * 100
-        )
 
 
 class TestReporting:

@@ -241,7 +241,6 @@ class TestBuilderLowering:
     def test_forced_warm_build_lowers_and_reads_once(
         self, monkeypatch, tmp_path, golden_store
     ):
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(DATA / "bench_series"))
         suites = (eval_grid_suite(GOLDEN_PARAMS),
                   w0_grid_suite(GOLDEN_PARAMS))
         unique_specs = {spec for suite in suites for spec in suite.expand()}

@@ -342,16 +342,18 @@ class TestBuiltinSuites:
             for s in get_suite("smoke", scale="medium").expand()
         )
 
-    def test_eval_suite_matches_evaluation_suite_grid(self):
-        from repro.harness.experiments import EvaluationSuite
+    def test_eval_grid_runs_every_paper_app(self):
+        from repro.figures.extract import comparisons_from_results
+        from repro.figures.registry import eval_grid_suite
+        from repro.figures.spec import FigureParams
 
-        harness_suite = EvaluationSuite(scale="tiny", procs=(2,), seed=4)
-        declarative = harness_suite.scenario_suite()
-        specs = declarative.expand()
+        grid = eval_grid_suite(FigureParams(scale="tiny", procs=(2,), seed=4))
+        specs = grid.expand()
         assert len(specs) == len(PAPER_APPS) * 1 * 2
-        harness_suite.run_all()
+        outcome = run_suite(grid, executor=Executor())
+        comparisons = comparisons_from_results(outcome.results)
         for app in PAPER_APPS:
-            assert harness_suite.comparison(app, 2).speedup > 0
+            assert comparisons[(app, 2)].speedup > 0
 
 
 class TestSpecJson:

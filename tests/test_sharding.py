@@ -123,24 +123,6 @@ class TestPlan:
         assert sum(p.unique_jobs for p in parts) == full.unique_jobs
         assert sum(p.total_scenarios for p in parts) == full.total_scenarios
 
-    def test_evaluation_suite_plan(self, tmp_path):
-        from repro.harness.experiments import EvaluationSuite
-
-        suite = EvaluationSuite(scale="tiny", procs=(2,), apps=("counter",))
-        plan = suite.plan(ResultStore(tmp_path))
-        assert plan.unique_jobs == 2  # gated + ungated at one point
-        assert plan.misses == 2
-        suite.run_all()
-        # run_all shares the suite's executor, not our probe store, so
-        # attach one and prove plan-then-run-then-plan converges
-        store = ResultStore(tmp_path)
-        cached = EvaluationSuite(
-            scale="tiny", procs=(2,), apps=("counter",),
-            executor=Executor(store=store),
-        )
-        cached.run_all()
-        assert cached.plan(ResultStore(tmp_path)).misses == 0
-
     def test_plan_to_dict_shape(self):
         data = plan_suite(smoke(), shard=Shard(1, 1)).to_dict()
         assert data["suite"] == "smoke"
