@@ -1,8 +1,8 @@
 # Developer entry points.  `make smoke` is the PR gate: tier-1 tests
 # plus one cached parallel suite run end-to-end (see scripts/smoke.sh),
 # including the incremental figure pipeline.  `make smoke-sharded`
-# checks shard/merge/plan against both store backends
-# (see scripts/smoke_sharded.sh).  `make figures` regenerates every
+# checks that shard + merge reproduces an unsharded store and that
+# plan then finds every job cached (see scripts/smoke_sharded.sh).  `make figures` regenerates every
 # paper artifact into figures/ — incrementally, against .repro-cache.
 # `make bench-paper` runs the paper-grid benchmark (paperbench/, see
 # docs/performance.md).

@@ -606,7 +606,7 @@ class PackSharedCacheRule(Rule):
 # ----------------------------------------------------------------------
 # STO — store discipline
 # ----------------------------------------------------------------------
-_STORE_FILES = ("results.jsonl", "results.db")
+_STORE_FILE = "results.jsonl"
 _OPEN_LIKE = frozenset({
     "open", "read_text", "write_text", "read_bytes", "write_bytes",
 })
@@ -617,37 +617,29 @@ class StoreAccessRule(Rule):
     id = "STO201"
     name = "store-access"
     rationale = (
-        "result-store files may only be touched through exec/backends/ "
+        "the result-store log may only be touched through exec/store.py "
         "(locking, tombstones and schema guards live there); a direct "
-        "open() or sqlite3.connect() bypasses crash/concurrency safety"
+        "open() bypasses crash/concurrency safety"
     )
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if ctx.module[:2] == ("exec", "backends"):
+        if ctx.module == ("exec", "store"):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            root, attr = _call_root_and_attr(node.func)
-            if root == "sqlite3" and attr == "connect":
-                yield ctx.finding(
-                    self, node,
-                    "sqlite3.connect outside exec/backends/: go through "
-                    "the SqliteBackend (WAL mode, busy timeout, digest "
-                    "upserts)",
-                )
-                continue
+            _root, attr = _call_root_and_attr(node.func)
             is_open_like = (
                 isinstance(node.func, ast.Name) and node.func.id == "open"
             ) or attr in _OPEN_LIKE
             if not is_open_like:
                 continue
             for text in _string_constants(node):
-                if any(store_file in text for store_file in _STORE_FILES):
+                if _STORE_FILE in text:
                     yield ctx.finding(
                         self, node,
-                        f"direct file access to {text!r}: store files are "
-                        f"owned by exec/backends/ (advisory locking, "
+                        f"direct file access to {text!r}: the store log is "
+                        f"owned by exec/store.py (advisory locking, "
                         f"torn-line safety)",
                     )
                     break

@@ -31,8 +31,6 @@ Execution control (``compare``, ``suite run``)
                    (``0`` = one per usable CPU; default 1 = serial)
 ``--cache-dir P``  content-addressed result cache: re-running an
                    unchanged comparison or suite performs zero simulations
-``--store B``      cache backend: ``jsonl``, ``sqlite``, or ``auto``
-                   (detect from the cache directory; default)
 ``--no-cache``     ignore ``--cache-dir`` for this invocation
 ``--no-packs``     disable replicate packing on the pool path (also
                    ``REPRO_NO_PACKS=1``); results are bit-identical
@@ -55,7 +53,6 @@ from .analysis.runreport import run_report
 from .cm.registry import available_cms
 from .config import GatingConfig, SystemConfig
 from .errors import ExecutionError
-from .exec.backends import BACKEND_CHOICES
 from .exec.executor import BatchExecutionError, Executor
 from .exec.progress import ConsoleProgress
 from .exec.store import ResultStore
@@ -96,7 +93,6 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
                         help="worker processes (0 = one per usable CPU; default 1)")
     parser.add_argument("--cache-dir", metavar="PATH",
                         help="content-addressed result cache directory")
-    _add_store(parser)
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir for this invocation")
     parser.add_argument("--no-packs", action="store_true",
@@ -119,12 +115,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
                              "(implies observability)")
 
 
-def _add_store(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--store", choices=BACKEND_CHOICES, default="auto",
-                        help="result-store backend (auto = detect from the "
-                             "cache directory; new directories get jsonl)")
-
-
 def _shard_arg(text: str) -> Shard:
     try:
         return Shard.parse(text)
@@ -144,7 +134,7 @@ def _config(args: argparse.Namespace, gating_enabled: bool = True) -> SystemConf
 def _executor(args: argparse.Namespace) -> Executor:
     store = None
     if args.cache_dir and not args.no_cache:
-        store = ResultStore(args.cache_dir, backend=args.store)
+        store = ResultStore(args.cache_dir)
     progress = ConsoleProgress() if args.progress else None
     return Executor(jobs=args.jobs, store=store, progress=progress,
                     profile=getattr(args, "profile", False),
@@ -229,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_splan.add_argument("--cache-dir", metavar="PATH",
                          help="result store to probe (omitted or missing: "
                               "every job is a miss)")
-    _add_store(p_splan)
     p_splan.add_argument("--json", action="store_true",
                          help="emit the plan as JSON")
     p_splan.add_argument("--out", metavar="PATH",
@@ -240,12 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         "merge", help="fold shard result stores into one directory"
     )
     p_smerge.add_argument("sources", nargs="+", metavar="DIR",
-                          help="source cache directories (backend "
-                               "auto-detected per directory)")
+                          help="source cache directories")
     p_smerge.add_argument("--into", required=True, metavar="DIR",
                           help="destination cache directory (created if "
                                "missing)")
-    _add_store(p_smerge)
 
     p_fig = sub.add_parser(
         "figures",
@@ -270,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="PATH",
                                 help="result store feeding the figures "
                                      "(default .repro-cache)")
-        _add_store(sub_parser)
         sub_parser.add_argument("--scale", default=None,
                                 choices=("tiny", "small", "medium"))
         sub_parser.add_argument("--seed", type=int, default=None)
@@ -347,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exec-status", help="inspect a repro.exec result cache"
     )
     p_status.add_argument("--cache-dir", required=True, metavar="PATH")
-    _add_store(p_status)
     p_status.add_argument("--verbose", action="store_true",
                           help="list every cached run")
     p_status.add_argument("--digests", action="store_true",
@@ -365,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="with --prune: restrict expiry to records "
                                "whose label contains TEXT")
     p_status.add_argument("--json", action="store_true",
-                          help="emit the full store statistics (backend, "
+                          help="emit the full store statistics (schema, "
                                "session hits/misses, skipped records, "
                                "per-workload entry counts) as JSON")
 
@@ -535,7 +520,7 @@ def _suite_plan(args: argparse.Namespace, named) -> int:
     store = None
     if args.cache_dir:
         if os.path.isdir(args.cache_dir):
-            store = ResultStore(args.cache_dir, backend=args.store)
+            store = ResultStore(args.cache_dir)
         else:
             print(f"no result store at {args.cache_dir}; planning against "
                   f"an empty cache", file=sys.stderr)
@@ -569,7 +554,7 @@ def _suite_merge(args: argparse.Namespace) -> int:
         if not os.path.isdir(src):
             print(f"no result store at {src}", file=sys.stderr)
             return 1
-    dest = ResultStore(args.into, backend=args.store)
+    dest = ResultStore(args.into)
     for src in args.sources:
         source = ResultStore(src)
         written = dest.merge_from(source)
@@ -617,7 +602,7 @@ def _figure_builder(args: argparse.Namespace, jobs: int = 1,
             print(f"no result store at {args.cache_dir}; reporting "
                   f"against an empty cache", file=sys.stderr)
         else:
-            store = ResultStore(args.cache_dir, backend=args.store)
+            store = ResultStore(args.cache_dir)
     return FigureBuilder(
         store=store,
         out_dir=args.out_dir,
@@ -771,11 +756,12 @@ def _cmd_exec_status(args: argparse.Namespace) -> int:
         print("--older-than/--label are GC policies for --prune; "
               "add --prune to apply them", file=sys.stderr)
         return 2
-    store = ResultStore(args.cache_dir, backend=args.store)
-    if args.digests:
-        for digest in sorted(digest for digest, _label in store.labels()):
-            print(digest)
-        return 0
+    if args.older_than is not None and not args.older_than >= 0:
+        # also rejects NaN; a negative age would expire every entry
+        print(f"--older-than must be >= 0 days, got {args.older_than}",
+              file=sys.stderr)
+        return 2
+    store = ResultStore(args.cache_dir)
     prune_report = None
     if args.prune:
         seconds = (
@@ -783,8 +769,12 @@ def _cmd_exec_status(args: argparse.Namespace) -> int:
         )
         prune_report = store.prune(older_than_seconds=seconds,
                                    label=args.label)
-        if not args.json:
+        if not args.json and not args.digests:
             print(prune_report.summary())
+    if args.digests:
+        for digest in sorted(digest for digest, _label in store.labels()):
+            print(digest)
+        return 0
     stats = store.stats()
     by_workload: dict[str, int] = {}
     for _digest, label in store.labels():
@@ -793,7 +783,7 @@ def _cmd_exec_status(args: argparse.Namespace) -> int:
     if args.json:
         import json as _json
 
-        # the FULL StoreStats — backend, schema, session hits/misses and
+        # the FULL StoreStats — schema, session hits/misses and
         # the skipped-record count included — so scripts never parse the
         # human summary text
         payload = dataclasses.asdict(stats)

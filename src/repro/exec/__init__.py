@@ -11,9 +11,8 @@ batch of independent, deduplicated, cacheable jobs:
   ``ProcessPoolExecutor``-backed fan-out with in-batch dedup and
   deterministic result ordering; :class:`BatchReport` totals.
 * :mod:`~repro.exec.store` — :class:`ResultStore`, a digest-keyed
-  on-disk cache with tombstone invalidation, backed by a pluggable
-  :mod:`~repro.exec.backends` layer (advisory-locked JSON lines, or
-  SQLite in WAL mode for many concurrent writer processes).
+  on-disk cache with tombstone invalidation, persisted as one
+  advisory-locked ``results.jsonl`` log per cache directory.
 * :mod:`~repro.exec.progress` — per-job status and wall-clock/speed-up
   reporting.
 
@@ -38,15 +37,6 @@ builder; the CLI exposes it as ``--jobs N``, ``--cache-dir PATH``,
 
 from __future__ import annotations
 
-from .backends import (
-    BACKEND_CHOICES,
-    BACKENDS,
-    JsonlBackend,
-    SqliteBackend,
-    StoreBackend,
-    create_backend,
-    detect_backend,
-)
 from .executor import (
     BatchExecutionError,
     BatchReport,
@@ -71,13 +61,6 @@ __all__ = [
     "ResultStore",
     "StoreStats",
     "PruneReport",
-    "StoreBackend",
-    "JsonlBackend",
-    "SqliteBackend",
-    "BACKENDS",
-    "BACKEND_CHOICES",
-    "create_backend",
-    "detect_backend",
     "ProgressListener",
     "NullProgress",
     "ConsoleProgress",

@@ -244,10 +244,10 @@ class Executor:
     store:
         Optional :class:`~repro.exec.store.ResultStore` consulted before
         executing and updated after.  A plain directory path is also
-        accepted and opened with backend auto-detection
-        (:mod:`repro.exec.backends`); the store's own locking makes the
-        write-through safe even when other executor processes — suite
-        shards, parallel CLI invocations — share the same directory.
+        accepted and opened as ``ResultStore(path)``; the store's own
+        locking makes the write-through safe even when other executor
+        processes — suite shards, parallel CLI invocations — share the
+        same directory.
     progress:
         Optional :class:`~repro.exec.progress.ProgressListener`.
     refresh:

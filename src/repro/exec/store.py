@@ -1,13 +1,21 @@
-"""Content-addressed on-disk result cache with pluggable backends.
+"""Content-addressed on-disk result cache: one ``results.jsonl`` log.
 
 The store maps a :class:`~repro.exec.jobs.RunJob` digest to its
-:class:`~repro.exec.jobs.ExecResult`.  Persistence is delegated to a
-:class:`~repro.exec.backends.StoreBackend` — the append-only
-``results.jsonl`` log (advisory-locked, the default) or the
-``results.db`` SQLite database (WAL mode, digest-keyed upserts) — while
-this front-end owns the in-memory index, the replay semantics (last
-record per digest wins, tombstones drop a digest), and the session
-accounting.
+:class:`~repro.exec.jobs.ExecResult`.  Each cache directory holds one
+append-only ``results.jsonl``; every record is one compact JSON line —
+``{"digest", "schema", "created", "result", ...}`` for results,
+``{"digest", "tombstone"}`` for invalidations.  Replaying the log
+builds the in-memory index: the last record per digest wins and a
+tombstone drops its digest.
+
+Writes take an advisory ``fcntl`` lock on a sidecar
+``results.jsonl.lock`` file, so concurrent appenders — parallel CLI
+invocations, suite shards pointed at one directory, processes on
+different NFS clients — serialize their appends instead of interleaving
+them into torn lines that a load would silently skip.  Loads take the
+shared lock, so a reader never observes a half-written compaction.  On
+platforms without :mod:`fcntl` (Windows), locking degrades to a no-op
+and the log keeps its single-writer guarantees.
 
 Records written under a different :data:`~repro.exec.jobs.SCHEMA_VERSION`
 — or that fail to parse (e.g. a run killed mid-append) — are skipped on
@@ -22,18 +30,30 @@ statistics); ``len()``, :meth:`labels`, :meth:`records` and
 
 from __future__ import annotations
 
+import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import ExecutionError
 from ..obs import get_recorder
-from .backends import StoreBackend, create_backend
 from .jobs import SCHEMA_VERSION, ExecResult, RunJob
 from .serialize import result_from_dict, result_to_dict
 
+try:  # POSIX only; the store stays usable (single-writer) without it
+    import fcntl
+except ImportError:  # pragma: no cover - exercised only on Windows
+    fcntl = None  # type: ignore[assignment]
+
 __all__ = ["ResultStore", "StoreStats", "PruneReport"]
+
+
+def _line(record: dict[str, Any]) -> str:
+    """One record as one log line: compact JSON and a newline."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 @dataclass(frozen=True)
@@ -66,11 +86,10 @@ class StoreStats:
     misses: int
     skipped_records: int
     schema: int = SCHEMA_VERSION
-    backend: str = "jsonl"
 
     def summary(self) -> str:
         return (
-            f"result store {self.path} [{self.backend}]: "
+            f"result store {self.path}: "
             f"{self.entries} entries "
             f"({self.file_bytes} bytes, schema v{self.schema}), "
             f"session hits/misses {self.hits}/{self.misses}, "
@@ -84,16 +103,11 @@ class ResultStore:
     Parameters
     ----------
     directory:
-        The cache directory (created if missing).
-    backend:
-        ``"jsonl"``, ``"sqlite"``, ``"auto"`` (detect from the files
-        already in the directory; new directories default to JSONL), or
-        a ready :class:`~repro.exec.backends.StoreBackend` instance.
+        The cache directory (created if missing).  Opening never
+        creates ``results.jsonl``; the first write does.
     """
 
-    def __init__(
-        self, directory: str | Path, backend: str | StoreBackend = "auto"
-    ) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -101,11 +115,8 @@ class ResultStore:
             raise ExecutionError(
                 f"cannot create cache directory {self.directory}: {exc}"
             ) from exc
-        if isinstance(backend, StoreBackend):
-            self.backend = backend
-        else:
-            self.backend = create_backend(self.directory, backend)
-        self.path = self.backend.path
+        self.path = self.directory / "results.jsonl"
+        self._lock_path = self.directory / "results.jsonl.lock"
         self.hits = 0
         self.misses = 0
         self._skipped = 0
@@ -113,8 +124,55 @@ class ResultStore:
         self._load()
 
     # ------------------------------------------------------------------
+    @contextmanager
+    def _locked(self, exclusive: bool) -> Iterator[None]:
+        """Advisory inter-process lock scope (no-op without fcntl)."""
+        if fcntl is None:  # pragma: no cover - Windows fallback
+            yield
+            return
+        with open(self._lock_path, "ab") as fh:
+            waited = time.perf_counter()
+            fcntl.flock(fh, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+            waited = time.perf_counter() - waited
+            recorder = get_recorder()
+            recorder.count("store.lock_acquisitions")
+            recorder.count("store.lock_wait_s", waited)
+            try:
+                yield
+            finally:
+                fcntl.flock(fh, fcntl.LOCK_UN)
+
+    def _replay(self) -> tuple[dict[str, dict[str, Any]], int]:
+        """Parse the log into (live index, skipped).  Caller holds a lock."""
+        index: dict[str, dict[str, Any]] = {}
+        skipped = 0
+        if not self.path.exists():
+            return index, skipped
+        with self.path.open("r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                    digest = record["digest"]
+                except (ValueError, KeyError, TypeError):
+                    skipped += 1
+                    continue
+                if record.get("tombstone"):
+                    index.pop(digest, None)
+                    continue
+                if record.get("schema") != SCHEMA_VERSION:
+                    skipped += 1
+                    continue
+                index[digest] = record
+        return index, skipped
+
     def _load(self) -> None:
-        self._index, self._skipped = self.backend.load()
+        if not self.path.exists():
+            return
+        with self._locked(exclusive=False):
+            self._index, self._skipped = self._replay()
         if self._skipped:
             recorder = get_recorder()
             recorder.count("store.skipped_records", self._skipped)
@@ -124,6 +182,28 @@ class ResultStore:
                     path=str(self.path),
                     skipped=self._skipped,
                 )
+
+    def _append(self, record: dict[str, Any]) -> None:
+        """Durably add one record (result or tombstone) to the log."""
+        line = _line(record)
+        with self._locked(exclusive=True):
+            # One write() of one whole line, flushed before the lock
+            # drops: a concurrent appender can never tear it.
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write(line)
+                fh.flush()
+                os.fsync(fh.fileno())
+
+    def _line_count(self) -> int:
+        """Lines in the log, tombstones and dead records included."""
+        if not self.path.exists():
+            return 0
+        with self._locked(exclusive=False):
+            with self.path.open("r", encoding="utf-8") as fh:
+                return sum(1 for line in fh if line.strip())
+
+    def _file_bytes(self) -> int:
+        return self.path.stat().st_size if self.path.exists() else 0
 
     # ------------------------------------------------------------------
     def get(self, digest: str) -> ExecResult | None:
@@ -147,7 +227,7 @@ class ResultStore:
         }
         if job is not None:
             record["label"] = job.label()
-        self.backend.append(record)
+        self._append(record)
         self._index[digest] = record
         get_recorder().count("store.puts")
 
@@ -155,30 +235,38 @@ class ResultStore:
         """Drop one entry (appends a tombstone). Returns True if present."""
         present = digest in self._index
         if present:
-            self.backend.append({"digest": digest, "tombstone": True})
+            self._append({"digest": digest, "tombstone": True})
             self._index.pop(digest, None)
             get_recorder().count("store.invalidations")
         return present
 
     def clear(self) -> int:
-        """Drop every entry and truncate storage. Returns entries removed."""
+        """Drop every entry and truncate the log. Returns entries removed."""
         removed = len(self._index)
         self._index.clear()
         self._skipped = 0  # the skipped records are gone with the file
-        self.backend.clear()
+        with self._locked(exclusive=True):
+            if self.path.exists():
+                self.path.write_text("")
         return removed
 
     def compact(self) -> None:
-        """Rewrite storage down to only live records (drops tombstones).
+        """Rewrite the log down to only live records (drops tombstones).
 
-        The live set is re-read from storage atomically inside the
-        backend — not taken from this instance's (possibly stale)
-        index — so compacting a store that concurrent processes are
-        appending to never deletes their records.  The in-memory index
-        refreshes to the rewritten state.
+        The live set is re-read from the log inside the exclusive lock —
+        not taken from this instance's (possibly stale) index — so
+        compacting a store that concurrent processes are appending to
+        never deletes their records.  The in-memory index refreshes to
+        the rewritten state.
         """
         with get_recorder().span("store.compact", path=str(self.path)) as span:
-            self._index = self.backend.compact()
+            index: dict[str, dict[str, Any]] = {}
+            if self.path.exists():
+                with self._locked(exclusive=True):
+                    index, _skipped = self._replay()
+                    with self.path.open("w", encoding="utf-8") as fh:
+                        fh.writelines(_line(record) for record in index.values())
+            self._index = index
             span.annotate(entries=len(self._index))
 
     def prune(
@@ -209,6 +297,11 @@ class ResultStore:
         invalidation path (safe against concurrent appenders), then
         compaction drops them from storage.
         """
+        if older_than_seconds is not None and not older_than_seconds >= 0:
+            # also rejects NaN; a negative age would expire every entry
+            raise ExecutionError(
+                f"older_than_seconds must be >= 0, got {older_than_seconds!r}"
+            )
         expired = 0
         if older_than_seconds is not None or label is not None:
             cutoff = (
@@ -228,14 +321,14 @@ class ResultStore:
             expired = len(victims)
         # snapshot AFTER expiry: the dropped-line/byte accounting must
         # include the expired records and their just-appended tombstones
-        records_before = self.backend.record_count()
-        bytes_before = self.backend.file_bytes()
+        records_before = self._line_count()
+        bytes_before = self._file_bytes()
         self.compact()
         self._skipped = 0  # the skipped records are gone from storage now
         return PruneReport(
             entries=len(self._index),
             lines_dropped=records_before - len(self._index),
-            bytes_reclaimed=bytes_before - self.backend.file_bytes(),
+            bytes_reclaimed=bytes_before - self._file_bytes(),
             expired=expired,
         )
 
@@ -244,21 +337,21 @@ class ResultStore:
 
         Records travel verbatim (timestamps and labels included), so
         merging is idempotent — a record already present and identical
-        is not rewritten — and byte-stable across backends, which is
-        what ``repro suite merge`` relies on to fold shard stores from
-        many hosts into one.  Returns the number of records written.
+        is not rewritten — and byte-stable, which is what
+        ``repro suite merge`` relies on to fold shard stores from many
+        hosts into one.  Returns the number of records written.
         """
         written = 0
         for digest, record in other._index.items():
             if self._index.get(digest) != record:
-                self.backend.append(record)
+                self._append(record)
                 self._index[digest] = record
                 written += 1
         return written
 
     def close(self) -> None:
-        """Release backend resources (safe to call more than once)."""
-        self.backend.close()
+        """End the store's use (a no-op: the log holds no open handle
+        between calls; safe to call more than once)."""
 
     # ------------------------------------------------------------------
     def __contains__(self, digest: str) -> bool:
@@ -289,9 +382,8 @@ class ResultStore:
         return StoreStats(
             path=str(self.path),
             entries=len(self._index),
-            file_bytes=self.backend.file_bytes(),
+            file_bytes=self._file_bytes(),
             hits=self.hits,
             misses=self.misses,
             skipped_records=self._skipped,
-            backend=self.backend.name,
         )

@@ -476,7 +476,6 @@ class FigureBuilder:
             digest=digest,
             data=data,
             job_digests=job_digests,
-            store_backend=self.store.backend.name,
         )
         self.out_dir.mkdir(parents=True, exist_ok=True)
         render_json(payload, path)

@@ -11,7 +11,8 @@ it is not installed (the toolkit never hard-depends on it).
 Provenance: every JSON artifact records where its bytes came from —
 the figure content digest, extractor name + version, the resolved
 suite's name/size/digest, the sorted job digests consumed from the
-store, the store backend, and the git commit the build ran at.
+store, the store format (always ``jsonl``), and the git commit the
+build ran at.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ def figure_payload(
     digest: str,
     data: Any,
     job_digests: list[str],
-    store_backend: str,
 ) -> dict[str, Any]:
     """Assemble the full JSON artifact for one figure."""
     from .extract import extractor_version
@@ -99,7 +99,9 @@ def figure_payload(
                 else None
             ),
             "jobs": list(job_digests),
-            "store_backend": store_backend,
+            # the store has a single format now; the key stays so that
+            # artifacts built before keep their bytes
+            "store_backend": "jsonl",
             "git_sha": git_sha(),
         },
     }

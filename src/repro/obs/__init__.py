@@ -1,8 +1,8 @@
 """``repro.obs`` — structured tracing, run manifests and metrics.
 
 The observability layer is *opt-in* and *global per process*: call
-sites throughout the execution spine (executor, store, backends,
-scenario runner, figure builder) ask :func:`get_recorder` for the
+sites throughout the execution spine (executor, store, scenario
+runner, figure builder) ask :func:`get_recorder` for the
 process-wide recorder and emit spans/events/counters through it.  While
 observability is off that recorder is a :class:`NullRecorder` whose
 hooks are empty methods, so instrumentation costs nothing measurable

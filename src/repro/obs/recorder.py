@@ -6,10 +6,10 @@ directory.  Everything is designed to stay off the execution hot path:
 
 * records are buffered in memory and written in one locked append per
   :meth:`flush` (one ``fsync`` per executor batch, not per record);
-* the append takes the same advisory ``fcntl`` lock idiom as the JSONL
-  store backend, so worker processes attached to the *same* run id
-  (via ``ObsRecorder(dir, run_id=...)``) interleave whole lines, never
-  torn ones;
+* the append takes the same advisory ``fcntl`` lock idiom as the
+  result store's ``results.jsonl`` log, so worker processes attached
+  to the *same* run id (via ``ObsRecorder(dir, run_id=...)``)
+  interleave whole lines, never torn ones;
 * counters are plain in-memory accumulators snapshotted into the
   manifest — nothing in the simulator's inner loop ever emits a record.
 

@@ -527,30 +527,21 @@ class TestDigestAndStoreRules:
         )
         assert _rule_ids(findings) == ["DIG103"]
 
-    def test_sto201_flags_direct_store_access(self):
-        findings, _ = _check(
-            """\
-            import sqlite3
-            from pathlib import Path
+    STORE_READ = """\
+        from pathlib import Path
 
-            def peek(d: Path) -> str:
-                sqlite3.connect(d / "results.db")
-                return (d / "results.jsonl").read_text()
-            """,
-            module="figures/example.py",
-        )
+        def peek(d: Path) -> str:
+            with open(d / "results.jsonl") as fh:
+                fh.read()
+            return (d / "results.jsonl").read_text()
+        """
+
+    def test_sto201_flags_direct_store_access(self):
+        findings, _ = _check(self.STORE_READ, module="figures/example.py")
         assert _rule_ids(findings) == ["STO201", "STO201"]
 
-    def test_sto201_exempts_backend_layer(self):
-        findings, _ = _check(
-            """\
-            import sqlite3
-
-            def connect(d: object) -> object:
-                return sqlite3.connect(d / "results.db")
-            """,
-            module="exec/backends/example.py",
-        )
+    def test_sto201_exempts_store_module(self):
+        findings, _ = _check(self.STORE_READ, module="exec/store.py")
         assert findings == []
 
     def test_sto202_flags_unbalanced_flock(self):

@@ -224,3 +224,20 @@ class TestExecStatusGc:
         assert main(["exec-status", "--cache-dir", str(tmp_path),
                      "--older-than", "30"]) == 2
         assert "add --prune" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("days", ["-1", "nan"])
+    def test_negative_or_nan_age_is_rejected(self, capsys, tmp_path, days):
+        self._seed(capsys, tmp_path)
+        assert main(["exec-status", "--cache-dir", str(tmp_path),
+                     "--prune", "--older-than", days]) == 2
+        assert "--older-than must be >= 0" in capsys.readouterr().err
+        out = run_cli(capsys, "exec-status", "--cache-dir", str(tmp_path))
+        assert "3 entries" in out
+
+    def test_prune_runs_before_digests_print(self, capsys, tmp_path):
+        self._seed(capsys, tmp_path)
+        out = run_cli(capsys, "exec-status", "--cache-dir", str(tmp_path),
+                      "--prune", "--older-than", "0", "--digests")
+        assert out == ""
+        out = run_cli(capsys, "exec-status", "--cache-dir", str(tmp_path))
+        assert "0 entries" in out

@@ -185,7 +185,7 @@ def test_smoke_suite_store_jsonl_byte_identical(tmp_path):
         store = ResultStore(tmp_path / name)
         _run_smoke_suite(store=store)
         # repro: allow[STO201] — byte-level determinism check must read
-        # the raw store file, bypassing the backend's parsed view
+        # the raw store file, bypassing the store's parsed view
         lines = (tmp_path / name / "results.jsonl").read_text().splitlines()
         records = []
         for line in lines:

@@ -425,13 +425,12 @@ class TestReplicatePacks:
             result_to_dict(r) for r in unpacked
         ] == [result_to_dict(r) for r in serial]
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_pack_and_per_process_stores_are_identical(self, tmp_path, backend):
+    def test_pack_and_per_process_stores_are_identical(self, tmp_path):
         """The store never sees packs: same digests, same records."""
         jobs = self.seed_family()
 
         def normalized(directory):
-            store = ResultStore(directory, backend=backend)
+            store = ResultStore(directory)
             records = {}
             for digest, _label in store.labels():
                 records[digest] = result_to_dict(store.get(digest))
@@ -439,9 +438,9 @@ class TestReplicatePacks:
             return records
 
         Executor(jobs=2, packs=True,
-                 store=ResultStore(tmp_path / "on", backend=backend)).run(jobs)
+                 store=ResultStore(tmp_path / "on")).run(jobs)
         Executor(jobs=2, packs=False,
-                 store=ResultStore(tmp_path / "off", backend=backend)).run(jobs)
+                 store=ResultStore(tmp_path / "off")).run(jobs)
         on, off = normalized(tmp_path / "on"), normalized(tmp_path / "off")
         assert sorted(on) == sorted(off)
         assert on == off

@@ -265,12 +265,11 @@ class TestPackResetIdentity:
             result_to_dict(o.result) for o in off
         ]
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_reset_on_off_stores_identical(self, tmp_path, backend, monkeypatch):
+    def test_reset_on_off_stores_identical(self, tmp_path, monkeypatch):
         jobs = self.seed_family()
 
         def normalized(directory):
-            store = ResultStore(directory, backend=backend)
+            store = ResultStore(directory)
             records = {
                 digest: result_to_dict(store.get(digest))
                 for digest, _label in store.labels()
@@ -280,10 +279,10 @@ class TestPackResetIdentity:
 
         monkeypatch.delenv("REPRO_NO_RESET", raising=False)
         Executor(jobs=2, packs=True,
-                 store=ResultStore(tmp_path / "on", backend=backend)).run(jobs)
+                 store=ResultStore(tmp_path / "on")).run(jobs)
         monkeypatch.setenv("REPRO_NO_RESET", "1")
         Executor(jobs=2, packs=True,
-                 store=ResultStore(tmp_path / "off", backend=backend)).run(jobs)
+                 store=ResultStore(tmp_path / "off")).run(jobs)
         on, off = normalized(tmp_path / "on"), normalized(tmp_path / "off")
         assert sorted(on) == sorted(off)
         assert on == off

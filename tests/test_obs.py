@@ -629,7 +629,6 @@ class TestObsCli:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["backend"] == "jsonl"
         assert payload["entries"] > 0
         assert payload["skipped_records"] == 0
         assert sum(payload["by_workload"].values()) == payload["entries"]

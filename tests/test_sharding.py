@@ -183,11 +183,11 @@ class TestCli:
         for k in (1, 2):
             self.run_cli(
                 capsys, "suite", "run", "--suite", "smoke", "--shard", f"{k}/2",
-                "--cache-dir", str(tmp_path / f"s{k}"), "--store", "sqlite",
+                "--cache-dir", str(tmp_path / f"s{k}"),
             )
         out = self.run_cli(
             capsys, "suite", "merge", str(tmp_path / "s1"), str(tmp_path / "s2"),
-            "--into", str(tmp_path / "merged"), "--store", "sqlite",
+            "--into", str(tmp_path / "merged"),
         )
         assert "3 entries" in out
         out = self.run_cli(
