@@ -1,16 +1,14 @@
 # Developer entry points.  `make smoke` is the PR gate: tier-1 tests
 # plus one cached parallel suite run end-to-end (see scripts/smoke.sh),
-# including the incremental figure pipeline.  `make smoke-sharded`
-# checks that shard + merge reproduces an unsharded store and that
-# plan then finds every job cached (see scripts/smoke_sharded.sh).  `make figures` regenerates every
-# paper artifact into figures/ — incrementally, against .repro-cache.
+# including the incremental figure pipeline.  `make figures` regenerates
+# every paper artifact into figures/ — incrementally, against .repro-cache.
 # `make bench-paper` runs the paper-grid benchmark (paperbench/, see
 # docs/performance.md).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test check typecheck smoke smoke-sharded figures figures-smoke \
+.PHONY: test check typecheck smoke figures figures-smoke \
 	obs-smoke bench bench-check bench-dir bench-gate bench-paper \
 	clean-cache
 
@@ -40,9 +38,6 @@ typecheck:
 
 smoke: test
 	bash scripts/smoke.sh
-
-smoke-sharded:
-	bash scripts/smoke_sharded.sh
 
 figures:
 	$(PYTHON) -m repro figures build --jobs 0 --progress \
@@ -81,5 +76,5 @@ bench-paper:
 	done
 
 clean-cache:
-	rm -rf .repro-cache .smoke-cache .smoke-shard .smoke-figures \
+	rm -rf .repro-cache .smoke-cache .smoke-figures \
 		.smoke-obs obs figures

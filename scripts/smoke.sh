@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke: one named scenario suite through the parallel
 # executor with the result cache, run twice — the second pass must
-# perform ZERO simulation re-executions, and exec-status must see the
-# cached entries.  Run from the repo root (or via `make smoke`).
+# perform ZERO simulation re-executions, exec-status must see the
+# cached entries and suite plan must find every job cached.  Run from
+# the repo root (or via `make smoke`).
 set -euo pipefail
 
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -33,6 +34,11 @@ echo "== smoke: exec-status =="
 status=$(python -m repro exec-status --cache-dir "$CACHE_DIR")
 echo "$status"
 echo "$status" | grep -q "3 entries"  # 1 shared baseline + 2 gated runs
+
+echo "== smoke: suite plan (every job cached, nothing simulated) =="
+plan=$(python -m repro suite plan --suite smoke --cache-dir "$CACHE_DIR")
+echo "$plan"
+echo "$plan" | grep -q "3 hit(s), 0 miss(es)"
 
 rm -f suite_cold.err suite_warm.err
 rm -rf "$CACHE_DIR"

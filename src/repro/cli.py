@@ -5,9 +5,8 @@ Commands
 ``run``         one workload on one configuration, with a full report
 ``compare``     paired with/without-gating comparison (Figs. 4–6 metrics)
 ``suite``       declarative scenario suites: ``list``, ``describe``,
-                ``run`` (optionally ``--shard K/N``), ``plan``
-                (cache-aware hit/miss map, no simulation), ``merge``
-                (fold shard result stores into one)
+                ``run``, ``plan`` (cache-aware hit/miss map, no
+                simulation)
 ``figures``     declarative paper artifacts: ``list``, ``status``,
                 ``build`` — plan each figure's suite against the result
                 store, simulate only residual misses, re-render only
@@ -52,7 +51,6 @@ from typing import Sequence
 from .analysis.runreport import run_report
 from .cm.registry import available_cms
 from .config import GatingConfig, SystemConfig
-from .errors import ExecutionError
 from .exec.executor import BatchExecutionError, Executor
 from .exec.progress import ConsoleProgress
 from .exec.store import ResultStore
@@ -61,13 +59,7 @@ from .harness.reporting import format_table
 from .harness.runner import run_workload, workload
 from .power.report import format_energy_report
 from .scenarios.builtin import available_suites, get_suite, suite_help
-from .scenarios.runner import (
-    Shard,
-    SuiteRun,
-    lower_suite,
-    plan_suite,
-    run_suite,
-)
+from .scenarios.runner import SuiteRun, lower_suite, plan_suite, run_suite
 from .scenarios.suite import load_suite_file
 from .sim.trace import TraceRecorder
 from .workloads.registry import available_workloads, workload_schema
@@ -113,13 +105,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
                         help="wrap each executed job in cProfile and merge "
                              "the hot spots into the run manifest "
                              "(implies observability)")
-
-
-def _shard_arg(text: str) -> Shard:
-    try:
-        return Shard.parse(text)
-    except ExecutionError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _config(args: argparse.Namespace, gating_enabled: bool = True) -> SystemConfig:
@@ -194,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srun.add_argument("--seed", type=int, default=None,
                         help="override the suite's seed (default: the "
                              "suite's own; 0 for named suites)")
-    p_srun.add_argument("--shard", type=_shard_arg, metavar="K/N",
-                        help="run only shard K of N: the suite's deduped "
-                             "job list is partitioned deterministically "
-                             "by job digest (merge stores afterwards "
-                             "with `suite merge`)")
     _add_exec(p_srun)
 
     p_splan = suite_sub.add_parser(
@@ -214,25 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_splan.add_argument("--seed", type=int, default=None,
                          help="override the suite's seed (default: the "
                               "suite's own; 0 for named suites)")
-    p_splan.add_argument("--shard", type=_shard_arg, metavar="K/N",
-                         help="plan only shard K of N of the job list")
     p_splan.add_argument("--cache-dir", metavar="PATH",
                          help="result store to probe (omitted or missing: "
                               "every job is a miss)")
     p_splan.add_argument("--json", action="store_true",
                          help="emit the plan as JSON")
-    p_splan.add_argument("--out", metavar="PATH",
-                         help="write the residual misses as a dispatchable "
-                              "spec-list suite JSON file")
-
-    p_smerge = suite_sub.add_parser(
-        "merge", help="fold shard result stores into one directory"
-    )
-    p_smerge.add_argument("sources", nargs="+", metavar="DIR",
-                          help="source cache directories")
-    p_smerge.add_argument("--into", required=True, metavar="DIR",
-                          help="destination cache directory (created if "
-                               "missing)")
 
     p_fig = sub.add_parser(
         "figures",
@@ -288,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "everything, persist nothing")
     p_fbuild.add_argument("--progress", action="store_true",
                           help="per-job status and batch speed-up on stderr")
-    p_fbuild.add_argument("--shard", type=_shard_arg, metavar="K/N",
-                          help="simulate only shard K of N of the residual "
-                               "job list (merge stores, then re-build to "
-                               "render)")
     _add_obs(p_fbuild)
 
     p_bench = sub.add_parser(
@@ -337,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="list every cached run")
     p_status.add_argument("--digests", action="store_true",
                           help="print only the full digest of every entry, "
-                               "sorted (for scripting, e.g. comparing a "
-                               "merged store against an unsharded run)")
+                               "sorted (for scripting, e.g. comparing two "
+                               "stores)")
     p_status.add_argument("--prune", action="store_true",
                           help="compact tombstoned/corrupt/stale records "
                                "out of the store")
@@ -470,8 +432,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             title="Named scenario suites",
         ))
         return 0
-    if args.action == "merge":
-        return _suite_merge(args)
 
     named = _resolve_suite(args)
     if args.action == "describe":
@@ -491,12 +451,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         return _suite_plan(args, named)
 
     # action == "run"
-    outcome = run_suite(named, executor=_executor(args), shard=args.shard)
-    shard_note = f" [shard {args.shard}]" if args.shard is not None else ""
+    outcome = run_suite(named, executor=_executor(args))
     print(format_table(
         list(SuiteRun.ROW_HEADERS),
         outcome.rows(),
-        title=f"suite {named.name}{shard_note} — {len(outcome)} scenario(s)",
+        title=f"suite {named.name} — {len(outcome)} scenario(s)",
     ))
     paired = outcome.paired_rows()
     if paired:
@@ -524,7 +483,7 @@ def _suite_plan(args: argparse.Namespace, named) -> int:
         else:
             print(f"no result store at {args.cache_dir}; planning against "
                   f"an empty cache", file=sys.stderr)
-    plan = plan_suite(named, store=store, shard=args.shard)
+    plan = plan_suite(named, store=store)
     if args.json:
         import json as _json
 
@@ -535,34 +494,6 @@ def _suite_plan(args: argparse.Namespace, named) -> int:
             multi = f"  (x{entry.scenarios})" if entry.scenarios > 1 else ""
             print(f"  {state} {entry.digest[:12]}  {entry.label}{multi}")
         print(plan.summary())
-    if args.out:
-        residual = plan.residual_suite()
-        from pathlib import Path as _Path
-
-        _Path(args.out).write_text(residual.to_json(indent=2) + "\n",
-                                   encoding="utf-8")
-        print(f"residual suite ({residual.size} spec(s)) written to "
-              f"{args.out}", file=sys.stderr)
-    return 0
-
-
-def _suite_merge(args: argparse.Namespace) -> int:
-    """``suite merge``: fold shard result stores into one directory."""
-    import os
-
-    for src in args.sources:
-        if not os.path.isdir(src):
-            print(f"no result store at {src}", file=sys.stderr)
-            return 1
-    dest = ResultStore(args.into)
-    for src in args.sources:
-        source = ResultStore(src)
-        written = dest.merge_from(source)
-        print(f"  {src}: {len(source)} entr{'y' if len(source) == 1 else 'ies'}, "
-              f"{written} new/updated")
-        source.close()
-    print(dest.stats().summary())
-    dest.close()
     return 0
 
 
@@ -647,8 +578,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     # action == "build"
     builder = _figure_builder(args, jobs=args.jobs, progress=args.progress)
     report = builder.build(
-        names=args.only, force=args.force, shard=args.shard,
-        csv=args.csv, png=args.png,
+        names=args.only, force=args.force, csv=args.csv, png=args.png,
     )
     for artifact in report.artifacts:
         where = f"  -> {artifact.path}" if artifact.path is not None else ""
@@ -665,9 +595,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(report.batch.summary(), file=sys.stderr)
     incomplete = [a.name for a in report.artifacts if a.status == "incomplete"]
     if incomplete:
-        print(f"incomplete (store lacks runs; merge shards and re-build): "
-              f"{', '.join(incomplete)}", file=sys.stderr)
-        return 1 if args.shard is None else 0
+        print(f"incomplete (store lacks runs): {', '.join(incomplete)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -97,8 +97,8 @@ class FigureError(ReproError, RuntimeError):
     """Raised by :mod:`repro.figures` when an artifact cannot be produced.
 
     Examples: an unknown figure or extractor name, a result store that
-    lacks the runs a figure needs (e.g. after a sharded build), or a
-    renderer whose optional dependency (matplotlib) is unavailable.
+    lacks the runs a figure needs, or a renderer whose optional
+    dependency (matplotlib) is unavailable.
     """
 
 

@@ -245,9 +245,8 @@ class Executor:
         Optional :class:`~repro.exec.store.ResultStore` consulted before
         executing and updated after.  A plain directory path is also
         accepted and opened as ``ResultStore(path)``; the store's own
-        locking makes the write-through safe even when other executor
-        processes — suite shards, parallel CLI invocations — share the
-        same directory.
+        locking makes the write-through safe even when parallel CLI
+        invocations share the same directory.
     progress:
         Optional :class:`~repro.exec.progress.ProgressListener`.
     refresh:
@@ -381,10 +380,6 @@ class Executor:
                 result = dataclasses.replace(result, config=job.config)
             out.append(result)
         return out
-
-    def run_one(self, job: RunJob) -> ExecResult:
-        """Convenience wrapper: a batch of one."""
-        return self.run([job])[0]
 
     # ------------------------------------------------------------------
     def _record(

@@ -35,8 +35,8 @@ both seed slots zeroed) and :class:`ReplicatePack` +
 family execute sequentially inside ONE worker process (warm
 interpreter, warm import graph, one pool round-trip), while each
 member still produces its own independently digest-keyed
-:class:`ExecResult` — the store, dedup, sharding and planning layers
-never see packs at all.
+:class:`ExecResult` — the store, dedup and planning layers never see
+packs at all.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ tombstone drops its digest.
 
 Writes take an advisory ``fcntl`` lock on a sidecar
 ``results.jsonl.lock`` file, so concurrent appenders — parallel CLI
-invocations, suite shards pointed at one directory, processes on
-different NFS clients — serialize their appends instead of interleaving
-them into torn lines that a load would silently skip.  Loads take the
+invocations that share one ``--cache-dir``, processes on different NFS
+clients — serialize their appends instead of interleaving them into
+torn lines that a load would silently skip.  Loads take the
 shared lock, so a reader never observes a half-written compaction.  On
 platforms without :mod:`fcntl` (Windows), locking degrades to a no-op
 and the log keeps its single-writer guarantees.
@@ -331,23 +331,6 @@ class ResultStore:
             bytes_reclaimed=bytes_before - self._file_bytes(),
             expired=expired,
         )
-
-    def merge_from(self, other: "ResultStore") -> int:
-        """Upsert every live record from *other* into this store.
-
-        Records travel verbatim (timestamps and labels included), so
-        merging is idempotent — a record already present and identical
-        is not rewritten — and byte-stable, which is what
-        ``repro suite merge`` relies on to fold shard stores from many
-        hosts into one.  Returns the number of records written.
-        """
-        written = 0
-        for digest, record in other._index.items():
-            if self._index.get(digest) != record:
-                self._append(record)
-                self._index[digest] = record
-                written += 1
-        return written
 
     def close(self) -> None:
         """End the store's use (a no-op: the log holds no open handle

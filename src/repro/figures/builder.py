@@ -14,9 +14,7 @@ pass:
    simulation); the union of residual misses across all suites is the
    only work left.
 3. **Execute** — the residual jobs, as already lowered, run as ONE
-   executor batch (``--jobs`` workers, write-through to the store),
-   optionally restricted to a :class:`~repro.scenarios.runner.Shard` of
-   the job list for multi-host builds.
+   executor batch (``--jobs`` workers, write-through to the store).
 4. **Extract + render** — each figure's extractor runs over the store's
    records and the JSON artifact is written with full provenance.  Each
    job digest is read from the store once, its result shared by every
@@ -46,7 +44,6 @@ from ..power.model import PowerModel
 from ..scenarios.runner import (
     LoweredSuite,
     ScenarioResult,
-    Shard,
     SuitePlan,
     lower_suite,
     plan_suite,
@@ -92,8 +89,8 @@ class FigureArtifact:
 
     name: str
     #: ``fresh`` (skipped, digest matched), ``built`` (new file),
-    #: ``rebuilt`` (stale file replaced), ``incomplete`` (store lacks
-    #: runs — e.g. a sharded build before the merge)
+    #: ``rebuilt`` (stale file replaced), ``incomplete`` (the store
+    #: does not cover the figure's suite; nothing is rendered)
     status: str
     digest: str
     path: Path | None = None
@@ -106,12 +103,11 @@ class BuildReport:
     artifacts: list[FigureArtifact] = field(default_factory=list)
     #: unique jobs across every requested figure's suite
     total_jobs: int = 0
-    #: residual cache misses the plan found (before shard filtering)
+    #: residual cache misses the plan found
     planned_misses: int = 0
     #: simulations actually executed by this pass
     executed: int = 0
     batch: BatchReport | None = None
-    shard: Shard | None = None
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -123,9 +119,8 @@ class BuildReport:
         states = ", ".join(
             f"{count} {status}" for status, count in sorted(self.counts().items())
         ) or "nothing to do"
-        shard = f" [shard {self.shard}]" if self.shard is not None else ""
         return (
-            f"figures build{shard}: {states}; simulated {self.executed} "
+            f"figures build: {states}; simulated {self.executed} "
             f"residual job(s) ({self.planned_misses} missing of "
             f"{self.total_jobs} unique)"
         )
@@ -345,26 +340,18 @@ class FigureBuilder:
         self,
         names: Sequence[str] | None = None,
         force: bool = False,
-        shard: Shard | None = None,
         csv: bool = False,
         png: bool = False,
     ) -> BuildReport:
         """Simulate only the residual misses, then (re)render stale
         artifacts.  See the module docstring for the four stages."""
         recorder = get_recorder()
-        with recorder.span(
-            "figures.build",
-            shard=str(shard) if shard is not None else None,
-        ) as span:
+        with recorder.span("figures.build") as span:
             planned = self._plan_pass(names)
 
             # union of residual misses across every suite, deduped by digest
             misses, total_jobs = self._collect_misses(planned.plans)
-            residual = [
-                job
-                for digest, job in misses.items()
-                if shard is None or shard.owns(digest)
-            ]
+            residual = list(misses.values())
             span.annotate(
                 figures=len(planned.figures),
                 total_jobs=len(total_jobs),
@@ -386,7 +373,6 @@ class FigureBuilder:
                 planned_misses=len(misses),
                 executed=executed,
                 batch=batch,
-                shard=shard,
             )
             for (spec, suite, digest), key in zip(planned.figures,
                                                   planned.keys):

@@ -6,14 +6,16 @@ simulate and never touch the filesystem: the
 :class:`~repro.figures.builder.FigureBuilder` resolves every expanded
 scenario against the result store and hands the paired
 :class:`~repro.scenarios.runner.ScenarioResult` list in here, so the
-same extractor serves a live build, a golden-fixture test, and a store
-merged from many shard hosts identically.
+same extractor serves a live build and a golden-fixture test
+identically.
 
 This module is also the single home of the row derivations the paper's
 figures need — the gated/ungated pairing, the Fig. 4–6 row shapes, the
 Fig. 7 speed-up matrix, and the Section VIII headline averages.
-:meth:`~repro.scenarios.runner.SuiteRun.paired_rows` delegates here
-instead of keeping a private copy.
+:meth:`~repro.scenarios.runner.SuiteRun.paired_rows` pairs with
+:func:`pair_results` and reads the same
+:class:`~repro.harness.compare.GatingComparison` metrics instead of
+keeping a private copy.
 
 Versioning: every registered extractor carries an integer version that
 enters the figure content digest — bump it when an extractor's output

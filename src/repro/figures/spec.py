@@ -2,10 +2,10 @@
 
 A :class:`FigureSpec` names everything that defines one paper artifact:
 the scenario suite whose simulations feed it (a
-:class:`~repro.scenarios.suite.ScenarioSuite`/``SpecListSuite`` value, a
-factory over :class:`FigureParams`, or ``None`` for analytic figures),
-the registered metric **extractor** that turns store records into
-figure data, and presentation metadata.  Nothing here simulates or
+:class:`~repro.scenarios.suite.ScenarioSuite` value, a factory over
+:class:`FigureParams`, or ``None`` for analytic figures), the
+registered metric **extractor** that turns store records into figure
+data, and presentation metadata.  Nothing here simulates or
 writes files — the :class:`~repro.figures.builder.FigureBuilder` does
 both.
 
@@ -28,7 +28,7 @@ from ..config import GatingConfig, SystemConfig
 from ..errors import FigureError
 from ..exec.serialize import canonical_json
 from ..power.model import PowerModel
-from ..scenarios.suite import ScenarioSuite, SpecListSuite
+from ..scenarios.suite import ScenarioSuite
 from ..workloads.registry import PAPER_APPS
 
 __all__ = [
@@ -41,8 +41,9 @@ __all__ = [
 #: bump when the figure JSON payload layout changes incompatibly
 FIGURE_SCHEMA_VERSION = 1
 
-Suite = Union[ScenarioSuite, SpecListSuite]
-SuiteSource = Union[Suite, Callable[["FigureParams"], Suite], None]
+SuiteSource = Union[
+    ScenarioSuite, Callable[["FigureParams"], ScenarioSuite], None
+]
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class FigureSpec:
                 f"got {self.kind!r}"
             )
 
-    def resolve_suite(self, params: FigureParams) -> Suite | None:
+    def resolve_suite(self, params: FigureParams) -> ScenarioSuite | None:
         """The concrete scenario suite this figure needs (or ``None``)."""
         if self.suite is None:
             return None
@@ -137,7 +138,7 @@ class FigureSpec:
 
 def figure_digest(
     spec: FigureSpec,
-    suite: Suite | None,
+    suite: ScenarioSuite | None,
     params: FigureParams,
     power: PowerModel,
 ) -> str:

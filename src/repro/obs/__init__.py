@@ -13,7 +13,7 @@ Enable it one of three ways:
 
 * CLI flag: ``repro --obs-dir obs <command>``;
 * environment: ``REPRO_OBS=1`` (directory from ``REPRO_OBS_DIR``,
-  default ``obs``) — this is how child shard/worker *processes* inherit
+  default ``obs``) — this is how child worker *processes* inherit
   observability, since the recorder itself cannot cross a fork/spawn;
 * programmatically: :func:`configure`.
 
@@ -88,8 +88,8 @@ def configure(directory: str | Path, run_id: str | None = None,
     """Enable observability for this process (and, by env, its children).
 
     ``export_env=True`` sets ``REPRO_OBS``/``REPRO_OBS_DIR``/
-    ``REPRO_OBS_RUN`` so pool workers and shard subprocesses join the
-    same run.
+    ``REPRO_OBS_RUN`` so pool workers and other child processes join
+    the same run.
     """
     global _recorder
     if isinstance(_recorder, ObsRecorder):

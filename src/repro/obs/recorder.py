@@ -155,7 +155,7 @@ class ObsRecorder(NullRecorder):
         it is one ``run-<id>.jsonl`` + ``run-<id>.manifest.json`` pair.
     run_id:
         Attach to an existing run instead of starting a new one —
-        worker or shard processes pass the parent's id and append to
+        worker processes pass the parent's id and append to
         the *same* event log (whole-line atomic via the advisory lock).
     argv:
         The command line recorded in the manifest (default

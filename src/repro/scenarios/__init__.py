@@ -21,13 +21,12 @@ The scenario layer turns evaluation matrices into *data*:
 
 from __future__ import annotations
 
-from .builtin import available_suites, get_suite, register_suite, suite_help
+from .builtin import available_suites, get_suite, suite_help
 from .runner import (
     LoweredJob,
     LoweredSuite,
     PlanEntry,
     ScenarioResult,
-    Shard,
     SuitePlan,
     SuiteRun,
     lower_specs,
@@ -37,19 +36,17 @@ from .runner import (
     run_suite,
 )
 from .spec import SCENARIO_SCHEMA_VERSION, ScenarioSpec, scenario
-from .suite import ScenarioSuite, SpecListSuite, load_suite_file, suite
+from .suite import ScenarioSuite, load_suite_file, suite
 
 __all__ = [
     "SCENARIO_SCHEMA_VERSION",
     "ScenarioSpec",
     "scenario",
     "ScenarioSuite",
-    "SpecListSuite",
     "suite",
     "load_suite_file",
     "ScenarioResult",
     "SuiteRun",
-    "Shard",
     "LoweredJob",
     "LoweredSuite",
     "PlanEntry",
@@ -61,6 +58,5 @@ __all__ = [
     "run_suite",
     "available_suites",
     "get_suite",
-    "register_suite",
     "suite_help",
 ]

@@ -18,7 +18,7 @@ from ..workloads.registry import STAMP_APPS
 from .spec import ScenarioSpec
 from .suite import ScenarioSuite, suite
 
-__all__ = ["available_suites", "get_suite", "register_suite", "suite_help"]
+__all__ = ["available_suites", "get_suite", "suite_help"]
 
 
 def _base(workload: str, scale: str, seed: int, **kw: object) -> ScenarioSpec:
@@ -117,17 +117,6 @@ _FACTORIES: dict[str, tuple[Callable[[str, int], ScenarioSuite], str]] = {
 
 def available_suites() -> list[str]:
     return sorted(_FACTORIES)
-
-
-def register_suite(
-    name: str,
-    factory: Callable[[str, int], ScenarioSuite],
-    default_scale: str = "small",
-) -> None:
-    """Register a custom named suite (overwrites allowed)."""
-    if not name:
-        raise WorkloadError("suite name must be non-empty")
-    _FACTORIES[name] = (factory, default_scale)
 
 
 def get_suite(

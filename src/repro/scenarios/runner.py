@@ -9,22 +9,13 @@ results come back paired with the spec that requested them, in
 submission order.
 
 :func:`lower_suite` (and :func:`lower_specs` for an explicit spec list)
-is the one place specs become jobs: planning, running, sharding and the
-figure builder all consume its :class:`LoweredSuite`.  A caller lowering
+is the one place specs become jobs: planning, running and the figure
+builder all consume its :class:`LoweredSuite`.  A caller lowering
 several suites in one pass shares a ``memo`` dict, so a scenario that
 appears in more than one grid is lowered and digested once.
 
-Two multi-host primitives live here as well:
-
-* :class:`Shard` — a deterministic ``K/N`` slice of a suite's deduped
-  job list, partitioned by job digest, so N hosts each run
-  ``suite run --shard k/N`` against the same suite JSON and cover the
-  grid exactly once between them (``repro suite merge`` folds their
-  stores back together).
-* :func:`plan_suite` — cache-aware scenario search: walk an expanded
-  grid, probe the result store per job digest *without simulating*,
-  and emit the residual misses as a dispatchable
-  :class:`~repro.scenarios.suite.SpecListSuite`.
+:func:`plan_suite` is the cache-aware scenario search: walk an expanded
+grid and probe the result store per job digest *without simulating*.
 """
 
 from __future__ import annotations
@@ -38,15 +29,15 @@ from ..errors import ExecutionError
 from ..exec.executor import BatchReport, Executor
 from ..exec.jobs import ExecResult, RunJob
 from ..exec.store import ResultStore
+from ..harness.compare import GatingComparison
 from ..obs import get_recorder
 from ..power.model import PowerModel
 from .spec import ScenarioSpec
-from .suite import ScenarioSuite, SpecListSuite
+from .suite import ScenarioSuite
 
 __all__ = [
     "ScenarioResult",
     "SuiteRun",
-    "Shard",
     "LoweredJob",
     "LoweredSuite",
     "PlanEntry",
@@ -57,59 +48,6 @@ __all__ = [
     "run_specs",
     "run_suite",
 ]
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One deterministic slice, ``index`` of ``count``, of a job list.
-
-    Jobs are assigned by content digest — ``int(digest, 16) % count`` —
-    so the partition depends only on *what must be simulated*: every
-    host that expands the same suite agrees on the split without
-    coordination, and scenarios that collapse onto one job digest
-    (e.g. ungated W0 variants) always land in the same shard.
-    """
-
-    index: int  # 1-based, as written on the command line
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1 or not 1 <= self.index <= self.count:
-            raise ExecutionError(
-                f"invalid shard {self.index}/{self.count}: need "
-                f"1 <= K <= N"
-            )
-
-    @classmethod
-    def parse(cls, text: str) -> "Shard":
-        """Parse the CLI spelling ``K/N`` (e.g. ``2/4``)."""
-        try:
-            index, count = (int(part) for part in text.split("/"))
-        except ValueError:
-            raise ExecutionError(
-                f"invalid shard spec {text!r}: expected K/N (e.g. 2/4)"
-            ) from None
-        return cls(index=index, count=count)
-
-    def owns(self, digest: str) -> bool:
-        """Does this shard own the job with hex content digest *digest*?"""
-        return int(digest, 16) % self.count == self.index - 1
-
-    def filter_specs(
-        self,
-        specs: Sequence[ScenarioSpec],
-        power_model: PowerModel | None = None,
-        validate: bool = True,
-    ) -> list[ScenarioSpec]:
-        """The sub-list of *specs* whose lowered job digest this shard
-        owns (``power_model``/``validate`` must match the run's, since
-        both enter the digest)."""
-        return list(
-            lower_specs(specs, power_model, validate).owned_by(self).specs
-        )
-
-    def __str__(self) -> str:
-        return f"{self.index}/{self.count}"
 
 
 class LoweredJob(NamedTuple):
@@ -130,7 +68,8 @@ class LoweredSuite:
     scenarios may share one job (ungated W0 variants do).
     """
 
-    suite: Any  # ScenarioSuite or SpecListSuite; None for a bare spec list
+    #: None for a bare spec list (:func:`lower_specs`)
+    suite: ScenarioSuite | None
     specs: tuple[ScenarioSpec, ...]
     jobs: tuple[RunJob, ...]
 
@@ -143,21 +82,6 @@ class LoweredSuite:
             if job.digest not in out:
                 out[job.digest] = LoweredJob(spec, job, counts[job.digest])
         return out
-
-    def owned_by(self, shard: Shard | None) -> "LoweredSuite":
-        """The scenarios whose job digest *shard* owns (all when None)."""
-        if shard is None:
-            return self
-        kept = [
-            (spec, job)
-            for spec, job in zip(self.specs, self.jobs)
-            if shard.owns(job.digest)
-        ]
-        return LoweredSuite(
-            suite=self.suite,
-            specs=tuple(spec for spec, _job in kept),
-            jobs=tuple(job for _spec, job in kept),
-        )
 
 
 def lower_specs(
@@ -189,7 +113,7 @@ def lower_specs(
 
 
 def lower_suite(
-    suite: Any,
+    suite: ScenarioSuite,
     power_model: PowerModel | None = None,
     validate: bool = True,
     memo: dict[ScenarioSpec, RunJob] | None = None,
@@ -219,8 +143,6 @@ class SuiteRun:
     suite: ScenarioSuite
     results: list[ScenarioResult]
     report: BatchReport | None = None
-    #: set when the run covered only one shard of the suite's job list
-    shard: Shard | None = None
 
     def __len__(self) -> int:
         return len(self.results)
@@ -257,37 +179,31 @@ class SuiteRun:
 
         Pairing (gated scenario ↔ the ungated scenario identical in
         every other spec field, same W0 point first) is the shared
-        :func:`repro.figures.extract.pair_results` derivation — the one
-        the figure pipeline's extractors use.  Suites without such
-        pairs return [].
+        :func:`repro.figures.extract.pair_results` derivation, and the
+        metrics are :class:`~repro.harness.compare.GatingComparison`'s —
+        both exactly what the figure pipeline's extractors use.  Suites
+        without such pairs return [].
         """
         # Lazy: repro.figures builds on the scenario layer; importing it
         # here avoids a cycle.
         from ..figures.extract import pair_results
-        from ..power.energy import average_power_reduction, energy_reduction
 
         rows = []
         for gated, baseline in pair_results(self.results):
-            n1 = baseline.result.parallel_time
-            n2 = gated.result.parallel_time
+            pair = GatingComparison(
+                workload=gated.spec.workload,
+                num_procs=gated.spec.threads,
+                ungated=baseline.result,
+                gated=gated.result,
+            )
             rows.append(
                 (
                     gated.spec.workload,
                     gated.spec.threads,
                     gated.spec.w0,
-                    round(n1 / n2, 3),
-                    round(
-                        energy_reduction(
-                            baseline.result.energy, gated.result.energy
-                        ),
-                        3,
-                    ),
-                    round(
-                        average_power_reduction(
-                            baseline.result.energy, gated.result.energy
-                        ),
-                        3,
-                    ),
+                    round(pair.speedup, 3),
+                    round(pair.energy_reduction, 3),
+                    round(pair.power_reduction, 3),
                 )
             )
         return rows
@@ -318,23 +234,12 @@ def run_suite(
     executor: Executor | None = None,
     power_model: PowerModel | None = None,
     validate: bool = True,
-    shard: Shard | None = None,
 ) -> SuiteRun:
-    """Expand and execute a whole suite through one executor batch.
-
-    With ``shard``, only the scenarios whose job digest the shard owns
-    are executed — run every shard of the same suite (on as many hosts
-    as you like, each with its own cache directory) and ``repro suite
-    merge`` the stores to reassemble the full grid.
-    """
+    """Expand and execute a whole suite through one executor batch."""
     exe = executor if executor is not None else Executor()
     recorder = get_recorder()
-    with recorder.span(
-        "suite.run", suite=suite.name,
-        shard=str(shard) if shard is not None else None,
-    ) as span:
-        # lower once: the same jobs serve the shard filter and the execution
-        lowered = lower_suite(suite, power_model, validate).owned_by(shard)
+    with recorder.span("suite.run", suite=suite.name) as span:
+        lowered = lower_suite(suite, power_model, validate)
         jobs = list(lowered.jobs)
         span.annotate(scenarios=len(jobs))
         if recorder.enabled and jobs:
@@ -352,8 +257,7 @@ def run_suite(
             for spec, result in zip(lowered.specs, results)
         ]
         return SuiteRun(
-            suite=suite, results=scenario_results, report=exe.last_report,
-            shard=shard,
+            suite=suite, results=scenario_results, report=exe.last_report
         )
 
 
@@ -384,14 +288,12 @@ class SuitePlan:
 
     This is the cache-aware scenario search the W0 × CM × workload
     grids need: expanding and probing a fig-7-style matrix costs
-    milliseconds, so a coordinator can walk large grids, dispatch only
-    :meth:`residual_suite` to workers, and re-plan after a merge to
-    verify full coverage (0 misses).
+    milliseconds, so a large grid can be checked for full coverage
+    (0 misses) before anything runs.
     """
 
-    suite: Any  # ScenarioSuite or SpecListSuite (duck-typed)
+    suite: ScenarioSuite
     entries: list[PlanEntry] = field(default_factory=list)
-    shard: Shard | None = None
 
     @property
     def total_scenarios(self) -> int:
@@ -409,25 +311,9 @@ class SuitePlan:
     def misses(self) -> int:
         return sum(1 for entry in self.entries if not entry.cached)
 
-    def miss_specs(self) -> list[ScenarioSpec]:
-        """One representative spec per uncached job, in plan order."""
-        return [entry.spec for entry in self.entries if not entry.cached]
-
-    def residual_suite(self, name: str | None = None) -> SpecListSuite:
-        """The misses as a dispatchable explicit-spec suite."""
-        return SpecListSuite(
-            name=name if name else f"{self.suite.name}-misses",
-            specs=tuple(self.miss_specs()),
-            description=(
-                f"residual cache misses of suite {self.suite.name!r} "
-                f"({self.misses} of {self.unique_jobs} unique jobs)"
-            ),
-        )
-
     def summary(self) -> str:
-        shard = f" [shard {self.shard}]" if self.shard is not None else ""
         return (
-            f"plan {self.suite.name}{shard}: {self.unique_jobs} unique "
+            f"plan {self.suite.name}: {self.unique_jobs} unique "
             f"job(s) from {self.total_scenarios} scenario(s) — "
             f"{self.hits} hit(s), {self.misses} miss(es)"
         )
@@ -435,7 +321,6 @@ class SuitePlan:
     def to_dict(self) -> dict[str, Any]:
         return {
             "suite": self.suite.name,
-            "shard": str(self.shard) if self.shard is not None else None,
             "total_scenarios": self.total_scenarios,
             "unique_jobs": self.unique_jobs,
             "hits": self.hits,
@@ -453,11 +338,10 @@ class SuitePlan:
 
 
 def plan_suite(
-    suite: ScenarioSuite | SpecListSuite | LoweredSuite,
+    suite: ScenarioSuite | LoweredSuite,
     store: ResultStore | None = None,
     power_model: PowerModel | None = None,
     validate: bool = True,
-    shard: Shard | None = None,
 ) -> SuitePlan:
     """Walk a suite's expanded grid and report hit/miss per job digest.
 
@@ -466,15 +350,12 @@ def plan_suite(
     lowering's) and the store is probed with ``in`` once per unique job
     digest (which counts toward the store's session hit/miss statistics
     — the documented accounting contract).  ``store=None`` plans against
-    an empty cache (everything a miss); ``shard`` restricts the plan to
-    one slice of the job list, mirroring ``run_suite``'s partition
-    exactly.
+    an empty cache (everything a miss).
     """
     source = suite.suite if isinstance(suite, LoweredSuite) else suite
-    with get_recorder().span(
-        "suite.plan", suite=source.name,
-        shard=str(shard) if shard is not None else None,
-    ) as span:
+    if source is None:
+        raise ExecutionError("plan_suite needs a suite, not a bare spec list")
+    with get_recorder().span("suite.plan", suite=source.name) as span:
         lowered = (
             suite if isinstance(suite, LoweredSuite)
             else lower_suite(suite, power_model, validate)
@@ -487,9 +368,9 @@ def plan_suite(
                 spec=unique.spec,
                 job=unique.job,
             )
-            for digest, unique in lowered.owned_by(shard).unique.items()
+            for digest, unique in lowered.unique.items()
         ]
-        plan = SuitePlan(suite=source, entries=entries, shard=shard)
+        plan = SuitePlan(suite=source, entries=entries)
         span.annotate(
             unique_jobs=plan.unique_jobs, hits=plan.hits, misses=plan.misses
         )

@@ -12,11 +12,8 @@ through JSON, has a stable content digest, and validates completely
 simulation runs.
 
 Lowering: :meth:`ScenarioSpec.to_job` produces the ``RunJob`` the
-executor actually runs; :meth:`ScenarioSpec.from_workload_config` goes
-the other way, diffing a concrete ``SystemConfig`` against the defaults
-so existing harness entry points can re-express their grids as specs.
-A spec builds its ``SystemConfig`` once: validation and lowering share
-it.
+executor actually runs.  A spec builds its ``SystemConfig`` once:
+validation and lowering share it.
 
 System overrides use dotted paths into the config dataclasses
 (``"memory.latency"``, ``"cache.ways"``, ``"num_dirs"``).  The fields
@@ -260,6 +257,10 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
+        if not isinstance(data, Mapping):
+            raise WorkloadError(
+                f"a scenario must be an object, got {type(data).__name__}"
+            )
         schema = data.get("schema", SCENARIO_SCHEMA_VERSION)
         if schema != SCENARIO_SCHEMA_VERSION:
             raise WorkloadError(
@@ -277,6 +278,13 @@ class ScenarioSpec:
             )
         if "workload" not in data:
             raise WorkloadError("scenario is missing the workload name")
+        for name in ("params", "system"):
+            value = data.get(name)
+            if value is not None and not isinstance(value, Mapping):
+                raise WorkloadError(
+                    f"scenario field {name!r} expects an object, got "
+                    f"{type(value).__name__}"
+                )
         return cls(
             workload=data["workload"],
             scale=data.get("scale", "small"),
@@ -298,8 +306,6 @@ class ScenarioSpec:
             data = json.loads(text)
         except ValueError as exc:
             raise WorkloadError(f"invalid scenario JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise WorkloadError("scenario JSON must be an object")
         return cls.from_dict(data)
 
     # ------------------------------------------------------------------
@@ -314,44 +320,6 @@ class ScenarioSpec:
                 merged.update(changes[key])
                 changes[key] = _sorted_items(merged)
         return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_workload_config(
-        cls, spec: WorkloadSpec, config: SystemConfig
-    ) -> "ScenarioSpec":
-        """Re-express a (workload spec, concrete config) pair as a scenario.
-
-        Non-default configuration fields become dotted ``system``
-        overrides, so ``from_workload_config(s, c).system_config() == c``
-        and the harness's existing grids lower to identical jobs.
-        """
-        default = SystemConfig()
-        system: dict[str, Any] = {}
-        for name in ("num_dirs", "max_cycles"):
-            if getattr(config, name) != getattr(default, name):
-                system[name] = getattr(config, name)
-        if config.seed != spec.seed:
-            system["seed"] = config.seed
-        for section in _SECTIONS:
-            current = getattr(config, section)
-            base = getattr(default, section)
-            for f in fields(type(current)):
-                dotted = f"{section}.{f.name}"
-                if dotted in _SHADOWED_KEYS:
-                    continue
-                if getattr(current, f.name) != getattr(base, f.name):
-                    system[dotted] = getattr(current, f.name)
-        return cls(
-            workload=spec.name,
-            scale=spec.scale,
-            threads=config.num_procs,
-            seed=spec.seed,
-            params=_sorted_items(dict(spec.overrides)),
-            gating=config.gating.enabled,
-            w0=config.gating.w0,
-            cm=config.gating.contention_manager,
-            system=_sorted_items(system),
-        )
 
     # ------------------------------------------------------------------
     def label(self) -> str:

@@ -16,6 +16,9 @@ Axis names resolve in three namespaces:
 * anything else — a workload parameter override (validated against the
   workload's schema), optionally written ``params.<name>``.
 
+Two axes that set the same field (``increments`` and
+``params.increments``) are rejected like a repeated axis name.
+
 This is the layer the ROADMAP's "cache-aware scenario search over
 W0 × CM × workload grids" builds on: a suite is a declarative object
 that enumerates, serializes, and digests its whole grid without running
@@ -34,24 +37,9 @@ from typing import Any, Mapping, Sequence
 from ..errors import WorkloadError
 from .spec import ScenarioSpec
 
-__all__ = ["ScenarioSuite", "SpecListSuite", "suite", "load_suite_file"]
+__all__ = ["ScenarioSuite", "suite", "load_suite_file"]
 
 _SPEC_FIELDS = ("workload", "scale", "threads", "seed", "gating", "w0", "cm")
-
-
-def _suite_data_from_json(text: str) -> dict[str, Any]:
-    """Decode suite JSON text to its object, with the shared errors."""
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise WorkloadError(f"invalid suite JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise WorkloadError("suite JSON must be an object")
-    return data
-
-
-def _describe_header(name: str, description: str) -> str:
-    return f"suite {name}: {description}".rstrip().rstrip(":")
 
 
 @dataclass(frozen=True)
@@ -65,11 +53,21 @@ class ScenarioSuite:
     description: str = ""
 
     def __post_init__(self) -> None:
-        seen = set()
+        # axis -> the field it sets; two axes on one field would
+        # silently collapse into one sweep
+        seen: dict[tuple[str, str | None], str] = {}
         for axis, values in self.axes:
-            if axis in seen:
-                raise WorkloadError(f"suite {self.name!r}: duplicate axis {axis!r}")
-            seen.add(axis)
+            target = _axis_field(axis)
+            if target in seen:
+                first = seen[target]
+                also = (
+                    f" (sets the same field as {first!r})"
+                    if first != axis else ""
+                )
+                raise WorkloadError(
+                    f"suite {self.name!r}: duplicate axis {axis!r}{also}"
+                )
+            seen[target] = axis
             if not values:
                 raise WorkloadError(
                     f"suite {self.name!r}: axis {axis!r} has no values"
@@ -87,11 +85,14 @@ class ScenarioSuite:
     def expand(self) -> list[ScenarioSpec]:
         """The full grid, validated, in deterministic order."""
         specs = []
+        targets = [_axis_field(axis) for axis, _values in self.axes]
         value_lists = [values for _axis, values in self.axes]
         for combo in itertools.product(*value_lists):
             spec = self.base
-            for (axis, _values), value in zip(self.axes, combo):
-                spec = _apply_axis(spec, axis, value)
+            for (field, key), value in zip(targets, combo):
+                spec = spec.with_updates(
+                    **{field: value if key is None else {key: value}}
+                )
             specs.append(spec.validate())
         return specs
 
@@ -108,6 +109,11 @@ class ScenarioSuite:
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSuite":
         if "base" not in data:
             raise WorkloadError("suite is missing its base scenario")
+        if not isinstance(data["base"], Mapping):
+            raise WorkloadError(
+                f"suite field 'base' expects an object, got "
+                f"{type(data['base']).__name__}"
+            )
         return cls(
             name=data.get("name", "unnamed"),
             base=ScenarioSpec.from_dict(data["base"]),
@@ -120,7 +126,13 @@ class ScenarioSuite:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSuite":
-        return cls.from_dict(_suite_data_from_json(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise WorkloadError(f"invalid suite JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise WorkloadError("suite JSON must be an object")
+        return cls.from_dict(data)
 
     def with_base_updates(self, **changes: Any) -> "ScenarioSuite":
         """Copy with base-spec field changes (axes still win at expansion)."""
@@ -130,79 +142,11 @@ class ScenarioSuite:
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        lines = [_describe_header(self.name, self.description)]
+        header = f"suite {self.name}: {self.description}"
+        lines = [header.rstrip().rstrip(":")]
         lines.append(f"  base: {self.base.label()}")
         for axis, values in self.axes:
             lines.append(f"  axis {axis}: {list(values)}")
-        lines.append(f"  expands to {self.size} scenario(s)")
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class SpecListSuite:
-    """An explicit list of scenarios — no axes, no cartesian product.
-
-    The dispatch format: ``repro suite plan --out`` writes the residual
-    cache misses of a grid as one of these, and ``suite run --file``
-    executes it anywhere, so arbitrary subsets of a grid (which a
-    base × axes suite cannot express) still travel as one JSON file.
-    Duck-type-compatible with :class:`ScenarioSuite` everywhere the
-    runner and CLI care (``name``/``description``/``size``/``expand``/
-    ``describe``/``with_base_updates``/JSON round-trip).
-    """
-
-    name: str
-    specs: tuple[ScenarioSpec, ...] = ()
-    description: str = ""
-
-    @property
-    def size(self) -> int:
-        return len(self.specs)
-
-    def expand(self) -> list[ScenarioSpec]:
-        """The listed scenarios, validated, in listed order."""
-        return [spec.validate() for spec in self.specs]
-
-    def with_base_updates(self, **changes: Any) -> "SpecListSuite":
-        """Copy with field changes applied to *every* listed spec."""
-        return dataclasses.replace(
-            self,
-            specs=tuple(spec.with_updates(**changes) for spec in self.specs),
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "specs": [spec.to_dict() for spec in self.specs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SpecListSuite":
-        specs = data.get("specs")
-        if not isinstance(specs, Sequence) or isinstance(specs, str):
-            raise WorkloadError(
-                f"spec-list suite 'specs' must be a list, got {specs!r}"
-            )
-        return cls(
-            name=data.get("name", "unnamed"),
-            specs=tuple(ScenarioSpec.from_dict(entry) for entry in specs),
-            description=data.get("description", ""),
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpecListSuite":
-        return cls.from_dict(_suite_data_from_json(text))
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        lines = [_describe_header(self.name, self.description)]
-        for spec in self.specs:
-            lines.append(f"  spec: {spec.label()}")
         lines.append(f"  expands to {self.size} scenario(s)")
         return "\n".join(lines)
 
@@ -241,31 +185,27 @@ def _axes_from_data(axes: Any) -> tuple[tuple[str, tuple[Any, ...]], ...]:
     return tuple(out)
 
 
-def _apply_axis(spec: ScenarioSpec, axis: str, value: Any) -> ScenarioSpec:
-    """Set one axis value on a spec, resolving the axis namespace."""
+def _axis_field(axis: str) -> tuple[str, str | None]:
+    """The spec field an axis sets: ``(name, None)`` for a first-class
+    field, ``("system", key)`` or ``("params", name)`` for an override."""
     if axis in _SPEC_FIELDS:
-        return spec.with_updates(**{axis: value})
+        return axis, None
     if axis.startswith("system."):
-        return spec.with_updates(system={axis[len("system."):]: value})
+        return "system", axis[len("system."):]
     if axis.startswith("params."):
-        return spec.with_updates(params={axis[len("params."):]: value})
+        return "params", axis[len("params."):]
     # bare name: a workload parameter (schema validation catches typos)
-    return spec.with_updates(params={axis: value})
+    return "params", axis
 
 
-def load_suite_file(path: str | Path) -> "ScenarioSuite | SpecListSuite":
+def load_suite_file(path: str | Path) -> ScenarioSuite:
     """Load a user-defined suite from a JSON file.
 
-    Two formats are accepted, keyed on which field is present:
-
-    * ``{"name", "description", "base": {spec fields}, "axes": [[axis,
-      values], ...]}`` — exactly what :meth:`ScenarioSuite.to_json`
-      writes; a hand-written grid works the same way.
-    * ``{"name", "description", "specs": [{spec fields}, ...]}`` — an
-      explicit :class:`SpecListSuite`, the format ``repro suite plan
-      --out`` emits for dispatching residual cache misses.
-
-    A suite with no ``name`` field is named after the file stem.
+    The format is ``{"name", "description", "base": {spec fields},
+    "axes": [[axis, values], ...]}`` — exactly what
+    :meth:`ScenarioSuite.to_json` writes; a hand-written grid works the
+    same way.  A suite with no ``name`` field is named after the file
+    stem.
     """
     path = Path(path)
     try:
@@ -280,13 +220,6 @@ def load_suite_file(path: str | Path) -> "ScenarioSuite | SpecListSuite":
         raise WorkloadError(f"suite file {path} must hold a JSON object")
     if not data.get("name"):
         data = dict(data, name=path.stem)
-    if "specs" in data:
-        if "base" in data or "axes" in data:
-            raise WorkloadError(
-                f"suite file {path} mixes 'specs' with 'base'/'axes'; "
-                f"use one format or the other"
-            )
-        return SpecListSuite.from_dict(data)
     return ScenarioSuite.from_dict(data)
 
 

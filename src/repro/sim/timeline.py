@@ -23,7 +23,7 @@ directly instead of per-segment Python objects
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generic, Hashable, Iterator, Sequence, TypeVar
+from typing import Generic, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -213,10 +213,6 @@ class StateTimeline(Generic[S]):
         for seg in self.clipped_segments(lo, hi):
             totals[seg.state] = totals.get(seg.state, 0) + seg.duration
         return totals
-
-    def change_points(self) -> Iterator[tuple[int, S]]:
-        """Iterate raw ``(time, state)`` change-points (for interval sweeps)."""
-        return iter(zip(self._times, self._states))
 
     def __len__(self) -> int:
         return len(self._times)

@@ -185,6 +185,26 @@ class TestSuiteCommands:
         assert "executed 0 of 4 submitted" in captured.err
         assert "3 cache hit(s)" in captured.err
 
+    def test_suite_plan_after_run(self, capsys, tmp_path):
+        import json
+
+        out = run_cli(capsys, "suite", "plan", "--suite", "smoke",
+                      "--cache-dir", str(tmp_path), "--json")
+        assert json.loads(out)["misses"] == 3
+        fill_store(capsys, tmp_path)
+        out = run_cli(capsys, "suite", "plan", "--suite", "smoke",
+                      "--cache-dir", str(tmp_path))
+        assert "3 hit(s), 0 miss(es)" in out
+
+    def test_exec_status_digests(self, capsys, tmp_path):
+        fill_store(capsys, tmp_path)
+        out = run_cli(capsys, "exec-status", "--cache-dir", str(tmp_path),
+                      "--digests")
+        digests = out.split()
+        assert len(digests) == 3
+        assert digests == sorted(digests)
+        assert all(len(d) == 64 for d in digests)
+
     def test_suite_unknown_name(self, capsys):
         from repro.errors import WorkloadError
 

@@ -445,20 +445,6 @@ class TestReplicatePacks:
         assert sorted(on) == sorted(off)
         assert on == off
 
-    def test_pack_identity_under_shard(self, tmp_path):
-        """Sharding partitions by job digest, so packs cannot change it."""
-        from repro.scenarios.runner import Shard
-
-        jobs = self.seed_family(6)
-        shard = Shard(index=1, count=2)
-        owned = [job for job in jobs if shard.owns(job.digest)]
-        assert 0 < len(owned) < len(jobs)  # a real partition
-        packed = Executor(jobs=2, packs=True).run(owned)
-        unpacked = Executor(jobs=2, packs=False).run(owned)
-        assert [result_to_dict(r) for r in packed] == [
-            result_to_dict(r) for r in unpacked
-        ]
-
     def test_pack_member_failure_spares_siblings(self, tmp_path, monkeypatch):
         """One bad seed fails its job; the rest of the pack still lands."""
         import repro.exec.executor as executor_mod

@@ -33,7 +33,6 @@ from repro.figures import (
 )
 from repro.figures.registry import eval_grid_suite, w0_grid_suite
 from repro.power.model import PowerModel
-from repro.scenarios.runner import Shard
 
 DATA = Path(__file__).parent / "data"
 
@@ -236,31 +235,26 @@ class TestIncrementalBuild:
             builder.data("fig4")
         assert builder.data("table1")["rows"]  # analytic: no coverage needed
 
-    def test_sharded_build_then_merge_completes(self, tmp_path):
-        shard1 = FigureBuilder(store=tmp_path / "s1", out_dir=tmp_path / "f1",
-                               params=TINY_PARAMS)
-        r1 = shard1.build(shard=Shard(1, 2))
-        shard2 = FigureBuilder(store=tmp_path / "s2", out_dir=tmp_path / "f2",
-                               params=TINY_PARAMS)
-        r2 = shard2.build(shard=Shard(2, 2))
-        # the two shards cover the 3-job list exactly once between them
-        assert r1.executed + r2.executed == 3
-        assert 0 < r1.executed < 3 and 0 < r2.executed < 3
-        # fig7 needs all three jobs, so neither shard can render it alone
-        for report in (r1, r2):
-            assert {a.name for a in report.artifacts
-                    if a.status == "incomplete"} >= {"fig7"}
-
+    def test_lost_writes_leave_figures_incomplete(self, tmp_path, monkeypatch):
+        """A figure is never rendered from a store that lacks its runs."""
         from repro.exec.store import ResultStore
 
-        merged = ResultStore(tmp_path / "merged")
-        merged.merge_from(ResultStore(tmp_path / "s1"))
-        merged.merge_from(ResultStore(tmp_path / "s2"))
-        final = FigureBuilder(store=merged, out_dir=tmp_path / "f",
+        monkeypatch.setattr(ResultStore, "put", lambda *args, **kwargs: None)
+        builder = FigureBuilder(store=tmp_path / "s", out_dir=tmp_path / "f",
+                                params=TINY_PARAMS)
+        report = builder.build()
+        assert report.executed == 3
+        statuses = {a.name: a.status for a in report.artifacts}
+        assert statuses["fig7"] == "incomplete"
+        assert not (tmp_path / "f" / "fig7.json").exists()
+        assert statuses["table1"] == "built"  # analytic: needs no runs
+
+        monkeypatch.undo()
+        final = FigureBuilder(store=tmp_path / "s", out_dir=tmp_path / "f",
                               params=TINY_PARAMS)
         report = final.build()
-        assert report.executed == 0
-        assert all(a.status in ("built", "rebuilt", "fresh")
+        assert report.executed == 3
+        assert all(a.status in ("built", "fresh")
                    for a in report.artifacts)
 
 
@@ -457,6 +451,20 @@ class TestFiguresCli:
         assert "105.000" in out
         assert "full TCC data-cache factor" in out
         assert not (tmp_path / "figs" / "fig4.json").exists()
+
+    def test_incomplete_build_exits_nonzero(self, capsys, tmp_path,
+                                            monkeypatch):
+        from repro.exec.store import ResultStore
+
+        monkeypatch.setattr(ResultStore, "put", lambda *args, **kwargs: None)
+        code, out, err = self.run(
+            capsys, "figures", "build", "--only", "fig7",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out-dir", str(tmp_path / "figs"), *self.TINY_FLAGS,
+        )
+        assert code == 1
+        assert "fig7: incomplete" in out
+        assert "incomplete (store lacks runs): fig7" in err
 
     def test_duplicate_grid_values_fail_before_simulating(
         self, capsys, tmp_path

@@ -10,12 +10,15 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError, WorkloadError
 from repro.exec.executor import Executor
 from repro.exec.store import ResultStore
+from repro.figures.extract import pair_results
+from repro.harness.compare import GatingComparison
 from repro.harness.runner import WorkloadSpec
 from repro.scenarios import (
     ScenarioSpec,
     ScenarioSuite,
     available_suites,
     get_suite,
+    plan_suite,
     run_specs,
     run_suite,
     scenario,
@@ -144,26 +147,6 @@ class TestScenarioSpec:
         assert base.digest != base.with_updates(w0=32).digest  # scenario ids differ
         assert base.to_job().digest == base.with_updates(w0=32).to_job().digest
 
-    def test_from_workload_config_round_trip(self):
-        import dataclasses
-
-        config = dataclasses.replace(
-            SystemConfig(num_procs=8, seed=3),
-            num_dirs=4,
-            memory=dataclasses.replace(SystemConfig().memory, latency=55),
-        )
-        wspec = WorkloadSpec("intruder", "tiny", 3, (("flows", 6),))
-        spec = ScenarioSpec.from_workload_config(wspec, config)
-        assert spec.system_config() == config
-        assert spec.workload_spec() == wspec
-
-    def test_from_workload_config_differing_seed(self):
-        config = SystemConfig(num_procs=2, seed=9)
-        wspec = WorkloadSpec("counter", "tiny", 4)
-        spec = ScenarioSpec.from_workload_config(wspec, config)
-        assert spec.seed == 4
-        assert spec.system_config().seed == 9
-
 
 class TestScenarioSuite:
     def test_expansion_order_and_size(self):
@@ -224,6 +207,30 @@ class TestScenarioSuite:
                 name="dup", base=scenario("counter"),
                 axes=(("w0", (1, 2)), ("w0", (4,))),
             )
+
+    @pytest.mark.parametrize("first, second", [
+        ("increments", "params.increments"),
+        ("params.increments", "increments"),
+    ])
+    def test_aliased_axes_rejected(self, first, second):
+        # both spellings set the workload parameter 'increments'
+        with pytest.raises(WorkloadError, match=(
+            f"duplicate axis '{second}' \\(sets the same field as "
+            f"'{first}'\\)"
+        )):
+            ScenarioSuite(
+                name="alias", base=scenario("counter", scale="tiny"),
+                axes=((first, (1, 2)), (second, (5,))),
+            )
+
+    def test_spec_seed_and_config_seed_are_distinct_axes(self):
+        grid = suite(
+            "seeds", scenario("counter", scale="tiny"),
+            axes={"seed": (1, 2), "system.seed": (7,)},
+        )
+        specs = grid.expand()
+        assert [s.seed for s in specs] == [1, 2]
+        assert all(s.system_config().seed == 7 for s in specs)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(WorkloadError, match="no values"):
@@ -298,12 +305,52 @@ class TestRunner:
         assert len(paired) == len(gated)
         for row in paired:
             assert row[3] > 0  # speed-up factor present
+        # the same three metrics the figure extractors read
+        for row, (hit, baseline) in zip(paired, pair_results(outcome.results)):
+            pair = GatingComparison(
+                workload=hit.spec.workload, num_procs=hit.spec.threads,
+                ungated=baseline.result, gated=hit.result,
+            )
+            assert row == (
+                hit.spec.workload, hit.spec.threads, hit.spec.w0,
+                round(pair.speedup, 3), round(pair.energy_reduction, 3),
+                round(pair.power_reduction, 3),
+            )
 
     def test_rows_shape(self):
         outcome = run_suite(get_suite("smoke"), executor=Executor())
         rows = outcome.rows()
         assert len(rows) == 4
         assert all(len(row) == len(outcome.ROW_HEADERS) for row in rows)
+
+
+class TestPlan:
+    def test_plan_without_store_is_all_misses(self):
+        plan = plan_suite(get_suite("smoke"))
+        assert plan.unique_jobs == 3  # 4 scenarios, ungated W0s collapse
+        assert plan.total_scenarios == 4
+        assert (plan.hits, plan.misses) == (0, 3)
+        assert "0 hit(s), 3 miss(es)" in plan.summary()
+
+    def test_plan_counts_store_traffic(self, tmp_path):
+        store = ResultStore(tmp_path)
+        run_suite(get_suite("smoke"), executor=Executor(store=store))
+        probe = ResultStore(tmp_path)
+        plan = plan_suite(get_suite("smoke"), store=probe)
+        assert (plan.hits, plan.misses) == (3, 0)
+        # the documented accounting contract: `in` counts like get()
+        assert (probe.hits, probe.misses) == (3, 0)
+
+    def test_plan_to_dict_shape(self):
+        data = plan_suite(get_suite("smoke")).to_dict()
+        assert set(data) == {
+            "suite", "total_scenarios", "unique_jobs", "hits", "misses",
+            "entries",
+        }
+        assert data["suite"] == "smoke"
+        assert data["unique_jobs"] == len(data["entries"])
+        entry = data["entries"][0]
+        assert set(entry) == {"digest", "cached", "scenarios", "label"}
 
 
 class TestBuiltinSuites:

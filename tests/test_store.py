@@ -1,8 +1,8 @@
 """The result store's contract: the ``results.jsonl`` log end to end.
 
-put/get/invalidate/prune/labels/stats, tombstone replay, schema skew,
-torn lines, concurrent appenders, byte-stable merges, age/label GC and
-the lock/compaction observability counters.
+put/get/invalidate/prune/labels/stats, one compact line per record,
+tombstone replay, schema skew, torn lines, concurrent appenders,
+age/label GC and the lock/compaction observability counters.
 """
 
 from __future__ import annotations
@@ -54,6 +54,12 @@ class TestStoreContract:
         reloaded = ResultStore(tmp_path)
         assert result_to_dict(reloaded.get(digest)) == result_to_dict(result)
         assert (store.hits, store.misses) == (1, 0)
+        # each record is one compact JSON line on disk
+        (record,) = reloaded.records()
+        line = json.dumps(record, separators=(",", ":"))
+        # repro: allow[STO201] — asserts the on-disk JSONL bytes,
+        # which only a raw read can see
+        assert (tmp_path / "results.jsonl").read_text() == line + "\n"
 
     def test_last_write_wins(self, tmp_path, seeded_results):
         (d1, (j1, r1)), (d2, (j2, r2)) = seeded_results.items()
@@ -188,37 +194,6 @@ class TestStoreContract:
         reloaded = ResultStore(tmp_path)
         assert reloaded.stats().skipped_records == 0
         assert len(reloaded) == workers * per_worker + 1
-
-
-class TestMerge:
-    def test_merge_is_byte_stable(self, tmp_path, seeded_results):
-        source = ResultStore(tmp_path / "a")
-        for digest, (job, result) in seeded_results.items():
-            source.put(digest, result, job=job)
-
-        dest = ResultStore(tmp_path / "b")
-        assert dest.merge_from(source) == len(seeded_results)
-
-        def by_digest(store):
-            return sorted(store.records(), key=lambda record: record["digest"])
-
-        original = by_digest(source)
-        assert by_digest(dest) == original
-        assert by_digest(ResultStore(tmp_path / "b")) == original
-        # record-for-record identical => the JSONL lines are byte-stable
-        for record in original:
-            line = json.dumps(record, separators=(",", ":"))
-            # repro: allow[STO201] — asserts the on-disk JSONL bytes,
-            # which only a raw read can see
-            assert line in (tmp_path / "b" / "results.jsonl").read_text()
-
-    def test_merge_is_idempotent(self, tmp_path, seeded_results):
-        source = ResultStore(tmp_path / "a")
-        for digest, (job, result) in seeded_results.items():
-            source.put(digest, result, job=job)
-        dest = ResultStore(tmp_path / "b")
-        assert dest.merge_from(source) == len(seeded_results)
-        assert dest.merge_from(source) == 0  # identical records skipped
 
 
 class TestOpen:

@@ -82,6 +82,23 @@ class TestLoader:
             load_suite_file(path)
 
 
+    @pytest.mark.parametrize("data, match", [
+        ({"base": {"workload": "counter", "params": ["increments", 5]}},
+         "scenario field 'params' expects an object, got list"),
+        ({"base": {"workload": "counter", "system": "memory.latency"}},
+         "scenario field 'system' expects an object, got str"),
+        ({"base": "counter"},
+         "suite field 'base' expects an object, got str"),
+        ({"specs": [{"workload": "counter"}]},
+         "suite is missing its base scenario"),
+    ], ids=["params-list", "system-str", "base-str", "specs-no-base"])
+    def test_malformed_fields_rejected(self, tmp_path, data, match):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(WorkloadError, match=match):
+            load_suite_file(path)
+
+
 class TestCli:
     def test_suite_run_from_file(self, capsys, tmp_path):
         path = tmp_path / "mini.json"
