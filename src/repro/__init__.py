@@ -18,6 +18,11 @@ Quickstart::
 
 See ``examples/`` for full scenarios; ``python -m repro figures
 build`` regenerates every table and figure of the paper.
+
+Only the configuration and error types load with the package; every
+other name imports its module on first use, so a command that never
+simulates never loads NumPy or the simulator (see
+``docs/performance.md``, "Start-up").
 """
 
 from .config import (
@@ -40,29 +45,7 @@ from .errors import (
     SimulationError,
     WorkloadError,
 )
-from .htm import (
-    BarrierOp,
-    Compute,
-    Load,
-    Machine,
-    MachineResult,
-    Store,
-    ThreadContext,
-    ThreadProgram,
-    TxOp,
-    transaction,
-)
-from .power import (
-    EnergyBreakdown,
-    EnergyReport,
-    PowerModel,
-    PowerModelParams,
-    ProcState,
-    compute_energy,
-    format_energy_report,
-    tcc_cache_power_curve,
-    tcc_total_power_factor,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -106,19 +89,19 @@ __all__ = [
     "format_energy_report",
     "tcc_cache_power_curve",
     "tcc_total_power_factor",
-    # high-level API (populated below)
+    # high-level API
     "run_workload",
     "compare_gating",
     "workload",
     "available_workloads",
     "RunResult",
     "GatingComparison",
-    # parallel execution / caching (populated below)
+    # parallel execution / caching
     "Executor",
     "RunJob",
     "ExecResult",
     "ResultStore",
-    # declarative scenarios (populated below)
+    # declarative scenarios
     "ScenarioSpec",
     "ScenarioSuite",
     "scenario",
@@ -132,27 +115,27 @@ __all__ = [
     "__version__",
 ]
 
-# High-level harness API; imported last to avoid import cycles.
-from .harness import (  # noqa: E402
-    GatingComparison,
-    RunResult,
-    available_workloads,
-    compare_gating,
-    run_workload,
-    workload,
-)
-from .exec import ExecResult, Executor, ResultStore, RunJob  # noqa: E402
-from .scenarios import (  # noqa: E402
-    ScenarioSpec,
-    ScenarioSuite,
-    available_suites,
-    get_suite,
-    run_suite,
-    scenario,
-)
-from .figures import (  # noqa: E402
-    FigureBuilder,
-    FigureParams,
-    FigureSpec,
-    available_figures,
-)
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".htm.ops": ("Load", "Store", "Compute", "TxOp", "BarrierOp",
+                 "transaction"),
+    ".htm.program": ("ThreadProgram", "ThreadContext"),
+    ".htm.machine": ("Machine", "MachineResult"),
+    ".power.states": ("ProcState",),
+    ".power.model": ("PowerModel", "PowerModelParams"),
+    ".power.energy": ("EnergyBreakdown", "compute_energy"),
+    ".power.report": ("EnergyReport", "format_energy_report"),
+    ".power.cacti": ("tcc_cache_power_curve", "tcc_total_power_factor"),
+    ".harness.runner": ("run_workload", "RunResult"),
+    ".harness.compare": ("compare_gating", "GatingComparison"),
+    ".workloads.registry": ("workload", "available_workloads"),
+    ".exec.executor": ("Executor",),
+    ".exec.jobs": ("RunJob", "ExecResult"),
+    ".exec.store": ("ResultStore",),
+    ".scenarios.spec": ("ScenarioSpec", "scenario"),
+    ".scenarios.suite": ("ScenarioSuite",),
+    ".scenarios.runner": ("run_suite",),
+    ".scenarios.builtin": ("get_suite", "available_suites"),
+    ".figures.builder": ("FigureBuilder",),
+    ".figures.spec": ("FigureParams", "FigureSpec"),
+    ".figures.registry": ("available_figures",),
+})

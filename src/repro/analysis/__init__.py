@@ -2,8 +2,8 @@
 
 Turns traces and timelines into the artefacts a systems study needs:
 
-* :mod:`~repro.analysis.conflicts` — who aborted whom (a ``networkx``
-  digraph), per-site conflict statistics.
+* :mod:`~repro.analysis.conflicts` — who aborted whom (aborter→victim
+  pair counts), per-site conflict statistics.
 * :mod:`~repro.analysis.gating` — gating-episode extraction (window
   lengths, renewal chains, per-directory behaviour).
 * :mod:`~repro.analysis.timelines` — CSV export and state-share
@@ -19,17 +19,16 @@ Turns traces and timelines into the artefacts a systems study needs:
   tree's determinism, digest-purity, store-discipline, observability
   and gating-protocol invariants machine-checked (imported lazily by
   the CLI; see docs/static-analysis.md).
+
+Each name below imports its module on first use, so reading a
+figure artifact (``figreport``, behind ``figures build --show``) loads
+neither the simulator nor NumPy.
 """
 
-from .conflicts import ConflictStats, abort_graph, conflict_stats
-from .figreport import format_figure, load_figure
-from .gating import GatingEpisode, extract_episodes, gating_summary
-from .timelines import state_shares, timelines_to_csv
-from .runreport import run_report
+from .._lazy import lazy_exports
 
 __all__ = [
     "ConflictStats",
-    "abort_graph",
     "conflict_stats",
     "GatingEpisode",
     "extract_episodes",
@@ -40,3 +39,11 @@ __all__ = [
     "load_figure",
     "run_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".conflicts": ("ConflictStats", "conflict_stats"),
+    ".figreport": ("format_figure", "load_figure"),
+    ".gating": ("GatingEpisode", "extract_episodes", "gating_summary"),
+    ".timelines": ("state_shares", "timelines_to_csv"),
+    ".runreport": ("run_report",),
+})

@@ -1,13 +1,13 @@
 """Conflict analysis: who aborts whom, and where.
 
 Consumes a :class:`~repro.sim.trace.TraceRecorder` that recorded the
-``tx`` (and optionally ``dir``) categories and produces:
+``tx`` (and optionally ``dir``) categories and aggregates its
+``tx.abort`` events into :class:`ConflictStats`:
 
-* an *abort graph* — a directed multigraph-ish ``networkx.DiGraph``
-  with processors as nodes and aggregated aborter→victim edges
-  (``weight`` = abort count), the structure used to reason about
-  contention topology (e.g. the queue head makes intruder's graph
-  nearly complete; disjoint workloads give an empty graph);
+* aborter→victim pair counts — the contention topology (e.g. the queue
+  head makes intruder's pairs nearly complete; disjoint workloads give
+  none), plus the wake-ups that had no conflicting committer
+  (self-aborts);
 * per-site statistics — which static transactions (PC sites, the
   identity Eq. 8's renewal check compares) suffer and cause aborts.
 """
@@ -16,35 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..sim.trace import NullTrace
 
-__all__ = ["abort_graph", "ConflictStats", "conflict_stats"]
-
-
-def abort_graph(trace: NullTrace) -> "nx.DiGraph":
-    """Aggregate ``tx.abort`` events into an aborter→victim digraph.
-
-    Self-aborts (wake-ups without a conflicting committer) have no
-    aborter and are recorded on the node as ``self_aborts``.
-    """
-    graph = nx.DiGraph()
-    for event in trace.events("tx.abort"):
-        victim = event.payload["proc"]
-        aborter = event.payload.get("aborter")
-        if not graph.has_node(victim):
-            graph.add_node(victim, self_aborts=0)
-        if aborter is None:
-            graph.nodes[victim]["self_aborts"] += 1
-            continue
-        if not graph.has_node(aborter):
-            graph.add_node(aborter, self_aborts=0)
-        if graph.has_edge(aborter, victim):
-            graph[aborter][victim]["weight"] += 1
-        else:
-            graph.add_edge(aborter, victim, weight=1)
-    return graph
+__all__ = ["ConflictStats", "conflict_stats"]
 
 
 @dataclass

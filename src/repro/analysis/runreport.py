@@ -7,12 +7,16 @@ traced with at least the ``tx`` and ``gate`` categories.
 
 from __future__ import annotations
 
-from ..harness.runner import RunResult
+from typing import TYPE_CHECKING
+
 from ..power.states import ProcState
 from ..sim.trace import NullTrace
 from .conflicts import conflict_stats
 from .gating import gating_summary
 from .timelines import state_shares
+
+if TYPE_CHECKING:
+    from ..harness.runner import RunResult
 
 __all__ = ["run_report"]
 

@@ -48,21 +48,21 @@ import dataclasses
 import sys
 from typing import Sequence
 
-from .analysis.runreport import run_report
 from .cm.registry import available_cms
 from .config import GatingConfig, SystemConfig
 from .exec.executor import BatchExecutionError, Executor
 from .exec.progress import ConsoleProgress
 from .exec.store import ResultStore
-from .harness.compare import compare_gating
 from .harness.reporting import format_table
-from .harness.runner import run_workload, workload
-from .power.report import format_energy_report
 from .scenarios.builtin import available_suites, get_suite, suite_help
 from .scenarios.runner import SuiteRun, lower_suite, plan_suite, run_suite
 from .scenarios.suite import load_suite_file
-from .sim.trace import TraceRecorder
-from .workloads.registry import available_workloads, workload_schema
+from .workloads.registry import (
+    available_workloads,
+    load_builders,
+    workload,
+    workload_schema,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -369,6 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .analysis.runreport import run_report
+    from .harness.runner import run_workload
+    from .sim.trace import TraceRecorder
+
     trace = TraceRecorder(kinds=("tx", "gate"))
     config = _config(args, gating_enabled=not args.no_gating)
     result = run_workload(
@@ -390,6 +394,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .harness.compare import compare_gating
+    from .power.report import format_energy_report
+
     comparison = compare_gating(
         workload(args.workload, scale=args.scale, seed=args.seed),
         _config(args),
@@ -617,6 +624,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(name)
         return 0
 
+    # Load the simulator and every workload builder before anything is
+    # timed, so the benchmarks measure simulation, not first imports.
+    from .harness import runner  # noqa: F401
+
+    load_builders(available_workloads())
     results = run_benchmarks(
         names=args.bench,
         check=args.check,

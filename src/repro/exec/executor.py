@@ -53,6 +53,7 @@ from typing import Any, Sequence
 
 from ..errors import ExecutionError
 from ..obs import get_recorder
+from ..workloads.registry import load_builders
 from .jobs import (
     ExecResult,
     PackMemberOutcome,
@@ -581,6 +582,13 @@ class Executor:
         workers: int,
         recorder: Any,
     ) -> float:
+        # Load the simulator and the batch's workload builders here,
+        # once: forked workers inherit them instead of each importing
+        # them for its first job of the batch.
+        from ..harness import runner  # noqa: F401
+
+        load_builders(job.spec.name for _digest, job in pending)
+
         run_seconds = 0.0
         progress_state = [0]  # mutable done-counter shared with pack landing
         units = self._dispatch_units(pending, workers)

@@ -56,8 +56,9 @@ from ..power.energy import EnergyBreakdown
 from ..power.model import PowerModel
 from .serialize import canonical_json, config_to_dict, power_to_dict
 
-if TYPE_CHECKING:  # imported lazily at run time to avoid a package cycle
-    from ..harness.runner import RunResult, RunReuse, WorkloadSpec
+if TYPE_CHECKING:  # the simulator loads on the first execute_job
+    from ..harness.runner import RunResult, RunReuse
+    from ..workloads.registry import WorkloadSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -199,7 +200,7 @@ def execute_job(job: RunJob, reuse: "RunReuse | None" = None) -> ExecResult:
     bit-identical by :meth:`repro.htm.machine.Machine.reset`'s contract
     and the rebuild-vs-reset parity tests.
     """
-    from ..harness.runner import run_workload  # lazy: avoids import cycle
+    from ..harness.runner import run_workload  # lazy: loads the simulator
 
     result = run_workload(
         job.spec, job.config, power_model=job.power, validate=job.validate,
@@ -290,7 +291,7 @@ def execute_pack(
     the rest of the family; a failure also drops the cached machine
     (it may be mid-run), so the next member rebuilds from scratch.
     """
-    from ..harness.runner import RunReuse  # lazy: avoids import cycle
+    from ..harness.runner import RunReuse  # lazy: loads the simulator
 
     reuse = RunReuse() if reset_enabled_from_env() else None
     outcomes: list[PackMemberOutcome] = []

@@ -11,11 +11,7 @@ The paper's full grids live in :mod:`repro.figures.registry`; ``repro
 figures build`` regenerates every table and figure from them.
 """
 
-from .runner import RunResult, WorkloadSpec, run_workload, workload
-from .compare import GatingComparison, compare_gating
-from .reporting import format_table, format_matrix
-from .validation import check_serializability
-from ..workloads.registry import available_workloads
+from .._lazy import lazy_exports
 
 __all__ = [
     "RunResult",
@@ -29,3 +25,12 @@ __all__ = [
     "check_serializability",
     "available_workloads",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".runner": ("RunResult", "run_workload"),
+    "..workloads.registry": ("WorkloadSpec", "workload",
+                             "available_workloads"),
+    ".compare": ("GatingComparison", "compare_gating"),
+    ".reporting": ("format_table", "format_matrix"),
+    ".validation": ("check_serializability",),
+})

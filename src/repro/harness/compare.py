@@ -18,6 +18,7 @@ identical program streams — only the gating switch differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..config import SystemConfig
 from ..exec.executor import Executor
@@ -25,7 +26,10 @@ from ..exec.jobs import ExecResult, RunJob
 from ..power.energy import average_power_reduction, energy_reduction
 from ..power.model import PowerModel
 from ..power.report import EnergyReport
-from .runner import RunResult, WorkloadSpec
+from ..workloads.registry import WorkloadSpec
+
+if TYPE_CHECKING:
+    from .runner import RunResult
 
 __all__ = ["GatingComparison", "compare_gating"]
 

@@ -21,43 +21,16 @@ from ..power.model import PowerModel
 from ..sim.timeline import verify_tiling
 from ..sim.trace import NullTrace
 from ..workloads.base import WorkloadInstance
-from ..workloads.registry import build_workload, workload_seed_invariant
+from ..workloads.registry import (  # WorkloadSpec and workload re-exported
+    WorkloadSpec,
+    workload,
+    workload_seed_invariant,
+)
 from .validation import check_serializability
 
 __all__ = [
     "WorkloadSpec", "workload", "RunResult", "RunReuse", "run_workload",
 ]
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A workload by name, to be built against a configuration.
-
-    The thread count is deliberately absent: it is taken from
-    ``SystemConfig.num_procs`` at run time, so the same spec serves a
-    4-, 8- and 16-core sweep (Fig. 4's x-axis).
-    """
-
-    name: str
-    scale: str = "small"
-    seed: int = 0
-    overrides: tuple[tuple[str, Any], ...] = ()
-
-    def build(self, num_threads: int) -> WorkloadInstance:
-        return build_workload(
-            self.name,
-            num_threads,
-            scale=self.scale,
-            seed=self.seed,
-            **dict(self.overrides),
-        )
-
-
-def workload(
-    name: str, scale: str = "small", seed: int = 0, **overrides: Any
-) -> WorkloadSpec:
-    """Convenience constructor: ``workload("intruder", scale="tiny")``."""
-    return WorkloadSpec(name, scale, seed, tuple(sorted(overrides.items())))
 
 
 @dataclass

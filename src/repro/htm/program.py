@@ -13,11 +13,12 @@ see :mod:`repro.workloads` for the STAMP-equivalent kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..errors import WorkloadError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ThreadContext", "ThreadProgram"]
 

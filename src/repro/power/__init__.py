@@ -10,20 +10,7 @@
 * :mod:`~repro.power.report` — human-readable energy reports.
 """
 
-from .states import ProcState, LOW_POWER_STATES_GATED, LOW_POWER_STATES_UNGATED
-from .model import PowerModel, PowerModelParams
-from .energy import (
-    EnergyBreakdown,
-    IntervalBreakdown,
-    direct_energy,
-    interval_breakdown,
-    energy_from_intervals,
-    energy_reduction,
-    average_power_reduction,
-    compute_energy,
-)
-from .cacti import CactiCacheModel, tcc_cache_power_curve, tcc_total_power_factor
-from .report import EnergyReport, format_energy_report
+from .._lazy import lazy_exports
 
 __all__ = [
     "ProcState",
@@ -45,3 +32,16 @@ __all__ = [
     "EnergyReport",
     "format_energy_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".states": ("ProcState", "LOW_POWER_STATES_GATED",
+                "LOW_POWER_STATES_UNGATED"),
+    ".model": ("PowerModel", "PowerModelParams"),
+    ".energy": ("EnergyBreakdown", "IntervalBreakdown", "direct_energy",
+                "interval_breakdown", "energy_from_intervals",
+                "energy_reduction", "average_power_reduction",
+                "compute_energy"),
+    ".cacti": ("CactiCacheModel", "tcc_cache_power_curve",
+               "tcc_total_power_factor"),
+    ".report": ("EnergyReport", "format_energy_report"),
+})

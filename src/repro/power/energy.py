@@ -34,18 +34,22 @@ gated run saved energy.  Eq. (7): ``AveragePowerReduction =
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import SimulationError
-from ..sim.timeline import StateTimeline
 from .model import PowerModel
 from .states import (
     LOW_POWER_STATES_GATED,
     LOW_POWER_STATES_UNGATED,
     ProcState,
 )
+
+# NumPy loads inside the functions that build arrays: decoding a stored
+# result (EnergyBreakdown, Eqs. 6-7) must not pay for it.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..sim.timeline import StateTimeline
 
 __all__ = [
     "EnergyBreakdown",
@@ -136,6 +140,8 @@ def direct_energy(
     in time order, zero-length clips skipped) is the same as the
     historical segment-object loop, so totals are bit-identical.
     """
+    import numpy as np
+
     lo, hi = window
     if hi < lo:
         raise SimulationError(f"invalid clip window [{lo}, {hi})")
@@ -207,6 +213,8 @@ def interval_breakdown(
     quantities are int64 throughout, so the result is exactly the one
     the historical per-event Python sweep produced.
     """
+    import numpy as np
+
     lo, hi = window
     if hi < lo:
         raise SimulationError(f"invalid clip window [{lo}, {hi})")
@@ -313,6 +321,8 @@ def energy_from_intervals(
     reduce to the precomputed weights; the run-mode term is
     :math:`(N p - \\sum_i X_i i) P_{run}`.
     """
+    import numpy as np
+
     lo, hi = intervals.window
     n = hi - lo
     p = intervals.num_procs

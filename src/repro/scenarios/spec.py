@@ -34,9 +34,9 @@ from typing import Any, Mapping
 from ..config import SystemConfig
 from ..errors import WorkloadError
 from ..exec.serialize import canonical_json
-from ..harness.runner import WorkloadSpec
 from ..power.model import PowerModel
-from ..workloads.base import SCALES
+from ..workloads.builtin import SCALES
+from ..workloads.registry import WorkloadSpec
 
 __all__ = ["SCENARIO_SCHEMA_VERSION", "ScenarioSpec", "scenario"]
 

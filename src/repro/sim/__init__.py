@@ -8,11 +8,7 @@ the energy model (:mod:`~repro.sim.timeline`), statistic counters
 (:mod:`~repro.sim.trace`).
 """
 
-from .engine import Engine, Event
-from .timeline import StateTimeline, Segment
-from .stats import Counter, Histogram, StatsRegistry
-from .rng import spawn_rngs, derive_seed
-from .trace import TraceRecorder, TraceEvent, NullTrace
+from .._lazy import lazy_exports
 
 __all__ = [
     "Engine",
@@ -28,3 +24,11 @@ __all__ = [
     "TraceEvent",
     "NullTrace",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".engine": ("Engine", "Event"),
+    ".timeline": ("StateTimeline", "Segment"),
+    ".stats": ("Counter", "Histogram", "StatsRegistry"),
+    ".rng": ("spawn_rngs", "derive_seed"),
+    ".trace": ("TraceRecorder", "TraceEvent", "NullTrace"),
+})

@@ -12,7 +12,10 @@ spawning discipline, so:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "derive_seed", "seed_prefix", "derive_seed_from", "spawn_rngs", "root_rng"
@@ -60,6 +63,8 @@ def derive_seed_from(prefix: int, *context: object) -> int:
 
 def root_rng(seed: int) -> np.random.Generator:
     """The run-level generator."""
+    import numpy as np
+
     return np.random.default_rng(seed)
 
 
@@ -69,5 +74,7 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     Uses :class:`numpy.random.SeedSequence` spawning, the documented
     mechanism for parallel-stream independence.
     """
+    import numpy as np
+
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]

@@ -24,26 +24,14 @@ mapping and DESIGN.md §2 for the substitution argument):
 * :mod:`~repro.workloads.micro`    — counter / bank / array / list
   microbenchmarks for tests and ablations.
 
-Each builder registers a typed parameter schema
+Each workload registers a typed parameter schema
 (:mod:`~repro.workloads.schema`); unknown or mistyped overrides are
-rejected by name before anything is simulated.
+rejected by name before anything is simulated.  The built-in schemas
+and scale tables live in :mod:`~repro.workloads.builtin`, apart from
+their builders, which the registry imports on a workload's first build.
 """
 
-from .base import MemoryLayout, WorkloadInstance, Scale, SCALES
-from .registry import (
-    available_workloads,
-    build_workload,
-    register_workload,
-    workload_schema,
-)
-from .schema import Param, WorkloadSchema
-from .genome import build_genome
-from .intruder import build_intruder
-from .yada import build_yada
-from .kmeans import build_kmeans
-from .vacation import build_vacation
-from .labyrinth import build_labyrinth
-from .micro import build_counter, build_bank, build_array_walk, build_llist
+from .._lazy import lazy_exports
 
 __all__ = [
     "MemoryLayout",
@@ -67,3 +55,19 @@ __all__ = [
     "build_array_walk",
     "build_llist",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ("MemoryLayout", "WorkloadInstance"),
+    ".builtin": ("Scale", "SCALES"),
+    ".registry": ("available_workloads", "build_workload",
+                  "register_workload", "workload_schema"),
+    ".schema": ("Param", "WorkloadSchema"),
+    ".genome": ("build_genome",),
+    ".intruder": ("build_intruder",),
+    ".yada": ("build_yada",),
+    ".kmeans": ("build_kmeans",),
+    ".vacation": ("build_vacation",),
+    ".labyrinth": ("build_labyrinth",),
+    ".micro": ("build_counter", "build_bank", "build_array_walk",
+               "build_llist"),
+})

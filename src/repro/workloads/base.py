@@ -22,17 +22,9 @@ from typing import Any, Callable, Sequence
 from ..errors import WorkloadError
 from ..htm.program import ThreadProgram
 from ..mem.address import WORD_BYTES
+from .builtin import SCALES, Scale
 
 __all__ = ["MemoryLayout", "WorkloadInstance", "Scale", "SCALES", "mix64"]
-
-
-#: Scale names accepted by every workload builder.
-Scale = str
-
-#: Canonical scales: "tiny" for unit tests, "small" for the benchmark
-#: suite (a full Fig. 4–7 regeneration in minutes), "medium" for closer
-#: approximations of STAMP's input sizes (longer runs).
-SCALES: tuple[Scale, ...] = ("tiny", "small", "medium")
 
 
 def mix64(x: int) -> int:

@@ -35,35 +35,11 @@ from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
 from .base import MemoryLayout, WorkloadInstance, mix64, warm_sweep
-from .schema import Param, WorkloadSchema
+from .builtin import GENOME_SCALES, GENOME_SCHEMA
 from .structures.hashtable import THashTable
 
 __all__ = ["build_genome", "GENOME_SCALES", "GENOME_SCHEMA"]
 
-#: scale -> (segment stream length, distinct fraction, match probes)
-GENOME_SCALES: dict[str, tuple[int, float, int]] = {
-    "tiny": (96, 0.6, 2),
-    "small": (600, 0.6, 3),
-    "medium": (2400, 0.65, 4),
-}
-
-GENOME_SCHEMA = WorkloadSchema(
-    workload="genome",
-    doc="hash-set dedup + segment matching (moderate conflicts)",
-    params=(
-        Param("segments", "int",
-              scale_values={s: v[0] for s, v in GENOME_SCALES.items()},
-              doc="segment stream length (with duplicates)"),
-        Param("distinct_fraction", "float",
-              scale_values={s: v[1] for s, v in GENOME_SCALES.items()},
-              doc="fraction of the stream that is distinct"),
-        Param("probes", "int",
-              scale_values={s: v[2] for s, v in GENOME_SCALES.items()},
-              doc="overlap-candidate lookups per match transaction"),
-        Param("table_slack", "float", default=1.4,
-              doc="hash-table slots per distinct segment"),
-    ),
-)
 
 _KEY_MASK = (1 << 48) - 1
 

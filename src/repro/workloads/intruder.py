@@ -32,35 +32,12 @@ from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
 from .base import MemoryLayout, WorkloadInstance, warm_sweep
-from .schema import Param, WorkloadSchema
+from .builtin import INTRUDER_SCALES, INTRUDER_SCHEMA
 from .structures.array import TArray
 from .structures.queue import TQueue
 from .structures.hashtable import THashTable
 
 __all__ = ["build_intruder", "INTRUDER_SCALES", "INTRUDER_SCHEMA"]
-
-#: scale -> (target packet count, flow count, detect cycles per fragment)
-INTRUDER_SCALES: dict[str, tuple[int, int, int]] = {
-    "tiny": (48, 12, 20),
-    "small": (360, 72, 30),
-    "medium": (1400, 260, 40),
-}
-
-INTRUDER_SCHEMA = WorkloadSchema(
-    workload="intruder",
-    doc="shared packet queue + flow reassembly (short txs, high aborts)",
-    params=(
-        Param("packets", "int",
-              scale_values={s: v[0] for s, v in INTRUDER_SCALES.items()},
-              doc="target packet count (fragments across all flows)"),
-        Param("flows", "int",
-              scale_values={s: v[1] for s, v in INTRUDER_SCALES.items()},
-              doc="number of flows to reassemble"),
-        Param("detect_cycles", "int",
-              scale_values={s: v[2] for s, v in INTRUDER_SCALES.items()},
-              doc="detector compute cycles per reassembled fragment"),
-    ),
-)
 
 
 def build_intruder(

@@ -37,33 +37,11 @@ from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
 from .base import MemoryLayout, WorkloadInstance, warm_sweep
-from .schema import Param, WorkloadSchema
+from .builtin import KMEANS_SCALES, KMEANS_SCHEMA
 from .structures.array import TArray
 
 __all__ = ["build_kmeans", "KMEANS_SCALES", "KMEANS_SCHEMA"]
 
-#: scale -> (points, clusters, iterations)
-KMEANS_SCALES: dict[str, tuple[int, int, int]] = {
-    "tiny": (48, 4, 1),
-    "small": (320, 8, 2),
-    "medium": (1280, 12, 3),
-}
-
-KMEANS_SCHEMA = WorkloadSchema(
-    workload="kmeans",
-    doc="clustering; read-mostly centroid updates (low contention)",
-    params=(
-        Param("points", "int",
-              scale_values={s: v[0] for s, v in KMEANS_SCALES.items()},
-              doc="data points to cluster"),
-        Param("clusters", "int",
-              scale_values={s: v[1] for s, v in KMEANS_SCALES.items()},
-              doc="centroid count k; fewer clusters = more contention"),
-        Param("iterations", "int",
-              scale_values={s: v[2] for s, v in KMEANS_SCALES.items()},
-              doc="Lloyd iterations (assign + update + reduce each)"),
-    ),
-)
 
 _VALUE_RANGE = 1 << 16
 

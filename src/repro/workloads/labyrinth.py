@@ -36,33 +36,10 @@ from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
 from .base import MemoryLayout, WorkloadInstance, warm_sweep
-from .schema import Param, WorkloadSchema
+from .builtin import LABYRINTH_SCALES, LABYRINTH_SCHEMA
 from .structures.array import TArray
 
 __all__ = ["build_labyrinth", "LABYRINTH_SCALES", "LABYRINTH_SCHEMA"]
-
-#: scale -> (grid side, paths per thread, max path length)
-LABYRINTH_SCALES: dict[str, tuple[int, int, int]] = {
-    "tiny": (32, 1, 8),
-    "small": (64, 2, 20),
-    "medium": (128, 3, 40),
-}
-
-LABYRINTH_SCHEMA = WorkloadSchema(
-    workload="labyrinth",
-    doc="grid routing; long transactions with large write sets",
-    params=(
-        Param("grid_side", "int",
-              scale_values={s: v[0] for s, v in LABYRINTH_SCALES.items()},
-              doc="grid is side x side cells"),
-        Param("paths_per_thread", "int",
-              scale_values={s: v[1] for s, v in LABYRINTH_SCALES.items()},
-              doc="routes each thread must place"),
-        Param("max_path_length", "int",
-              scale_values={s: v[2] for s, v in LABYRINTH_SCALES.items()},
-              doc="cells (= cache lines) per route, drawn in [max/2, max]"),
-    ),
-)
 
 
 def build_labyrinth(

@@ -19,7 +19,13 @@ from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
 from .base import MemoryLayout, WorkloadInstance, warm_sweep
-from .schema import Param, WorkloadSchema
+from .builtin import (
+    ARRAY_WALK_SCHEMA,
+    BANK_SCHEMA,
+    COUNTER_SCHEMA,
+    LLIST_SCHEMA,
+    MICRO_SCALES,
+)
 from .structures.array import TArray
 from .structures.linkedlist import TNodePool, TSortedList
 
@@ -33,54 +39,6 @@ __all__ = [
     "ARRAY_WALK_SCHEMA",
     "LLIST_SCHEMA",
 ]
-
-MICRO_SCALES: dict[str, int] = {"tiny": 10, "small": 40, "medium": 150}
-
-COUNTER_SCHEMA = WorkloadSchema(
-    workload="counter",
-    doc="shared-counter increments (maximum contention)",
-    params=(
-        Param("increments", "int", scale_values=dict(MICRO_SCALES),
-              doc="increments per thread"),
-        Param("work_cycles", "int", default=5,
-              doc="compute cycles inside each increment transaction"),
-    ),
-)
-
-BANK_SCHEMA = WorkloadSchema(
-    workload="bank",
-    doc="random account transfers (tunable contention)",
-    params=(
-        Param("accounts", "int", default=32,
-              doc="ledger size; fewer accounts = more conflicts"),
-        Param("transfers", "int", scale_values=dict(MICRO_SCALES),
-              doc="transfers per thread"),
-        Param("initial_balance", "int", default=1000,
-              doc="starting balance per account"),
-    ),
-)
-
-ARRAY_WALK_SCHEMA = WorkloadSchema(
-    workload="array_walk",
-    doc="disjoint per-thread updates (zero-conflict control)",
-    params=(
-        Param("updates", "int", scale_values=dict(MICRO_SCALES),
-              doc="updates per thread"),
-        Param("slots_per_thread", "int", default=16,
-              doc="private slots each thread cycles through"),
-    ),
-)
-
-LLIST_SCHEMA = WorkloadSchema(
-    workload="llist",
-    doc="sorted linked-list inserts (large read-sets, head hot-spot)",
-    params=(
-        Param("inserts", "int", scale_values=dict(MICRO_SCALES),
-              doc="inserts per thread"),
-        Param("key_space", "int", default=10_000,
-              doc="key range; smaller = denser collisions"),
-    ),
-)
 
 
 def _ops_for(scale: str, override: int | None) -> int:

@@ -13,45 +13,56 @@ unknown or mistyped parameter raises :class:`~repro.errors.WorkloadError`
 listing the valid parameters — which is what lets the scenario layer
 (:mod:`repro.scenarios`) validate and serialize whole evaluation
 matrices without running a single simulation.
+
+The built-in schemas live in :mod:`~repro.workloads.builtin`; each
+built-in builder module is imported by the first build of its
+workload.  Listing, describing and validating workloads therefore
+loads neither a builder nor NumPy, and neither does
+:class:`WorkloadSpec`, the workload reference every
+:class:`~repro.exec.jobs.RunJob` carries.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..errors import WorkloadError
-from .base import WorkloadInstance
-from .genome import GENOME_SCHEMA, build_genome
-from .intruder import INTRUDER_SCHEMA, build_intruder
-from .kmeans import KMEANS_SCHEMA, build_kmeans
-from .labyrinth import LABYRINTH_SCHEMA, build_labyrinth
-from .micro import (
+from .builtin import (
     ARRAY_WALK_SCHEMA,
     BANK_SCHEMA,
     COUNTER_SCHEMA,
+    GENOME_SCHEMA,
+    INTRUDER_SCHEMA,
+    KMEANS_SCHEMA,
+    LABYRINTH_SCHEMA,
     LLIST_SCHEMA,
-    build_array_walk,
-    build_bank,
-    build_counter,
-    build_llist,
+    VACATION_SCHEMA,
+    YADA_SCHEMA,
 )
 from .schema import WorkloadSchema
-from .vacation import VACATION_SCHEMA, build_vacation
-from .yada import YADA_SCHEMA, build_yada
+
+if TYPE_CHECKING:
+    from .base import WorkloadInstance
 
 __all__ = [
+    "WorkloadSpec",
+    "workload",
     "available_workloads",
     "build_workload",
+    "load_builders",
     "register_workload",
     "workload_schema",
     "workload_seed_invariant",
 ]
 
-Builder = Callable[..., WorkloadInstance]
+Builder = Callable[..., "WorkloadInstance"]
 
 #: name -> (builder, schema, seed_invariant); one dict so they can
-#: never drift apart
-_REGISTRY: dict[str, tuple[Builder, WorkloadSchema, bool]] = {}
+#: never drift apart.  A built-in's builder is recorded as the name of
+#: its module until the first build of that workload imports it.
+_REGISTRY: dict[str, tuple[Builder | str, WorkloadSchema, bool]] = {}
 
 #: the paper's evaluation applications, in its presentation order
 PAPER_APPS: tuple[str, ...] = ("genome", "yada", "intruder")
@@ -65,11 +76,42 @@ STAMP_APPS: tuple[str, ...] = (
 __all__ += ["PAPER_APPS", "STAMP_APPS"]
 
 
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """A workload by name, to be built against a configuration.
+
+    The thread count is deliberately absent: it is taken from
+    ``SystemConfig.num_procs`` at run time, so the same spec serves a
+    4-, 8- and 16-core sweep (Fig. 4's x-axis).
+    """
+
+    name: str
+    scale: str = "small"
+    seed: int = 0
+    overrides: tuple[tuple[str, Any], ...] = ()
+
+    def build(self, num_threads: int) -> WorkloadInstance:
+        return build_workload(
+            self.name,
+            num_threads,
+            scale=self.scale,
+            seed=self.seed,
+            **dict(self.overrides),
+        )
+
+
+def workload(
+    name: str, scale: str = "small", seed: int = 0, **overrides: Any
+) -> WorkloadSpec:
+    """Convenience constructor: ``workload("intruder", scale="tiny")``."""
+    return WorkloadSpec(name, scale, seed, tuple(sorted(overrides.items())))
+
+
 def available_workloads() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _lookup(name: str) -> tuple[Builder, WorkloadSchema, bool]:
+def _lookup(name: str) -> tuple[Builder | str, WorkloadSchema, bool]:
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -129,26 +171,45 @@ def build_workload(
     **overrides,
 ) -> WorkloadInstance:
     """Build the named workload, validating overrides against its schema."""
-    builder, schema, _ = _lookup(name)
-    overrides = schema.validate(overrides)
-    return builder(num_threads, scale=scale, seed=seed, **overrides)
+    overrides = _lookup(name)[1].validate(overrides)
+    return _builder(name)(num_threads, scale=scale, seed=seed, **overrides)
 
 
-# seed_invariant=True only for builders that provably never read `seed`:
-# counter and array_walk touch it solely to stamp the instance (their
-# programs are deterministic in (threads, scale) alone).  Every other
-# builder draws build-time RNG or closes over the seed at run time.
-for _name, _builder, _schema, _seedless in (
-    ("genome", build_genome, GENOME_SCHEMA, False),
-    ("yada", build_yada, YADA_SCHEMA, False),
-    ("intruder", build_intruder, INTRUDER_SCHEMA, False),
-    ("kmeans", build_kmeans, KMEANS_SCHEMA, False),
-    ("vacation", build_vacation, VACATION_SCHEMA, False),
-    ("labyrinth", build_labyrinth, LABYRINTH_SCHEMA, False),
-    ("counter", build_counter, COUNTER_SCHEMA, True),
-    ("bank", build_bank, BANK_SCHEMA, False),
-    ("array_walk", build_array_walk, ARRAY_WALK_SCHEMA, True),
-    ("llist", build_llist, LLIST_SCHEMA, False),
+def load_builders(names: Iterable[str]) -> None:
+    """Import the builder modules of the named workloads now instead of
+    on their first build, e.g. before forking workers that will build
+    them.  Unknown names are left for :func:`build_workload` to report."""
+    for name in names:
+        if name in _REGISTRY:
+            _builder(name)
+
+
+def _builder(name: str) -> Builder:
+    builder, schema, seed_invariant = _lookup(name)
+    if isinstance(builder, str):
+        module = importlib.import_module(f".{builder}", __package__)
+        builder = getattr(module, f"build_{name}")
+        _REGISTRY[name] = (builder, schema, seed_invariant)
+    return builder
+
+
+# The built-in workloads: name -> (module defining build_<name>, schema,
+# seed_invariant).  seed_invariant=True only for builders that provably
+# never read `seed`: counter and array_walk touch it solely to stamp the
+# instance (their programs are deterministic in (threads, scale) alone).
+# Every other builder draws build-time RNG or closes over the seed at
+# run time.
+for _name, _module, _schema, _seedless in (
+    ("genome", "genome", GENOME_SCHEMA, False),
+    ("yada", "yada", YADA_SCHEMA, False),
+    ("intruder", "intruder", INTRUDER_SCHEMA, False),
+    ("kmeans", "kmeans", KMEANS_SCHEMA, False),
+    ("vacation", "vacation", VACATION_SCHEMA, False),
+    ("labyrinth", "labyrinth", LABYRINTH_SCHEMA, False),
+    ("counter", "micro", COUNTER_SCHEMA, True),
+    ("bank", "micro", BANK_SCHEMA, False),
+    ("array_walk", "micro", ARRAY_WALK_SCHEMA, True),
+    ("llist", "micro", LLIST_SCHEMA, False),
 ):
-    register_workload(_name, _builder, _schema, seed_invariant=_seedless)
-del _name, _builder, _schema, _seedless
+    _REGISTRY[_name] = (_module, _schema, _seedless)
+del _name, _module, _schema, _seedless

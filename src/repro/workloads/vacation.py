@@ -39,36 +39,11 @@ from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
 from .base import MemoryLayout, WorkloadInstance, warm_sweep
-from .schema import Param, WorkloadSchema
+from .builtin import VACATION_SCALES, VACATION_SCHEMA
 from .structures.hashtable import THashTable
 
 __all__ = ["build_vacation", "VACATION_SCALES", "VACATION_SCHEMA"]
 
-#: scale -> (operations per thread, items per relation table)
-VACATION_SCALES: dict[str, tuple[int, int]] = {
-    "tiny": (12, 16),
-    "small": (64, 48),
-    "medium": (240, 128),
-}
-
-VACATION_SCHEMA = WorkloadSchema(
-    workload="vacation",
-    doc="travel reservations; mixed-size transactions over shared tables",
-    params=(
-        Param("ops", "int",
-              scale_values={s: v[0] for s, v in VACATION_SCALES.items()},
-              doc="client operations per thread"),
-        Param("relations", "int",
-              scale_values={s: v[1] for s, v in VACATION_SCALES.items()},
-              doc="items per relation table; fewer = hotter items"),
-        Param("query_fraction", "float", default=0.5,
-              doc="fraction of operations that are read-only queries"),
-        Param("query_size", "int", default=4,
-              doc="items probed by one query transaction"),
-        Param("max_stock", "int", default=3,
-              doc="maximum initial stock per item (uniform 1..max)"),
-    ),
-)
 
 _TABLE_NAMES = ("cars", "flights", "rooms")
 

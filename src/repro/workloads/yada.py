@@ -37,33 +37,11 @@ from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
 from .base import MemoryLayout, WorkloadInstance, mix64, warm_sweep
-from .schema import Param, WorkloadSchema
+from .builtin import YADA_SCALES, YADA_SCHEMA
 from .structures.array import TArray
 
 __all__ = ["build_yada", "YADA_SCALES", "YADA_SCHEMA"]
 
-#: scale -> (mesh elements, initially-bad fraction, max cavity size)
-YADA_SCALES: dict[str, tuple[int, float, int]] = {
-    "tiny": (64, 0.4, 4),
-    "small": (400, 0.5, 8),
-    "medium": (1600, 0.5, 12),
-}
-
-YADA_SCHEMA = WorkloadSchema(
-    workload="yada",
-    doc="cavity-expansion mesh refinement (long, loop-repeated conflicts)",
-    params=(
-        Param("elements", "int",
-              scale_values={s: v[0] for s, v in YADA_SCALES.items()},
-              doc="mesh elements (rounded to a full square grid)"),
-        Param("bad_fraction", "float",
-              scale_values={s: v[1] for s, v in YADA_SCALES.items()},
-              doc="fraction of elements initially flagged bad"),
-        Param("max_cavity", "int",
-              scale_values={s: v[2] for s, v in YADA_SCALES.items()},
-              doc="cavity size cap (bounds read/write-set growth)"),
-    ),
-)
 
 _DATA_MASK = (1 << 32) - 1
 #: an expansion candidate joins the cavity unless its data hashes to 0 mod 3

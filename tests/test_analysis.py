@@ -1,14 +1,13 @@
-"""Analysis subpackage: conflict graphs, gating episodes, exports."""
+"""Analysis subpackage: conflict statistics, gating episodes, exports."""
 
 from __future__ import annotations
 
 import csv
 import io
 
-import networkx as nx
 import pytest
 
-from repro.analysis.conflicts import abort_graph, conflict_stats
+from repro.analysis.conflicts import conflict_stats
 from repro.analysis.gating import extract_episodes, gating_summary
 from repro.analysis.runreport import run_report
 from repro.analysis.timelines import state_shares, timelines_to_csv
@@ -42,20 +41,19 @@ def quiet_run():
 
 
 class TestAbortGraph:
+    """Who aborted whom: the aborter->victim edges of
+    ``ConflictStats.pair_counts`` and the self-abort tally."""
+
     def test_graph_structure(self, traced_run):
         _, trace = traced_run
-        graph = abort_graph(trace)
-        assert isinstance(graph, nx.DiGraph)
-        assert graph.number_of_edges() > 0
-        total = sum(d["weight"] for _, _, d in graph.edges(data=True))
-        assert total == len(
-            [e for e in trace.events("tx.abort") if e.payload.get("aborter") is not None]
-        )
+        stats = conflict_stats(trace)
+        named = [e for e in trace.events("tx.abort")
+                 if e.payload.get("aborter") is not None]
+        assert sum(stats.pair_counts.values()) == len(named) > 0
 
     def test_empty_graph_for_quiet_run(self, quiet_run):
         _, trace = quiet_run
-        graph = abort_graph(trace)
-        assert graph.number_of_edges() == 0
+        assert conflict_stats(trace).pair_counts == {}
 
     def test_reciprocity_metric(self):
         """Reciprocity counts mutual abort pairs (synthetic trace)."""
@@ -70,8 +68,9 @@ class TestAbortGraph:
     def test_self_abort_recorded_on_node(self):
         trace = TraceRecorder()
         trace.emit(1, "tx.abort", proc=3, aborter=None, cause="self", site="s")
-        graph = abort_graph(trace)
-        assert graph.nodes[3]["self_aborts"] == 1
+        stats = conflict_stats(trace)
+        assert stats.self_aborts == 1
+        assert stats.pair_counts == {}
 
 
 class TestConflictStats:
