@@ -18,7 +18,7 @@ Usage::
 from repro import Compute, SystemConfig, TxOp, compare_gating
 from repro.errors import WorkloadError
 from repro.htm.program import ThreadContext, ThreadProgram
-from repro.workloads.base import MemoryLayout, WorkloadInstance, warm_sweep
+from repro.workloads.base import MemoryLayout, WorkloadInstance
 from repro.workloads.registry import register_workload
 from repro.workloads.structures.hashtable import THashTable
 from repro.workloads.structures.queue import TQueue
@@ -59,8 +59,6 @@ def build_pipeline(num_threads: int, scale: str = "small", seed: int = 0,
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("pipe.warm")
         if ctx.proc_id < n_producers:
             # producer: push my share of jobs (sentinel job 0 excluded)
             for job in range(1 + ctx.proc_id, n_jobs + 1, n_producers):
@@ -94,6 +92,8 @@ def build_pipeline(num_threads: int, scale: str = "small", seed: int = 0,
         initial_memory=dict(layout.image),
         params={"jobs": n_jobs, "producers": n_producers},
         validators=[check_queue_empty, check_histogram],
+        # every thread loads each shared line before its program starts
+        warm=layout.sweep("pipe.warm"),
     )
 
 

@@ -78,7 +78,6 @@ __all__ = [
     "Compute",
     "TxOp",
     "BarrierOp",
-    "transaction",
     # power
     "ProcState",
     "PowerModel",
@@ -116,8 +115,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".htm.ops": ("Load", "Store", "Compute", "TxOp", "BarrierOp",
-                 "transaction"),
+    ".htm.ops": ("Load", "Store", "Compute", "TxOp", "BarrierOp"),
     ".htm.program": ("ThreadProgram", "ThreadContext"),
     ".htm.machine": ("Machine", "MachineResult"),
     ".power.states": ("ProcState",),

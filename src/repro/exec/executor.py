@@ -46,7 +46,6 @@ import dataclasses
 import os
 import time
 import traceback as _tb
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -582,6 +581,10 @@ class Executor:
         workers: int,
         recorder: Any,
     ) -> float:
+        # The pool machinery loads only here: serial and warm runs
+        # never start a pool.
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
         # Load the simulator and the batch's workload builders here,
         # once: forked workers inherit them instead of each importing
         # them for its first job of the batch.

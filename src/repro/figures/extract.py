@@ -25,7 +25,7 @@ changes meaning, and every downstream artifact goes stale at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..errors import FigureError
 from ..harness.compare import GatingComparison
@@ -278,6 +278,19 @@ def fig7_speedup_matrix(
     return matrix
 
 
+def _fold_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum.
+
+    Since Python 3.12 the built-in ``sum`` compensates float rounding,
+    which moves the last bit of the headline averages from one Python
+    version to the next; the goldens pin this fold.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def headline_from_comparisons(
     comparisons: Mapping[tuple[str, int], GatingComparison],
     apps: Sequence[str],
@@ -295,9 +308,9 @@ def headline_from_comparisons(
     n = len(points)
     if n == 0:
         raise FigureError("headline averages need at least one grid point")
-    avg_speedup = sum(c.speedup for c in points) / n
-    avg_energy = sum(c.energy_reduction for c in points) / n
-    avg_power = sum(c.power_reduction for c in points) / n
+    avg_speedup = _fold_sum(c.speedup for c in points) / n
+    avg_energy = _fold_sum(c.energy_reduction for c in points) / n
+    avg_power = _fold_sum(c.power_reduction for c in points) / n
     return {
         "average_speedup_factor": avg_speedup,
         "average_speedup_pct": (avg_speedup - 1.0) * 100.0,

@@ -169,6 +169,7 @@ def run_workload(
                 instance.programs,
                 initial_memory=instance.initial_memory,
                 validation_mode=check_serial,
+                warm=instance.warm,
             )
             reuse.machine_resets += 1
             machine = cached
@@ -179,6 +180,7 @@ def run_workload(
             initial_memory=instance.initial_memory,
             trace=trace,
             validation_mode=check_serial,
+            warm=instance.warm,
         )
         if reuse is not None and trace is None:
             reuse._machine = machine

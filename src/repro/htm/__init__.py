@@ -8,7 +8,7 @@ invalidations at commit time), exactly the TCC execution model the
 paper builds on.
 """
 
-from .ops import Load, Store, Compute, TxOp, BarrierOp, transaction
+from .ops import Load, Store, Compute, TxOp, BarrierOp
 from .program import ThreadContext, ThreadProgram
 from .transaction import TxHandle, TxState, TxStatus
 from .token import TokenVendor
@@ -21,7 +21,6 @@ __all__ = [
     "Compute",
     "TxOp",
     "BarrierOp",
-    "transaction",
     "ThreadContext",
     "ThreadProgram",
     "TxHandle",

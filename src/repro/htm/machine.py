@@ -18,16 +18,32 @@ It also provides the few *global* services the models need:
 
 ``run()`` drives the event loop until every thread program finishes,
 then finalizes the timelines and returns a :class:`MachineResult`.
+
+Warm-up
+-------
+A workload may declare a :class:`~repro.htm.program.WarmSweep`: every
+processor loads the shared arena and waits at the warm barrier before
+its program starts.  The machine state at that barrier depends only on
+the system configuration less ``seed``, ``gating`` and ``max_cycles``,
+and on the swept addresses (the contract is spelled out on
+:class:`~repro.workloads.base.WorkloadInstance`).  So the first run of
+each such key in a process simulates the sweep and records the state
+when the last processor arrives, when the event queue is empty; later
+runs install the recorded state and release the barrier in the
+recorded arrival order, with the same engine clock, sequence number
+and executed-event count.  :data:`WARM_STATES` holds the records.
+Traced runs always simulate the sweep, so their traces stay complete.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from ..cm.base import ContentionManager
 from ..cm.registry import create_cm
-from ..config import SystemConfig
+from ..config import GatingConfig, SystemConfig
 from ..errors import ConfigError, DeadlockError, SimulationError
 from ..gating.protocol import GatingUnit
 from ..gating.table import GatingEntry
@@ -43,11 +59,21 @@ from ..sim.stats import StatsRegistry
 from ..sim.timeline import StateTimeline
 from ..sim.trace import NullTrace
 from .processor import Processor
-from .program import ThreadContext, ThreadProgram
+from .program import ThreadContext, ThreadProgram, WarmSweep
 from .token import TokenVendor
 from .transaction import TxState
 
-__all__ = ["Machine", "MachineResult", "CommittedTx"]
+__all__ = ["Machine", "MachineResult", "CommittedTx", "WARM_STATES"]
+
+#: Warm states of this process, least recently used first: (config
+#: with seed, gating and max_cycles reset, swept addresses) -> the
+#: pickled machine state at the warm barrier.
+WARM_STATES: dict[tuple[SystemConfig, range], bytes] = {}
+#: entry bound of :data:`WARM_STATES`; a paper grid needs nine keys
+#: per scale
+WARM_STATES_MAX = 32
+
+_DEFAULT_GATING = GatingConfig()
 
 
 class _AllThreadsFinished(Exception):
@@ -112,6 +138,7 @@ class Machine:
         initial_memory: dict[int, int] | None = None,
         trace: NullTrace | None = None,
         validation_mode: bool = False,
+        warm: WarmSweep | None = None,
     ):
         if len(programs) != config.num_procs:
             raise ConfigError(
@@ -184,7 +211,10 @@ class Machine:
 
         self._programs = list(programs)
         self._program_params = dict(program_params or {})
+        self._warm = warm
         self._barriers: dict[str, _BarrierState] = {}
+        #: a barrier whose release run() issues itself (the warm one)
+        self._held_barrier: str | None = None
         self._finished = 0
         self._raise_on_complete = False
         self.parallel_start: int | None = None
@@ -201,6 +231,7 @@ class Machine:
         program_params: dict[str, Any] | None = None,
         initial_memory: dict[int, int] | None = None,
         validation_mode: bool = False,
+        warm: WarmSweep | None = None,
     ) -> None:
         """Restore pristine state for a new run without rebuilding.
 
@@ -250,7 +281,9 @@ class Machine:
             proc.reset()
         self._programs = list(programs)
         self._program_params = dict(program_params or {})
+        self._warm = warm
         self._barriers.clear()
+        self._held_barrier = None
         self._finished = 0
         self._raise_on_complete = False
         self.parallel_start = None
@@ -323,13 +356,18 @@ class Machine:
             self.trace.emit(
                 self.engine.now, "barrier.arrive", name=name, proc=proc_id
             )
-        if len(state.waiters) == self.config.num_procs:
-            waiters = state.waiters
-            state.waiters = []
-            for _, waiter_cont in waiters:
-                self.engine.schedule(1, waiter_cont, None)
-            if self._trace_on:
-                self.trace.emit(self.engine.now, "barrier.release", name=name)
+        if (len(state.waiters) == self.config.num_procs
+                and name != self._held_barrier):
+            self._release(name)
+
+    def _release(self, name: str) -> None:
+        state = self._barriers[name]
+        waiters = state.waiters
+        state.waiters = []
+        for _, waiter_cont in waiters:
+            self.engine.schedule(1, waiter_cont, None)
+        if self._trace_on:
+            self.trace.emit(self.engine.now, "barrier.release", name=name)
 
     # -- parallel-section window ------------------------------------------
     def note_first_tx(self, time: int) -> None:
@@ -372,14 +410,22 @@ class Machine:
         """Execute until every thread program completes."""
         num = self.config.num_procs
         rngs = spawn_rngs(derive_seed(self.config.seed, "threads"), num)
-        for proc_id, (program, rng) in enumerate(zip(self._programs, rngs)):
-            ctx = ThreadContext(
+        contexts = [
+            ThreadContext(
                 proc_id=proc_id,
                 num_threads=num,
                 rng=rng,
                 params=dict(self._program_params),
             )
-            self.procs[proc_id].start(program, ctx)
+            for proc_id, rng in enumerate(rngs)
+        ]
+        max_cycles = self.config.max_cycles
+        engine = self.engine
+        if self._warm is None:
+            for proc, program, ctx in zip(self.procs, self._programs, contexts):
+                proc.start(program, ctx)
+        else:
+            self._warm_up(self._warm, contexts, max_cycles)
 
         # The dispatch loop is the whole-simulation hot loop.  In the
         # common (unbounded) case the engine's inlined drain loop runs
@@ -387,8 +433,6 @@ class Machine:
         # _AllThreadsFinished sentinel — no per-event method call or
         # completion comparison.  With a cycle budget, fall back to one
         # step() per event so the budget is enforced between events.
-        max_cycles = self.config.max_cycles
-        engine = self.engine
         # The sentinel is armed only for the unbounded loop: the step
         # loop must keep the historical ordering where a max_cycles
         # overrun raises even if the offending event finished the last
@@ -405,10 +449,7 @@ class Machine:
                     if not step():
                         raise DeadlockError(self._deadlock_report())
                     if engine.now > max_cycles:
-                        raise SimulationError(
-                            f"exceeded max_cycles={max_cycles} with "
-                            f"{num - self._finished} threads unfinished"
-                        )
+                        raise self._overrun(max_cycles)
         except _AllThreadsFinished:
             pass
         finally:
@@ -435,6 +476,130 @@ class Machine:
             commit_log=self.commit_log,
             memory_snapshot=self.memory.snapshot(),
         )
+
+    def _overrun(self, max_cycles: int) -> SimulationError:
+        return SimulationError(
+            f"exceeded max_cycles={max_cycles} with "
+            f"{self.config.num_procs - self._finished} threads unfinished"
+        )
+
+    # ------------------------------------------------------------------
+    # warm-up (see the module docstring)
+    # ------------------------------------------------------------------
+    def _warm_up(
+        self,
+        warm: WarmSweep,
+        contexts: list[ThreadContext],
+        max_cycles: int | None,
+    ) -> None:
+        """Bring every processor to the warm barrier, then release it.
+
+        The sweep is simulated when no state is recorded for this
+        machine's key (or the run is traced), and its state recorded;
+        otherwise the recorded state is installed.
+        """
+        key = blob = None
+        if not self._trace_on:
+            key = (
+                replace(self.config, seed=0, gating=_DEFAULT_GATING, max_cycles=None),
+                warm.addrs,
+            )
+            # popped and put back below: the most recently used is last
+            blob = WARM_STATES.pop(key, None)
+        engine = self.engine
+        if blob is None:
+            for proc, program, ctx in zip(self.procs, self._programs, contexts):
+                proc.start(program, ctx, warm)
+            self._held_barrier = warm.barrier
+            if max_cycles is None:
+                engine.run()
+            else:
+                while engine.step():
+                    if engine.now > max_cycles:
+                        raise self._overrun(max_cycles)
+            self._held_barrier = None
+            if key is not None:
+                blob = self._capture_warm(warm.barrier)
+        else:
+            for proc, program, ctx in zip(self.procs, self._programs, contexts):
+                proc.bind(program, ctx)
+            self._restore_warm(blob, warm.barrier)
+            if max_cycles is not None and engine.now > max_cycles:
+                raise self._overrun(max_cycles)
+        if key is not None:
+            WARM_STATES[key] = blob
+            if len(WARM_STATES) > WARM_STATES_MAX:
+                del WARM_STATES[next(iter(WARM_STATES))]
+        self._release(warm.barrier)
+
+    def _capture_warm(self, barrier: str) -> bytes:
+        """The state every processor left at the warm barrier, pickled.
+
+        Checks what the memo key relies on: nothing is in flight, no
+        abort reached a gating table, and nothing was sampled (the
+        record keeps counters only).  Memory is not recorded: the sweep
+        only loads.
+        """
+        engine = self.engine
+        if engine._queue or engine._cancelled:
+            raise SimulationError("events in flight at the warm barrier")
+        for unit in self.gating_units:
+            for entry in unit.table:
+                if entry != GatingEntry(entry.proc):
+                    raise SimulationError(
+                        "a gating table changed before the warm barrier"
+                    )
+        if self.stats.histograms():
+            raise SimulationError("histogram samples before the warm barrier")
+        state = (
+            engine.now,
+            engine._seq,
+            engine.events_executed,
+            self.bus._busy_until,
+            self.memory._port_busy_until,
+            [(d._busy_until, list(d._sharers.items())) for d in self.dirs],
+            [
+                (
+                    proc._fill_seq,
+                    proc.cache._use_clock,
+                    proc.cache.clean_lines(),
+                    proc.timeline._times,
+                    proc.timeline._states,
+                )
+                for proc in self.procs
+            ],
+            [proc_id for proc_id, _ in self._barriers[barrier].waiters],
+            list(self.stats.counters().items()),
+        )
+        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+
+    def _restore_warm(self, blob: bytes, barrier: str) -> None:
+        """Install a :meth:`_capture_warm` record on this fresh machine
+        and line the processors up at the barrier in recorded order."""
+        (now, seq, executed, bus_busy, port_busy, dirs, procs, arrivals,
+         counters) = pickle.loads(blob)
+        engine = self.engine
+        engine.now = now
+        engine._seq = seq
+        engine.events_executed = executed
+        self.bus._busy_until = bus_busy
+        self.memory._port_busy_until = port_busy
+        for directory, (busy, sharers) in zip(self.dirs, dirs):
+            directory._busy_until = busy
+            directory._sharers.update(sharers)
+        for proc, (fill_seq, use_clock, lines, times, states) in zip(
+            self.procs, procs
+        ):
+            proc._fill_seq = fill_seq
+            proc._cur_state = states[-1]
+            proc.cache.install_clean(lines, use_clock)
+            proc.timeline._times = times
+            proc.timeline._states = states
+        for name, value in counters:
+            self.stats.counter(name).value = value
+        waiters = self._barriers.setdefault(barrier, _BarrierState()).waiters
+        for proc_id in arrivals:
+            waiters.append((proc_id, self.procs[proc_id]._program_step))
 
     def _deadlock_report(self) -> str:
         lines = [

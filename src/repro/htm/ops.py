@@ -26,7 +26,7 @@ from typing import Callable, Generator, Any
 
 from ..errors import WorkloadError
 
-__all__ = ["Op", "Load", "Store", "Compute", "TxOp", "BarrierOp", "transaction"]
+__all__ = ["Op", "Load", "Store", "Compute", "TxOp", "BarrierOp"]
 
 
 class Op:
@@ -110,31 +110,3 @@ class BarrierOp(Op):
     """
 
     name: str
-
-
-def transaction(site: str) -> Callable:
-    """Decorator sugar: turn a body generator function into a TxOp factory.
-
-    Example::
-
-        @transaction("deposit")
-        def deposit(tx, account_addr, amount):
-            balance = yield Load(account_addr)
-            yield Store(account_addr, balance + amount)
-
-        # inside a thread program:
-        yield deposit(account_addr=a, amount=5)
-    """
-
-    def wrap(body_fn: Callable) -> Callable[..., TxOp]:
-        def make(*args: Any, **kwargs: Any) -> TxOp:
-            def bound(tx: Any) -> Generator:
-                return body_fn(tx, *args, **kwargs)
-
-            return TxOp(bound, site)
-
-        make.__name__ = f"tx_{getattr(body_fn, '__name__', site)}"
-        make.site = site  # type: ignore[attr-defined]
-        return make
-
-    return wrap

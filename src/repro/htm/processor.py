@@ -8,7 +8,10 @@ step loop — :meth:`Processor._program_step` and
 yielded intent with timing against the memory system, and schedules
 itself as the intent's continuation.  Protocol traffic (fill replies,
 invalidations, flush acknowledgements, Turn-On) arrives as bus-delivered
-calls whose fields are plain positional arguments.
+calls whose fields are plain positional arguments.  A workload's warm
+sweep (:class:`~repro.htm.program.WarmSweep`) runs through the program
+step loop ahead of the program: its plain loads take the ordinary miss
+path, and the warm barrier's release starts the program.
 
 Transactional execution model (TCC)
 -----------------------------------
@@ -44,14 +47,14 @@ freeze and the wake-up merely restarts the attempt.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..errors import ProtocolError, WorkloadError
 from ..power.states import ProcState
 from ..sim.engine import Event
 from ..sim.rng import derive_seed_from, seed_prefix
 from .ops import BarrierOp, Compute, Load, Store, TxOp
-from .program import ThreadContext, ThreadProgram
+from .program import ThreadContext, ThreadProgram, WarmSweep
 from .transaction import TxHandle, TxState, TxStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -221,11 +224,37 @@ class Processor:
         self._gate_start = 0
         self.finished = False
 
-    def start(self, program: ThreadProgram, ctx: ThreadContext) -> None:
-        """Bind and launch the thread program at the current cycle."""
+    def bind(self, program: ThreadProgram, ctx: ThreadContext) -> None:
+        """Bind the thread program; the next :meth:`_program_step` runs
+        its first op."""
         self._ctx = ctx
         self._program_send = program.generate(ctx).send
+
+    def start(
+        self, program: ThreadProgram, ctx: ThreadContext,
+        warm: WarmSweep | None = None,
+    ) -> None:
+        """Bind and launch the thread program at the current cycle.
+
+        With ``warm``, the processor first issues the sweep's plain
+        loads, through the ordinary miss path, and arrives at its
+        barrier; the barrier's release starts the program.
+        """
+        self.bind(program, ctx)
+        if warm is not None:
+            self._program_send = self._sweep(warm, self._program_send).send
         self._engine.schedule(0, self._program_step, None)
+
+    def _sweep(
+        self, warm: WarmSweep, program_send: Callable[[Any], Any]
+    ) -> Generator[Load | BarrierOp, Any, None]:
+        """The warm sweep as program-level intents."""
+        for addr in warm.addrs:
+            yield Load(addr)
+        # The barrier's continuation is _program_step: hand it the
+        # program before arriving.
+        self._program_send = program_send
+        yield BarrierOp(warm.barrier)
 
     def _set_state(self, state: ProcState) -> None:
         if state is not self._cur_state:

@@ -8,6 +8,10 @@ processor executes.
 
 Programs are written once per workload and instantiated per thread;
 see :mod:`repro.workloads` for the STAMP-equivalent kernels.
+
+A :class:`WarmSweep` declares the cache warming every thread does
+before its program starts; the machine runs it (see
+:meth:`repro.htm.machine.Machine.run`).
 """
 
 from __future__ import annotations
@@ -20,7 +24,22 @@ from ..errors import WorkloadError
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["ThreadContext", "ThreadProgram"]
+__all__ = ["ThreadContext", "ThreadProgram", "WarmSweep"]
+
+
+@dataclass(frozen=True)
+class WarmSweep:
+    """Plain loads every thread issues before its program starts.
+
+    Each processor loads every address of ``addrs`` in order (one per
+    cache line of the shared arena), then waits at the barrier named
+    ``barrier``; its program starts when that barrier releases.  The
+    sweep lies outside the measured window: the parallel section opens
+    at the first transaction.
+    """
+
+    addrs: range
+    barrier: str
 
 
 @dataclass

@@ -186,6 +186,31 @@ class L1Cache:
         self._sets = [_EMPTY_SET] * self._num_sets
         self._use_clock = 0
 
+    def clean_lines(self) -> list[int]:
+        """Resident lines with their LRU stamps, flat: ``[line,
+        last_use, ...]`` in set order, each set in fill order.
+
+        The warm-state capture: before any transaction every line is
+        clean, so the speculative and partial bits are not recorded.
+        """
+        out: list[int] = []
+        for set_ in self._sets:
+            for entry in set_.values():
+                out += (entry.line, entry.last_use)
+        return out
+
+    def install_clean(self, lines: list[int], use_clock: int) -> None:
+        """Refill an empty cache from :meth:`clean_lines` output."""
+        sets = self._sets
+        mask = self._set_mask
+        pairs = iter(lines)
+        for line, last_use in zip(pairs, pairs):
+            set_ = sets[line & mask]
+            if set_ is _EMPTY_SET:
+                set_ = sets[line & mask] = {}
+            set_[line] = CacheLineState(line, False, False, False, last_use)
+        self._use_clock = use_clock
+
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` (coherence invalidation); True if it was resident."""
         return self.invalidate_lines((line,)) == 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..errors import WorkloadError
-from ..htm.program import ThreadProgram
+from ..htm.program import ThreadProgram, WarmSweep
 from ..mem.address import WORD_BYTES
 from .builtin import SCALES, Scale
 
@@ -44,6 +44,7 @@ class MemoryLayout:
     def __init__(self, base: int = 0x1_0000, line_bytes: int = 64):
         if base % line_bytes:
             raise WorkloadError("layout base must be line-aligned")
+        self._base = base
         self._cursor = base
         self._line_bytes = line_bytes
         self.image: dict[int, int] = {}
@@ -76,6 +77,25 @@ class MemoryLayout:
     def peek(self, addr: int) -> int:
         return self.image.get(addr, 0)
 
+    def sweep(self, barrier: str) -> WarmSweep:
+        """The warm sweep over every line allocated so far.
+
+        The paper measures the *parallel section* (first transaction
+        start to last transaction end) of STAMP runs whose shared
+        structures were built during a long setup phase, so steady-state
+        cache behaviour dominates its measurements.  Our synthetic runs
+        are much shorter; without warming, compulsory misses on every
+        shared line would dominate the energy profile (observed: 60–90 %
+        of time in the MISS state).  Each thread therefore loads one
+        word of every shared line before its first transaction --
+        outside the measured window by the paper's own definition --
+        leaving only coherence misses in the parallel section, as on
+        the paper's warmed system.  Call it after the last allocation.
+        """
+        return WarmSweep(
+            range(self._base, self._cursor, self._line_bytes), barrier
+        )
+
 
 @dataclass
 class WorkloadInstance:
@@ -85,6 +105,28 @@ class WorkloadInstance:
     the image is copied into the machine, so the same instance can run
     both the gated and the ungated configuration — the paired-run
     methodology of Figs. 4–6.
+
+    The warm-up contract: ``warm`` declares the cache-warming sweep
+    (:meth:`MemoryLayout.sweep`) and the programs hold no warm-up code;
+    each starts when the sweep's barrier releases.  The machine state at
+    that barrier then depends only on the system configuration and the
+    swept addresses, so a process simulates each sweep once and later
+    runs restore its state (:mod:`repro.htm.machine`).  Within one such
+    memo key three config fields may differ, because the sweep reads
+    none of them:
+
+    * ``seed`` — seeded draws happen only in programs, transaction
+      bodies and the contention manager, none of which has run yet;
+    * ``gating`` — only aborts reach the gating tables and policy, and
+      no transaction has begun; the capture checks the tables are
+      untouched;
+    * ``max_cycles`` — it only decides whether a run may pass the
+      barrier; a restored run whose barrier lies beyond it fails as the
+      simulated one would.
+
+    Memory holds the initial image at the barrier (the sweep only
+    loads, and discards what it loads), so the image is not part of
+    the key either.
     """
 
     name: str
@@ -97,6 +139,9 @@ class WorkloadInstance:
     params: dict[str, Any] = field(default_factory=dict)
     #: callables(final_memory: dict[int, int]) raising on violation
     validators: list[Callable[[dict[int, int]], None]] = field(default_factory=list)
+    #: the cache-warming sweep run before the programs (None: programs
+    #: start at cycle 0)
+    warm: WarmSweep | None = None
 
     def __post_init__(self) -> None:
         if self.num_threads != len(self.programs):
@@ -122,27 +167,4 @@ def partition(items: Sequence, num_threads: int, thread: int) -> list:
     return [item for idx, item in enumerate(items) if idx % num_threads == thread]
 
 
-def warm_sweep(layout: MemoryLayout, base: int = 0x1_0000, line_bytes: int = 64):
-    """Non-transactional loads touching every allocated shared line.
-
-    The paper measures the *parallel section* (first transaction start
-    to last transaction end) of STAMP runs whose shared structures were
-    built during a long setup phase, so steady-state cache behaviour
-    dominates its measurements.  Our synthetic runs are much shorter;
-    without warming, compulsory misses on every shared line would
-    dominate the energy profile (observed: 60–90 % of time in the MISS
-    state).  Each thread therefore sweeps the shared arena with plain
-    loads *before its first transaction* — outside the measured window
-    by the paper's own definition — leaving only coherence misses in
-    the parallel section, as on the paper's warmed system.
-    """
-    from ..htm.ops import Load  # local import to avoid a cycle at module load
-
-    addr = base
-    end = layout.cursor
-    while addr < end:
-        yield Load(addr)
-        addr += line_bytes
-
-
-__all__ += ["partition", "warm_sweep"]
+__all__ += ["partition"]

@@ -34,7 +34,7 @@ from ..errors import WorkloadError
 from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
-from .base import MemoryLayout, WorkloadInstance, mix64, warm_sweep
+from .base import MemoryLayout, WorkloadInstance, mix64
 from .builtin import GENOME_SCALES, GENOME_SCHEMA
 from .structures.hashtable import THashTable
 
@@ -126,8 +126,6 @@ def build_genome(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("genome.warm")
         my_stream = stream[ctx.proc_id :: ctx.num_threads]
         my_positions = range(ctx.proc_id, len(stream), ctx.num_threads)
         for key in my_stream:
@@ -176,4 +174,5 @@ def build_genome(
             "expected_transactions": len(stream) + len(successor),
         },
         validators=[check_unique, check_links],
+        warm=layout.sweep("genome.warm"),
     )

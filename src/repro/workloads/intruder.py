@@ -28,10 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import WorkloadError
-from ..htm.ops import BarrierOp, Compute, TxOp
+from ..htm.ops import Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
-from .base import MemoryLayout, WorkloadInstance, warm_sweep
+from .base import MemoryLayout, WorkloadInstance
 from .builtin import INTRUDER_SCALES, INTRUDER_SCHEMA
 from .structures.array import TArray
 from .structures.queue import TQueue
@@ -119,8 +119,6 @@ def build_intruder(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("intruder.warm")
         while True:
             packet = yield TxOp(pop_body, site="intruder.getPacket")
             if packet is None:
@@ -179,4 +177,5 @@ def build_intruder(
             "expected_transactions": 2 * n_packets + num_threads,
         },
         validators=[check_queue_drained, check_flows, check_completed],
+        warm=layout.sweep("intruder.warm"),
     )

@@ -36,7 +36,7 @@ from ..errors import WorkloadError
 from ..htm.ops import BarrierOp, Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
-from .base import MemoryLayout, WorkloadInstance, warm_sweep
+from .base import MemoryLayout, WorkloadInstance
 from .builtin import KMEANS_SCALES, KMEANS_SCHEMA
 from .structures.array import TArray
 
@@ -156,8 +156,6 @@ def build_kmeans(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("kmeans.warm")
         my_points = list(range(ctx.proc_id, n_points, ctx.num_threads))
         my_clusters = list(range(ctx.proc_id, k, ctx.num_threads))
         for iteration in range(iters):
@@ -216,4 +214,5 @@ def build_kmeans(
             "expected_transactions": iters * (2 * n_points + k),
         },
         validators=[check_centroids, check_accumulators_reset],
+        warm=layout.sweep("kmeans.warm"),
     )

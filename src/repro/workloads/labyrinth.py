@@ -32,10 +32,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import WorkloadError
-from ..htm.ops import BarrierOp, Compute, TxOp
+from ..htm.ops import Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
-from .base import MemoryLayout, WorkloadInstance, warm_sweep
+from .base import MemoryLayout, WorkloadInstance
 from .builtin import LABYRINTH_SCALES, LABYRINTH_SCHEMA
 from .structures.array import TArray
 
@@ -125,8 +125,6 @@ def build_labyrinth(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("labyrinth.warm")
         for path in range(ctx.proc_id, total_paths, ctx.num_threads):
             yield TxOp(make_route(path + 1, route_cells[path]),
                        site="labyrinth.route")
@@ -175,4 +173,5 @@ def build_labyrinth(
             "expected_transactions": total_paths,
         },
         validators=[check_routes_placed, check_no_stray_writes],
+        warm=layout.sweep("labyrinth.warm"),
     )

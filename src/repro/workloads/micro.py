@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import WorkloadError
-from ..htm.ops import BarrierOp, Compute, TxOp
+from ..htm.ops import Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
-from .base import MemoryLayout, WorkloadInstance, warm_sweep
+from .base import MemoryLayout, WorkloadInstance
 from .builtin import (
     ARRAY_WALK_SCHEMA,
     BANK_SCHEMA,
@@ -73,8 +73,6 @@ def build_counter(
         yield from counter.add(0, 1)
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("counter.warm")
         for _ in range(n):
             yield TxOp(body, site="counter.inc")
             yield Compute(3)
@@ -96,6 +94,7 @@ def build_counter(
         initial_memory=dict(layout.image),
         params={"increments_per_thread": n, "expected_total": expected},
         validators=[check_total],
+        warm=layout.sweep("counter.warm"),
     )
 
 
@@ -128,8 +127,6 @@ def build_bank(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("bank.warm")
         rng = np.random.default_rng(
             derive_seed(seed, "bank", ctx.proc_id)
         )
@@ -162,6 +159,7 @@ def build_bank(
         initial_memory=dict(layout.image),
         params={"accounts": accounts, "transfers_per_thread": n},
         validators=[check_conservation],
+        warm=layout.sweep("bank.warm"),
     )
 
 
@@ -186,8 +184,6 @@ def build_array_walk(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("walk.warm")
         base = ctx.proc_id * slots_per_thread
         for i in range(n):
             yield TxOp(make_update(base + i % slots_per_thread),
@@ -215,6 +211,7 @@ def build_array_walk(
         initial_memory=dict(layout.image),
         params={"updates_per_thread": n, "slots_per_thread": slots_per_thread},
         validators=[check_sums],
+        warm=layout.sweep("walk.warm"),
     )
 
 
@@ -248,8 +245,6 @@ def build_llist(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("llist.warm")
         for key in keys_by_thread[ctx.proc_id]:
             yield TxOp(make_insert(key), site="llist.insert")
             yield Compute(3)
@@ -275,4 +270,5 @@ def build_llist(
         initial_memory=dict(layout.image),
         params={"inserts_per_thread": n, "key_space": key_space},
         validators=[check_sorted_and_complete],
+        warm=layout.sweep("llist.warm"),
     )

@@ -35,10 +35,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import WorkloadError
-from ..htm.ops import BarrierOp, Compute, TxOp
+from ..htm.ops import Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
-from .base import MemoryLayout, WorkloadInstance, warm_sweep
+from .base import MemoryLayout, WorkloadInstance
 from .builtin import VACATION_SCALES, VACATION_SCHEMA
 from .structures.hashtable import THashTable
 
@@ -178,8 +178,6 @@ def build_vacation(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("vacation.warm")
         for op in ops_by_thread[ctx.proc_id]:
             if op[0] == "query":
                 yield TxOp(make_query(op[1]), site="vacation.query")
@@ -234,4 +232,5 @@ def build_vacation(
             "expected_transactions": total_ops,
         },
         validators=[check_stock, check_bookings],
+        warm=layout.sweep("vacation.warm"),
     )

@@ -33,10 +33,10 @@ from collections import deque
 import numpy as np
 
 from ..errors import WorkloadError
-from ..htm.ops import BarrierOp, Compute, TxOp
+from ..htm.ops import Compute, TxOp
 from ..htm.program import ThreadContext, ThreadProgram
 from ..sim.rng import derive_seed
-from .base import MemoryLayout, WorkloadInstance, mix64, warm_sweep
+from .base import MemoryLayout, WorkloadInstance, mix64
 from .builtin import YADA_SCALES, YADA_SCHEMA
 from .structures.array import TArray
 
@@ -175,8 +175,6 @@ def build_yada(
         return body
 
     def program(ctx: ThreadContext):
-        yield from warm_sweep(layout)
-        yield BarrierOp("yada.warm")
         work = deque(initially_bad[ctx.proc_id :: ctx.num_threads])
         while work:
             elem = work.popleft()
@@ -209,4 +207,5 @@ def build_yada(
             "max_cavity": cavity_cap,
         },
         validators=[check_no_bad_left],
+        warm=layout.sweep("yada.warm"),
     )

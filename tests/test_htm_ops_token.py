@@ -1,11 +1,11 @@
-"""Op validation, the transaction decorator, and the token vendor."""
+"""Op validation and the token vendor."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ProtocolError, WorkloadError
-from repro.htm.ops import Compute, Load, Store, TxOp, transaction
+from repro.htm.ops import Compute, Load, Store, TxOp
 from repro.htm.token import TokenVendor
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
@@ -29,31 +29,6 @@ class TestOps:
         assert load.addr == 64
         store = Store(8, 5)
         assert (store.addr, store.value) == (8, 5)
-
-
-class TestTransactionDecorator:
-    def test_decorator_builds_txop(self):
-        @transaction("deposit")
-        def deposit(tx, addr, amount):
-            balance = yield Load(addr)
-            yield Store(addr, balance + amount)
-
-        op = deposit(64, 5)
-        assert isinstance(op, TxOp)
-        assert op.site == "deposit"
-        gen = op.body(None)
-        assert next(gen) == Load(64)
-        with pytest.raises(StopIteration):
-            gen.send(10)  # Store is the last yield
-            gen.send(None)
-
-    def test_decorator_binds_arguments_per_call(self):
-        @transaction("t")
-        def body(tx, addr):
-            yield Load(addr)
-
-        assert next(body(8).body(None)) == Load(8)
-        assert next(body(16).body(None)) == Load(16)
 
 
 def make_vendor():

@@ -2,7 +2,8 @@
 
 A command that never simulates must not pay for the simulator: NumPy,
 the machine and the harness runner load on the first simulation, not at
-``import repro.cli`` or during a warm figure build.  A process pool's
+``import repro.cli`` or during a warm figure build.  Neither loads the
+process-pool machinery, which only a pool batch uses.  A process pool's
 parent and ``repro bench`` load them up front instead, so forked
 workers inherit them and no benchmark times an import.  The import
 checks run in fresh interpreters, so what earlier tests loaded cannot hide a
@@ -31,6 +32,9 @@ SIMULATOR_ONLY = ("numpy", "networkx", "repro.harness.runner", "repro.htm",
                   "repro.htm.machine", "repro.mem", "repro.gating",
                   "repro.sim.engine")
 
+#: modules only a process pool may load
+POOL_ONLY = ("concurrent.futures", "multiprocessing")
+
 #: packages whose ``__init__`` re-exports lazily (repro._lazy)
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.harness", "repro.power",
                  "repro.sim", "repro.workloads")
@@ -51,7 +55,7 @@ def run_fresh(code: str) -> object:
 
 
 LOADED = (f"import json, sys; print(json.dumps("
-          f"[m for m in {SIMULATOR_ONLY!r} if m in sys.modules]))")
+          f"[m for m in {SIMULATOR_ONLY + POOL_ONLY!r} if m in sys.modules]))")
 
 
 class TestStartup:
@@ -70,7 +74,7 @@ report = FigureBuilder(store={str(store)!r}, out_dir={str(tmp_path / "out")!r},
 print(json.dumps({{
     "executed": report.executed,
     "written": sum(a.path is not None for a in report.artifacts),
-    "loaded": [m for m in {SIMULATOR_ONLY!r} if m in sys.modules],
+    "loaded": [m for m in {SIMULATOR_ONLY + POOL_ONLY!r} if m in sys.modules],
 }}))
 """
         assert run_fresh(code) == {"executed": 0, "written": 8, "loaded": []}
