@@ -41,12 +41,6 @@ class ConflictStats:
             return None
         return max(self.victims_by_site, key=self.victims_by_site.get)
 
-    @property
-    def hottest_pair(self) -> tuple[int, int] | None:
-        if not self.pair_counts:
-            return None
-        return max(self.pair_counts, key=self.pair_counts.get)
-
     def reciprocity(self) -> float:
         """Fraction of abort pairs that also abort in reverse.
 

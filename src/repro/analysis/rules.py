@@ -699,7 +699,7 @@ class LockBalanceRule(Rule):
 # ----------------------------------------------------------------------
 _STATS_RECEIVERS = frozenset({"stats", "_stats", "registry", "_registry"})
 _OBS_RECEIVERS = frozenset({"recorder", "_recorder", "rec", "get_recorder()"})
-_METRIC_METHODS = frozenset({"counter", "histogram", "bump", "count"})
+_METRIC_METHODS = frozenset({"counter", "count"})
 
 
 def _metric_name_pattern(arg: ast.AST) -> str | None:
@@ -728,7 +728,7 @@ class UndeclaredMetricRule(Rule):
     id = "OBS301"
     name = "undeclared-metric"
     rationale = (
-        "every Counter/Histogram/obs-counter name bumped in code must be "
+        "every Counter/obs-counter name bumped in code must be "
         "declared in metrics.py (DECLARED_METRICS) so reporting, docs "
         "and dashboards share one canonical catalog"
     )
@@ -770,9 +770,9 @@ class UndeclaredMetricRule(Rule):
 def _bumped_metric_patterns(tree: ast.Module) -> Iterator[str]:
     """Every statically-resolvable metric name bumped in ``tree``.
 
-    The mirror image of OBS301's call-site filter: counter/histogram/
-    bump on a stats receiver, count on an obs receiver, first argument
-    normalized with f-string interpolations collapsed to ``*``.
+    The mirror image of OBS301's call-site filter: counter on a stats
+    receiver, count on an obs receiver, first argument normalized with
+    f-string interpolations collapsed to ``*``.
     """
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not node.args:

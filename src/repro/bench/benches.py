@@ -14,8 +14,8 @@ Benchmarks
     one-shot events, measured in events executed per second.  This is
     the floor every simulated cycle pays.
 ``bench_stats``
-    Counter/histogram update throughput through pre-resolved handles —
-    the accounting cost of every cache access and transaction event.
+    Counter update throughput through pre-resolved handles — the
+    accounting cost of every cache access and transaction event.
 ``bench_timeline``
     State-timeline recording plus the energy layer's interval sweep
     over the recorded change-points (the Eq. 1–5 consumption path).
@@ -109,23 +109,19 @@ def bench_stats(check: bool = False, repeats: int = 5, warmup: int = 2) -> Bench
 
     def one_repetition() -> int:
         stats = StatsRegistry()
-        # The hot path binds handles once and calls .add()/.record();
-        # this is exactly what processor/cache construction does.
+        # The hot path binds handles once and calls .add(); this is
+        # exactly what processor/cache construction does.
         hits = stats.counter("proc0.cache.hits")
         misses = stats.counter("proc0.cache.misses")
         busy = stats.counter("bus.busy_cycles")
-        lat = stats.histogram("tx.latency")
         add_hit = hits.add
         add_miss = misses.add
         add_busy = busy.add
-        record = lat.record
         for i in range(ops):
             add_hit()
             if not i % 16:
                 add_miss()
             add_busy(3)
-            if not i % 64:
-                record(i & 1023)
         return ops
 
     return run_timed(

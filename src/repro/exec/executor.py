@@ -249,9 +249,6 @@ class Executor:
         invocations share the same directory.
     progress:
         Optional :class:`~repro.exec.progress.ProgressListener`.
-    refresh:
-        Skip cache *reads* (every unique job re-executes) while still
-        writing results back — recompute-and-overwrite semantics.
     profile:
         Wrap each executed job in :mod:`cProfile` and merge the hot
         spots into the observability run manifest.  Meaningful only
@@ -273,7 +270,6 @@ class Executor:
         jobs: int = 1,
         store: ResultStore | str | Path | None = None,
         progress: ProgressListener | None = None,
-        refresh: bool = False,
         profile: bool = False,
         packs: bool | None = None,
     ) -> None:
@@ -284,7 +280,6 @@ class Executor:
             store = ResultStore(store)
         self.store = store
         self.progress = progress if progress is not None else ProgressListener()
-        self.refresh = refresh
         self.profile = profile
         self.packs = packs_enabled_from_env() if packs is None else packs
         self.last_report: BatchReport | None = None
@@ -313,7 +308,7 @@ class Executor:
             unique.setdefault(digest, job)
 
         results: dict[str, ExecResult] = {}
-        if self.store is not None and not self.refresh:
+        if self.store is not None:
             for digest in unique:
                 cached = self.store.get(digest)
                 if cached is not None:
@@ -412,8 +407,7 @@ class Executor:
             )
             # run-level flush-batch tally: how many batched commit
             # flushes the directories serviced across every executed
-            # job (the per-flush line distribution lives sim-side in
-            # the ``dir.lines_per_flush`` histogram)
+            # job
             flushes = sum(
                 value
                 for name, value in result.counters.items()

@@ -106,10 +106,14 @@ class RunJob:
     spec: "WorkloadSpec"
     config: SystemConfig
     power: PowerModel = field(default_factory=PowerModel.derive)
-    validate: bool = True
 
     def payload(self) -> dict[str, Any]:
-        """The canonical content of this job, as plain JSON-able data."""
+        """The canonical content of this job, as plain JSON-able data.
+
+        ``"validate"`` is always ``true``: every run checks its final
+        memory and timeline tiling.  The key stays so that no job
+        digest moves.
+        """
         config = config_to_dict(self.config)
         if not self.config.gating.enabled and _ungated_w0_independent(
             self.config
@@ -128,7 +132,7 @@ class RunJob:
             },
             "config": config,
             "power": power_to_dict(self.power),
-            "validate": self.validate,
+            "validate": True,
         }
 
     @cached_property
@@ -202,10 +206,7 @@ def execute_job(job: RunJob, reuse: "RunReuse | None" = None) -> ExecResult:
     """
     from ..harness.runner import run_workload  # lazy: loads the simulator
 
-    result = run_workload(
-        job.spec, job.config, power_model=job.power, validate=job.validate,
-        reuse=reuse,
-    )
+    result = run_workload(job.spec, job.config, power_model=job.power, reuse=reuse)
     return ExecResult.from_run_result(result, job.power)
 
 

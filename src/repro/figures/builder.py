@@ -178,7 +178,6 @@ class FigureBuilder:
         specs: Sequence[FigureSpec] | None = None,
         jobs: int = 1,
         progress: ProgressListener | None = None,
-        power_model: PowerModel | None = None,
         profile: bool = False,
     ) -> None:
         self._tmpdir: tempfile.TemporaryDirectory | None = None
@@ -195,9 +194,7 @@ class FigureBuilder:
         self.out_dir = Path(out_dir)
         self.params = params if params is not None else FigureParams()
         self._specs = list(specs) if specs is not None else None
-        self._model = (
-            power_model if power_model is not None else PowerModel.derive()
-        )
+        self._model = PowerModel.derive()
         self._executor = Executor(
             jobs=jobs, store=store, progress=progress, profile=profile
         )
@@ -252,9 +249,7 @@ class FigureBuilder:
         lowered: dict[str, LoweredSuite] = {}
         for (_spec, suite, _digest), key in zip(figures, keys):
             if key is not None and key not in lowered:
-                lowered[key] = lower_suite(
-                    suite, power_model=self._model, memo=memo
-                )
+                lowered[key] = lower_suite(suite, memo=memo)
         plans = {
             key: plan_suite(suite, store=self.store)
             for key, suite in lowered.items()
@@ -303,17 +298,6 @@ class FigureBuilder:
         planned = self._plan_pass(names)
         misses, total = self._collect_misses(planned.plans)
         return self._statuses(planned), len(misses), len(total)
-
-    def residual_jobs(
-        self, names: Sequence[str] | None = None
-    ) -> tuple[int, int]:
-        """(uncached, total) unique jobs across the requested figures."""
-        _statuses, misses, total = self.overview(names)
-        return misses, total
-
-    def status(self, names: Sequence[str] | None = None) -> list[FigureStatus]:
-        """Artifact freshness + store coverage per figure; no simulation."""
-        return self.overview(names)[0]
 
     def _statuses(self, planned: _Pass) -> list[FigureStatus]:
         statuses = []
@@ -484,9 +468,7 @@ class FigureBuilder:
         for spec, suite, _digest in self._resolved([name]):
             results: tuple[ScenarioResult, ...] = ()
             if suite is not None:
-                fetched = self._suite_results(
-                    lower_suite(suite, power_model=self._model), {}
-                )
+                fetched = self._suite_results(lower_suite(suite), {})
                 if fetched is None:
                     raise FigureError(
                         f"figure {name!r}: result store does not cover "

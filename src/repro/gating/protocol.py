@@ -61,7 +61,6 @@ class GatingUnit:
         self._m = machine
         self._cm = cm
         self._config = config
-        self._stats = stats
         self._trace = trace
         self._trace_on = trace.enabled
         self.table = GatingTable(config.num_procs)
@@ -76,7 +75,6 @@ class GatingUnit:
         self._c_stale_off_cleared = stats.counter(
             f"{self._prefix}.stale_off_cleared"
         )
-        self._h_window = stats.histogram("gating.window")
 
     # ------------------------------------------------------------------
     def reset(self, cm: ContentionManager, config: SystemConfig) -> None:
@@ -123,7 +121,7 @@ class GatingUnit:
         # at abort time, learned from the abort acknowledgement.  Used
         # only by momentum-aware policies; Eq. 8 ignores it.
         entry.momentum = self._m.proc(victim).attempt_age()
-        self._arm_timer(entry)
+        window = self._arm_timer(entry)
 
         self._c_aborts_recorded.add()
         if self._trace_on:
@@ -134,10 +132,12 @@ class GatingUnit:
                 victim=victim,
                 aborter=aborter,
                 abort_count=entry.abort_count,
+                window=window,
             )
         return send_stop
 
-    def _arm_timer(self, entry: GatingEntry) -> None:
+    def _arm_timer(self, entry: GatingEntry) -> int:
+        """Schedule the entry's Eq. 8 timer; returns the armed window."""
         # Eq. 8 precondition: a window only exists for a recorded abort.
         # Both callers uphold this (on_abort bumps first, _renew checks
         # and ends stale episodes in a Turn-On) — keep the invariant
@@ -148,11 +148,11 @@ class GatingUnit:
         window = self._cm.gating_window_ex(
             entry.abort_count, entry.renew_count, entry.momentum
         )
-        self._h_window.record(window)
         epoch = entry.epoch
         entry.timer_event = self._m.engine.schedule(
             window, self._timer_expired, entry, epoch
         )
+        return window
 
     # ------------------------------------------------------------------
     # 2. expiry path
@@ -213,6 +213,7 @@ class GatingUnit:
         entry.renew_count += 1
         self._c_renewals.add()
         self._c_renewals_global.add()
+        window = self._arm_timer(entry)
         if self._trace_on:
             self._trace.emit(
                 self._m.engine.now,
@@ -221,8 +222,8 @@ class GatingUnit:
                 victim=entry.proc,
                 abort_count=entry.abort_count,
                 renew_count=entry.renew_count,
+                window=window,
             )
-        self._arm_timer(entry)
 
     def _send_on(self, entry: GatingEntry, reason: str) -> None:
         entry.off = False

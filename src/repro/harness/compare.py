@@ -84,8 +84,6 @@ class GatingComparison:
 def compare_gating(
     source: WorkloadSpec | str,
     config: SystemConfig,
-    power_model: PowerModel | None = None,
-    validate: bool = True,
     executor: Executor | None = None,
 ) -> GatingComparison:
     """Run ``source`` with and without clock gating on identical hardware.
@@ -98,12 +96,12 @@ def compare_gating(
     if isinstance(source, str):
         source = WorkloadSpec(source)
     exe = executor if executor is not None else Executor()
-    model = power_model if power_model is not None else PowerModel.derive()
+    model = PowerModel.derive()
 
     ungated, gated = exe.run(
         [
-            RunJob(source, config.with_gating(False), model, validate=validate),
-            RunJob(source, config.with_gating(True), model, validate=validate),
+            RunJob(source, config.with_gating(False), model),
+            RunJob(source, config.with_gating(True), model),
         ]
     )
     return GatingComparison(

@@ -136,17 +136,16 @@ def run_workload(
     config: SystemConfig,
     power_model: PowerModel | None = None,
     trace: NullTrace | None = None,
-    validate: bool = True,
     check_serial: bool = False,
     reuse: RunReuse | None = None,
 ) -> RunResult:
     """Execute one workload under one configuration.
 
+    Every run verifies the timeline tiling invariant and runs the
+    workload's functional validators on final memory.
+
     Parameters
     ----------
-    validate:
-        Run the workload's functional validators on final memory and
-        verify the timeline tiling invariant (cheap; on by default).
     check_serial:
         Record per-transaction read/write logs and verify TID-order
         serializability (Invariant 1; costs memory — used by tests).
@@ -188,9 +187,8 @@ def run_workload(
     mresult = machine.run()
 
     window = (mresult.parallel_start, mresult.parallel_end)
-    if validate:
-        verify_tiling(mresult.timelines, *window)
-        instance.validate_final_memory(mresult.memory_snapshot)
+    verify_tiling(mresult.timelines, *window)
+    instance.validate_final_memory(mresult.memory_snapshot)
     if check_serial:
         check_serializability(
             instance.initial_memory, mresult, machine.memory.version_log

@@ -134,7 +134,6 @@ class Machine:
         self,
         config: SystemConfig,
         programs: Sequence[ThreadProgram],
-        program_params: dict[str, Any] | None = None,
         initial_memory: dict[int, int] | None = None,
         trace: NullTrace | None = None,
         validation_mode: bool = False,
@@ -210,7 +209,6 @@ class Machine:
         self._vendor_latency = config.commit.token_vendor_latency
 
         self._programs = list(programs)
-        self._program_params = dict(program_params or {})
         self._warm = warm
         self._barriers: dict[str, _BarrierState] = {}
         #: a barrier whose release run() issues itself (the warm one)
@@ -228,7 +226,6 @@ class Machine:
         self,
         config: SystemConfig,
         programs: Sequence[ThreadProgram],
-        program_params: dict[str, Any] | None = None,
         initial_memory: dict[int, int] | None = None,
         validation_mode: bool = False,
         warm: WarmSweep | None = None,
@@ -239,8 +236,8 @@ class Machine:
         directories, gating units, processors, caches, stats handle
         bindings) is reused; everything mutable is returned to its
         just-constructed state and the seed-dependent pieces (contention
-        manager, per-processor tx seed prefixes, timelines, thread RNGs
-        drawn in :meth:`run`) are re-derived from ``config.seed``.  A
+        manager, timelines, thread RNGs drawn in :meth:`run`) are
+        re-derived from ``config.seed``.  A
         reset machine is pinned bit-identical to a freshly constructed
         one per (config, programs) by the rebuild-vs-reset parity tests
         and the golden captures.
@@ -280,7 +277,6 @@ class Machine:
         for proc in self.procs:
             proc.reset()
         self._programs = list(programs)
-        self._program_params = dict(program_params or {})
         self._warm = warm
         self._barriers.clear()
         self._held_barrier = None
@@ -411,12 +407,7 @@ class Machine:
         num = self.config.num_procs
         rngs = spawn_rngs(derive_seed(self.config.seed, "threads"), num)
         contexts = [
-            ThreadContext(
-                proc_id=proc_id,
-                num_threads=num,
-                rng=rng,
-                params=dict(self._program_params),
-            )
+            ThreadContext(proc_id=proc_id, num_threads=num, rng=rng)
             for proc_id, rng in enumerate(rngs)
         ]
         max_cycles = self.config.max_cycles
@@ -535,9 +526,8 @@ class Machine:
     def _capture_warm(self, barrier: str) -> bytes:
         """The state every processor left at the warm barrier, pickled.
 
-        Checks what the memo key relies on: nothing is in flight, no
-        abort reached a gating table, and nothing was sampled (the
-        record keeps counters only).  Memory is not recorded: the sweep
+        Checks what the memo key relies on: nothing is in flight and no
+        abort reached a gating table.  Memory is not recorded: the sweep
         only loads.
         """
         engine = self.engine
@@ -549,8 +539,6 @@ class Machine:
                     raise SimulationError(
                         "a gating table changed before the warm barrier"
                     )
-        if self.stats.histograms():
-            raise SimulationError("histogram samples before the warm barrier")
         state = (
             engine.now,
             engine._seq,

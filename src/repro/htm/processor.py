@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 from ..errors import ProtocolError, WorkloadError
 from ..power.states import ProcState
 from ..sim.engine import Event
-from ..sim.rng import derive_seed_from, seed_prefix
 from .ops import BarrierOp, Compute, Load, Store, TxOp
 from .program import ThreadContext, ThreadProgram, WarmSweep
 from .transaction import TxHandle, TxState, TxStatus
@@ -101,12 +100,7 @@ class Processor:
         self._tx_gen: Generator | None = None
         self._tx_send = None  # bound .send of the live attempt's generator
         self._tx_index = -1
-        self._tx_seed_index = -1
-        self._tx_seed = 0
-        self._tx_seed_prefix = seed_prefix(machine.config.seed, "tx", proc_id)
         self._attempt = 0
-        self._tx_first_start = 0
-        self._commit_start = 0
         self._consecutive_aborts = 0
         self._epoch = 0
         #: footprint of the in-flight commit and the directories homing
@@ -121,7 +115,6 @@ class Processor:
         # gating state
         self.gated = False
         self._gated_by: set[int] = set()
-        self._gate_start = 0
 
         self.finished = False
         self._prefix = f"proc{proc_id}"
@@ -172,10 +165,6 @@ class Processor:
         self._c_gated = stats.counter("gating.gated")
         self._c_redundant_on = stats.counter("gating.redundant_on")
         self._c_wakeups = stats.counter("gating.wakeups")
-        self._h_attempts_to_commit = stats.histogram("tx.attempts_to_commit")
-        self._h_tx_latency = stats.histogram("tx.latency")
-        self._h_commit_phase = stats.histogram("tx.commit_phase")
-        self._h_gated_cycles = stats.histogram("gating.gated_cycles")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -185,8 +174,8 @@ class Processor:
 
         Called by :meth:`repro.htm.machine.Machine.reset` after the
         machine has installed the member's config, contention manager
-        and fresh timelines — seed-dependent bindings (the tx seed
-        prefix, the CM) are recomputed from the machine here.  The
+        and fresh timelines — the seed-dependent binding (the CM) is
+        recomputed from the machine here.  The
         structural fast-path bindings (engine/bus/memory/directory
         methods, counter handles, config-derived latencies) survive:
         those objects are reset in place and the non-seed config is
@@ -198,7 +187,6 @@ class Processor:
         self.timeline = m.timeline(self.proc_id)
         self._tl_set_state = self.timeline.set_state
         self._cur_state = _RUN
-        self._tx_seed_prefix = seed_prefix(m.config.seed, "tx", self.proc_id)
 
         self._program_send = None
         self._ctx = None
@@ -207,11 +195,7 @@ class Processor:
         self._tx_gen = None
         self._tx_send = None
         self._tx_index = -1
-        self._tx_seed_index = -1
-        self._tx_seed = 0
         self._attempt = 0
-        self._tx_first_start = 0
-        self._commit_start = 0
         self._consecutive_aborts = 0
         self._epoch = 0
         self._commit_dirs = None
@@ -221,7 +205,6 @@ class Processor:
         self._restart_event = None
         self.gated = False
         self._gated_by = set()
-        self._gate_start = 0
         self.finished = False
 
     def bind(self, program: ThreadProgram, ctx: ThreadContext) -> None:
@@ -482,22 +465,8 @@ class Processor:
         self._txop = op
         self._tx_index += 1
         self._attempt = 0
-        self._tx_first_start = self._engine.now
         self._m.note_first_tx(self._engine.now)
         self._start_attempt()
-
-    def _tx_rng_seed(self) -> int:
-        # The derived seed depends only on (config.seed, proc, tx_index),
-        # so retries of the same transaction reuse it.  The TxHandle
-        # builds a *fresh* generator from it on first use per attempt,
-        # so every attempt sees an identical stream.  The FNV prefix
-        # over (seed, "tx", proc) is hashed once (constructor); only
-        # the tx_index suffix is folded per transaction — identical
-        # output to derive_seed(seed, "tx", proc, tx_index).
-        if self._tx_seed_index != self._tx_index:
-            self._tx_seed_index = self._tx_index
-            self._tx_seed = derive_seed_from(self._tx_seed_prefix, self._tx_index)
-        return self._tx_seed
 
     def _start_attempt(self) -> None:
         # Drop the handle first: once this callback runs (or is reached
@@ -514,8 +483,7 @@ class Processor:
         self._epoch += 1
         now = self._engine.now
         handle = TxHandle(
-            self.proc_id, self._ctx.num_threads, op.site, self._attempt,
-            self._tx_rng_seed(),
+            self.proc_id, self._ctx.num_threads, op.site, self._attempt
         )
         tx = TxState(
             self.proc_id, op.site, self._tx_index, self._attempt, now, handle
@@ -546,13 +514,12 @@ class Processor:
     def _begin_commit(self) -> None:
         tx = self._tx
         tx.status = _COMMITTING
-        now = self._engine.now
-        self._commit_start = now
         self._set_state(_COMMIT)
         self._c_tx_commit_attempts.value += 1
         if self._trace_on:
             self._trace.emit(
-                now, "tx.commit_request", proc=self.proc_id, site=tx.site,
+                self._engine.now, "tx.commit_request", proc=self.proc_id,
+                site=tx.site,
             )
         self._m.request_tid(self, self._epoch)
 
@@ -638,9 +605,6 @@ class Processor:
 
         self._c_tx_commits.value += 1
         self._c_proc_commits.value += 1
-        self._h_attempts_to_commit.record(tx.attempt)
-        self._h_tx_latency.record(now - self._tx_first_start)
-        self._h_commit_phase.record(now - self._commit_start)
         if self._trace_on:
             self._trace.emit(
                 now, "tx.commit", proc=self.proc_id, site=tx.site, tid=tx.tid,
@@ -778,7 +742,6 @@ class Processor:
             self._restart_event = None
         self.gated = True
         self._gated_by = {from_dir} if from_dir is not None else set()
-        self._gate_start = self._engine.now
         self._set_state(_GATED)
         self._c_gated.add()
         if self._trace_on:
@@ -792,13 +755,14 @@ class Processor:
         if not self.gated:
             self._c_redundant_on.add()
             return
-        now = self._engine.now
         self.gated = False
         self._gated_by.clear()
         self._c_wakeups.add()
-        self._h_gated_cycles.record(now - self._gate_start)
         if self._trace_on:
-            self._trace.emit(now, "gate.on", proc=self.proc_id, directory=directory)
+            self._trace.emit(
+                self._engine.now, "gate.on", proc=self.proc_id,
+                directory=directory,
+            )
         self._set_state(_RUN)
         # The paper's "Self Abort" happened (timing-equivalently) at
         # freeze; waking simply restarts the transaction.

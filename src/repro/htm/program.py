@@ -2,9 +2,8 @@
 
 A :class:`ThreadProgram` is the unit of work bound to one processor.
 Its :meth:`~ThreadProgram.generate` method receives a
-:class:`ThreadContext` (thread id, thread count, deterministic RNG,
-free-form parameters) and returns the generator of intents that the
-processor executes.
+:class:`ThreadContext` (thread id, thread count, deterministic RNG) and
+returns the generator of intents that the processor executes.
 
 Programs are written once per workload and instantiated per thread;
 see :mod:`repro.workloads` for the STAMP-equivalent kernels.
@@ -16,8 +15,8 @@ before its program starts; the machine runs it (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Generator
 
 from ..errors import WorkloadError
 
@@ -49,7 +48,6 @@ class ThreadContext:
     proc_id: int
     num_threads: int
     rng: np.random.Generator
-    params: dict[str, Any] = field(default_factory=dict)
 
 
 class ThreadProgram:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import enum
 from typing import Any
 
-import numpy as np
-
 from ..errors import CacheOverflowError
 
 __all__ = ["TxStatus", "TxState", "TxHandle", "STORE_FIFO_DEPTH"]
@@ -36,53 +34,20 @@ class TxStatus(enum.Enum):
 
 
 class TxHandle:
-    """What a transaction body may see: identity, attempt and RNG.
+    """What a transaction body may see: identity and attempt.
 
-    The RNG is seeded per *static transaction instance*, not per
-    attempt, so pure re-execution makes the same choices each attempt
-    (matching real re-execution of deterministic code).  Bodies that
-    want attempt-dependent behaviour can mix in :attr:`attempt`.
-
-    Construction is on the abort/retry hot path, so ``rng`` accepts
-    either an integer seed — the generator is then built lazily on
-    first access, and bodies that never draw randomness (all of the
-    bundled workloads) skip ``default_rng`` construction entirely — or
-    a ready-made :class:`numpy.random.Generator`.
+    A fresh handle is built for every attempt; bodies that want
+    attempt-dependent behaviour can read :attr:`attempt`.
     """
 
-    __slots__ = (
-        "proc_id", "num_threads", "site", "attempt",
-        "_rng_seed", "_rng", "_result",
-    )
+    __slots__ = ("proc_id", "num_threads", "site", "attempt", "_result")
 
-    def __init__(
-        self,
-        proc_id: int,
-        num_threads: int,
-        site: str,
-        attempt: int,
-        rng: "int | np.random.Generator",
-    ):
+    def __init__(self, proc_id: int, num_threads: int, site: str, attempt: int):
         self.proc_id = proc_id
         self.num_threads = num_threads
         self.site = site
         self.attempt = attempt
-        # Every attempt passes an int seed; test that before paying for
-        # numpy's isinstance check.
-        if type(rng) is not int and isinstance(rng, np.random.Generator):
-            self._rng_seed = None
-            self._rng: np.random.Generator | None = rng
-        else:
-            self._rng_seed = rng
-            self._rng = None
         self._result: Any = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        generator = self._rng
-        if generator is None:
-            generator = self._rng = np.random.default_rng(self._rng_seed)
-        return generator
 
     def set_result(self, value: Any) -> None:
         """Stash a value delivered to the program iff this attempt commits."""
@@ -157,19 +122,6 @@ class TxState:
             )
         self.writes[addr] = value
         self.write_lines.add(line)
-
-    def forwarded_value(self, addr: int) -> int | None:
-        """Store-to-load forwarding from the transaction's own buffer."""
-        return self.writes.get(addr)
-
-    def conflicts_with(self, lines) -> bool:
-        """Would an invalidation of ``lines`` abort this attempt?
-
-        Per the paper, only committed writes to *speculatively read*
-        lines abort; blind writes are merged at word granularity by the
-        store buffer and need no abort.
-        """
-        return not self.read_lines.isdisjoint(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

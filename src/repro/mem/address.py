@@ -6,6 +6,10 @@ Physical memory is interleaved across the directories at cache-line
 granularity: line ``l`` is homed at directory ``l mod num_dirs``, the
 standard DSM mapping the paper's Fig. 2 assumes (each directory "maps
 different segments of the physical memory").
+
+:class:`AddressMap` holds and validates that geometry.  The processor
+and the directories compute ``addr // line_bytes`` and
+``line % num_dirs`` inline on their per-access paths.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ __all__ = ["WORD_BYTES", "AddressMap"]
 
 @dataclass(frozen=True)
 class AddressMap:
-    """Pure address arithmetic for one machine configuration."""
+    """The address geometry of one machine configuration."""
 
     line_bytes: int
     num_dirs: int
@@ -48,36 +52,3 @@ class AddressMap:
         if addr % WORD_BYTES != 0:
             raise MemoryModelError(f"address {addr:#x} is not word-aligned")
         return addr
-
-    # -- conversions ---------------------------------------------------
-    def line_of(self, addr: int) -> int:
-        """Cache-line index containing byte address ``addr``."""
-        return addr // self.line_bytes
-
-    def line_base(self, line: int) -> int:
-        """Byte address of the first word of ``line``."""
-        return line * self.line_bytes
-
-    def words_of_line(self, line: int) -> range:
-        """Byte addresses of every word in ``line``."""
-        base = self.line_base(line)
-        return range(base, base + self.line_bytes, WORD_BYTES)
-
-    @property
-    def words_per_line(self) -> int:
-        return self.line_bytes // WORD_BYTES
-
-    # -- homing --------------------------------------------------------
-    def home_of_line(self, line: int) -> int:
-        """Directory id that owns ``line`` (line-interleaved)."""
-        return line % self.num_dirs
-
-    def home_of_addr(self, addr: int) -> int:
-        return self.home_of_line(self.line_of(addr))
-
-    def lines_by_home(self, lines) -> dict[int, list[int]]:
-        """Group an iterable of line ids by their home directory."""
-        grouped: dict[int, list[int]] = {}
-        for line in sorted(set(lines)):
-            grouped.setdefault(self.home_of_line(line), []).append(line)
-        return grouped

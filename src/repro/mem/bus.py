@@ -36,8 +36,6 @@ class Bus:
 
     def __init__(self, engine: Engine, config: BusConfig, stats: StatsRegistry):
         self._engine = engine
-        self._config = config
-        self._stats = stats
         self._busy_until = 0
         # Hot-path bindings: every message pays these, so the occupancy
         # constants and counter handles are resolved once.
@@ -56,7 +54,7 @@ class Bus:
     # Counter bumps are likewise inlined (.value +=, not .add()), and the
     # event tuple is pushed onto the engine's queue directly: the
     # arrival time is >= now by construction (depart >= now, occupancy
-    # and wire latency non-negative), so Engine.schedule_at's past-check
+    # and wire latency non-negative), so Engine.schedule's past-check
     # and the *args repack of a delegated call buy nothing here.
     def send_ctrl(
         self, fn: Callable[..., Any], *args: Any, _push=heappush
@@ -109,9 +107,3 @@ class Bus:
     def busy_until(self) -> int:
         """Cycle at which the bus next becomes free (for tests)."""
         return self._busy_until
-
-    def utilization(self, elapsed: int) -> float:
-        """Fraction of ``elapsed`` cycles the bus spent occupied."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self._stats.get("bus.busy_cycles") / elapsed)

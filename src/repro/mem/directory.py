@@ -74,9 +74,6 @@ class Directory:
         self._engine = engine
         self._bus = bus
         self._memory = memory
-        self._config = config
-        self._addr_map = addr_map
-        self._stats = stats
         self._trace = trace if trace is not None else NullTrace()
 
         #: line -> bitmask of processor ids holding (or believed to
@@ -108,10 +105,6 @@ class Directory:
             f"{self._prefix}.lines_committed"
         )
         self._c_aborts_caused = stats.counter(f"{self._prefix}.aborts_caused")
-        #: per-flush batch size distribution (manifest/obs satellite;
-        #: histograms are not serialized into results, so recording one
-        #: is byte-neutral for stores and goldens)
-        self._h_lines_per_flush = stats.histogram("dir.lines_per_flush")
 
     # ------------------------------------------------------------------
     # wiring
@@ -125,8 +118,7 @@ class Directory:
         """Forget all sharer/owner/commit state (machine-reset path).
 
         The attached machine and gating unit survive; the gating unit's
-        own table is reset by its owner.  Counter and histogram handles
-        stay bound.
+        own table is reset by its owner.  Counter handles stay bound.
         """
         self._sharers.clear()
         self._owner.clear()
@@ -155,8 +147,8 @@ class Directory:
         for line in lines:
             if line % num_dirs != dir_id:
                 raise ProtocolError(
-                    f"line {line} homed at dir "
-                    f"{self._addr_map.home_of_line(line)}, not {self.dir_id}"
+                    f"line {line} homed at dir {line % num_dirs}, "
+                    f"not {dir_id}"
                 )
 
     # ------------------------------------------------------------------
@@ -198,7 +190,7 @@ class Directory:
         start = busy if busy > now else now
         self._busy_until = done = start + self._latency
         # Pushed directly (see Bus.send_ctrl): ``done`` is >= now by
-        # construction, so Engine.schedule_at's past-check is redundant.
+        # construction, so Engine.schedule's past-check is redundant.
         seq = engine._seq
         engine._seq = seq + 1
         heappush(
@@ -258,7 +250,6 @@ class Directory:
         num_lines = len(lines)
         self._c_flushes.value += 1
         self._c_lines_committed.value += num_lines
-        self._h_lines_per_flush.record(num_lines)
 
         service = self._latency + num_lines * self._commit_line_cycles
         engine = self._engine
@@ -267,7 +258,7 @@ class Directory:
         start = busy if busy > now else now
         self._busy_until = done = start + service
         # Pushed directly (see Bus.send_ctrl): ``done`` is >= now by
-        # construction, so Engine.schedule_at's past-check is redundant.
+        # construction, so Engine.schedule's past-check is redundant.
         seq = engine._seq
         engine._seq = seq + 1
         heappush(

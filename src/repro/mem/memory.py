@@ -39,8 +39,6 @@ class MainMemory:
         record_versions: bool = False,
     ):
         self._engine = engine
-        self._config = config
-        self._stats = stats
         self._data: dict[int, int] = {}
         self._port_busy_until = 0
         self._size_bytes = config.size_bytes
@@ -144,7 +142,7 @@ class MainMemory:
         self._port_busy_until = start + self._port_occupancy
         done = start + self._latency
         # Pushed directly (see Bus.send_ctrl): ``done`` is >= now by
-        # construction, so Engine.schedule_at's past-check is redundant.
+        # construction, so Engine.schedule's past-check is redundant.
         seq = engine._seq
         engine._seq = seq + 1
         _push(engine._queue, (done, seq, fn, args or None))

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 __all__ = ["TxMetricsMixin", "DECLARED_METRICS"]
 
-#: The canonical catalog of every Counter/Histogram name the code may
-#: bump — simulator stats (``StatsRegistry.counter/histogram/bump``)
-#: and observability counters (``ObsRecorder.count``) alike.  Entries
+#: The canonical catalog of every counter name the code may bump —
+#: simulator stats (``StatsRegistry.counter``) and observability
+#: counters (``ObsRecorder.count``) alike.  Entries
 #: are ``fnmatch`` patterns: per-component dotted prefixes that are
 #: built with f-strings at wiring time (``f"{prefix}.cache.hits"``)
 #: appear here with the dynamic segment collapsed to ``*``, exactly how
@@ -40,9 +40,6 @@ DECLARED_METRICS: frozenset[str] = frozenset({
     "tx.aborts.total",      # event count: all aborts (pairs wasted_cycles)
     "tx.wasted_cycles",     # cycle sum: work invested in aborted attempts
     "tx.aborts_while_committing",  # event count: aborts past token grant
-    "tx.latency",           # histogram: attempt start -> commit
-    "tx.attempts_to_commit",  # histogram: attempts needed per commit
-    "tx.commit_phase",      # histogram: commit-phase duration
     # -- commit-token vendor (htm/token.py, htm/machine.py) ----------
     "vendor.tids_issued",   # event count: TIDs handed out
     "vendor.commits",       # event count: commit grants
@@ -55,8 +52,6 @@ DECLARED_METRICS: frozenset[str] = frozenset({
     "gating.redundant_on",  # event count: Turn-Ons for running procs
     "gating.renewals",      # event count: window renewals (all dirs)
     "gating.txinfo_requests",  # event count: TxInfoReq round-trips
-    "gating.gated_cycles",  # histogram: cycles spent gated per episode
-    "gating.window",        # histogram: Eq. 8 window lengths armed
     "*.aborts_recorded",    # dirN.gating: aborts logged at this directory
     "*.renewals",           # dirN.gating: window renewals here
     "*.turn_ons",           # dirN.gating: Turn-Ons sent from here
@@ -67,7 +62,6 @@ DECLARED_METRICS: frozenset[str] = frozenset({
     "bus.queue_cycles",     # cycle sum: waiting for the bus
     "memory.accesses",      # event count: DRAM accesses
     "memory.port_wait_cycles",  # cycle sum: port-contention waits
-    "dir.lines_per_flush",  # histogram: commit-flush batch sizes
     # -- per-processor / per-cache / per-directory prefixes ----------
     "*.cache.hits",         # procN.cache.hits
     "*.cache.misses",       # procN.cache.misses

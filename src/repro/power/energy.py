@@ -351,14 +351,14 @@ def compute_energy(
     window: tuple[int, int],
     model: PowerModel,
     gated_run: bool,
-    tolerance: float = 1e-6,
 ) -> EnergyBreakdown:
-    """Full accounting for one run, cross-checking both formulations."""
+    """Full accounting for one run, cross-checking both formulations
+    to a relative tolerance of 1e-6."""
     low = LOW_POWER_STATES_GATED if gated_run else LOW_POWER_STATES_UNGATED
     total, by_state = direct_energy(timelines, window, model)
     intervals = interval_breakdown(timelines, window, low)
     via_eq = energy_from_intervals(intervals, model, gated_run)
-    if abs(via_eq - total) > tolerance * max(1.0, abs(total)):
+    if abs(via_eq - total) > 1e-6 * max(1.0, abs(total)):
         raise SimulationError(
             f"energy accounting mismatch: direct={total!r} interval={via_eq!r}"
         )

@@ -86,36 +86,31 @@ class LoweredSuite:
 
 def lower_specs(
     specs: Sequence[ScenarioSpec],
-    power_model: PowerModel | None = None,
-    validate: bool = True,
     memo: dict[ScenarioSpec, RunJob] | None = None,
 ) -> LoweredSuite:
     """Lower already-expanded scenarios to jobs, in order (the result's
-    ``suite`` is None).
+    ``suite`` is None), under the paper's derived power model.
 
     ``memo`` maps scenario values to the jobs they lowered to; share one
-    dict across the suites of a pass (under one ``power_model`` and
-    ``validate``, which both enter the digest) and a scenario that
-    recurs is lowered and digested once.
+    dict across the suites of a pass and a scenario that recurs is
+    lowered and digested once.
     """
-    model = power_model if power_model is not None else PowerModel.derive()
+    model = PowerModel.derive()
     cache = memo if memo is not None else {}
     jobs: list[RunJob] = []
     for spec in specs:
         try:
             job = cache[spec]
         except KeyError:
-            job = cache[spec] = spec.to_job(power=model, validate=validate)
+            job = cache[spec] = spec.to_job(power=model)
         except TypeError:  # an unhashable override value (a list)
-            job = spec.to_job(power=model, validate=validate)
+            job = spec.to_job(power=model)
         jobs.append(job)
     return LoweredSuite(suite=None, specs=tuple(specs), jobs=tuple(jobs))
 
 
 def lower_suite(
     suite: ScenarioSuite,
-    power_model: PowerModel | None = None,
-    validate: bool = True,
     memo: dict[ScenarioSpec, RunJob] | None = None,
 ) -> LoweredSuite:
     """Expand *suite* (validating every scenario) and lower it to jobs.
@@ -124,7 +119,7 @@ def lower_suite(
     :func:`run_suite` and the figure builder; see :func:`lower_specs`
     for ``memo``.
     """
-    lowered = lower_specs(suite.expand(), power_model, validate, memo)
+    lowered = lower_specs(suite.expand(), memo)
     return replace(lowered, suite=suite)
 
 
@@ -214,14 +209,11 @@ class SuiteRun:
 
 
 def run_specs(
-    specs: Sequence[ScenarioSpec],
-    executor: Executor | None = None,
-    power_model: PowerModel | None = None,
-    validate: bool = True,
+    specs: Sequence[ScenarioSpec], executor: Executor | None = None
 ) -> list[ScenarioResult]:
     """Execute scenarios as one batch; results in submission order."""
     exe = executor if executor is not None else Executor()
-    lowered = lower_specs(specs, power_model, validate)
+    lowered = lower_specs(specs)
     results = exe.run(list(lowered.jobs))
     return [
         ScenarioResult(spec=spec, result=result)
@@ -230,16 +222,13 @@ def run_specs(
 
 
 def run_suite(
-    suite: ScenarioSuite,
-    executor: Executor | None = None,
-    power_model: PowerModel | None = None,
-    validate: bool = True,
+    suite: ScenarioSuite, executor: Executor | None = None
 ) -> SuiteRun:
     """Expand and execute a whole suite through one executor batch."""
     exe = executor if executor is not None else Executor()
     recorder = get_recorder()
     with recorder.span("suite.run", suite=suite.name) as span:
-        lowered = lower_suite(suite, power_model, validate)
+        lowered = lower_suite(suite)
         jobs = list(lowered.jobs)
         span.annotate(scenarios=len(jobs))
         if recorder.enabled and jobs:
@@ -338,27 +327,22 @@ class SuitePlan:
 
 
 def plan_suite(
-    suite: ScenarioSuite | LoweredSuite,
-    store: ResultStore | None = None,
-    power_model: PowerModel | None = None,
-    validate: bool = True,
+    suite: ScenarioSuite | LoweredSuite, store: ResultStore | None = None
 ) -> SuitePlan:
     """Walk a suite's expanded grid and report hit/miss per job digest.
 
     Nothing is simulated: the suite is lowered with :func:`lower_suite`
-    (unless it already was — ``power_model``/``validate`` are then the
-    lowering's) and the store is probed with ``in`` once per unique job
-    digest (which counts toward the store's session hit/miss statistics
-    — the documented accounting contract).  ``store=None`` plans against
-    an empty cache (everything a miss).
+    (unless it already was) and the store is probed with ``in`` once
+    per unique job digest (which counts toward the store's session
+    hit/miss statistics — the documented accounting contract).
+    ``store=None`` plans against an empty cache (everything a miss).
     """
     source = suite.suite if isinstance(suite, LoweredSuite) else suite
     if source is None:
         raise ExecutionError("plan_suite needs a suite, not a bare spec list")
     with get_recorder().span("suite.plan", suite=source.name) as span:
         lowered = (
-            suite if isinstance(suite, LoweredSuite)
-            else lower_suite(suite, power_model, validate)
+            suite if isinstance(suite, LoweredSuite) else lower_suite(suite)
         )
         entries = [
             PlanEntry(

@@ -54,6 +54,16 @@ _SHADOWED_KEYS = {
 #: SystemConfig fields holding nested config dataclasses
 _SECTIONS = ("cache", "bus", "directory", "memory", "commit", "gating")
 
+#: scalar config field annotation -> the JSON values it accepts (bool
+#: is excluded from int: ``true`` silently becoming ``1`` is a spec
+#: mistake, not a value)
+_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "bool": (bool,),
+    "str": (str,),
+}
+
 
 def _sorted_items(mapping: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
     if not mapping:
@@ -154,7 +164,7 @@ class ScenarioSpec:
         sections: dict[str, dict[str, Any]] = {}
         scalars: dict[str, Any] = {}
         for key, value in self.system:
-            self._check_system_key(key)
+            self._check_system_key(key, value)
             if "." in key:
                 section, attr = key.split(".", 1)
                 sections.setdefault(section, {})[attr] = value
@@ -174,13 +184,15 @@ class ScenarioSpec:
         return replace(base, **updates)
 
     @staticmethod
-    def _check_system_key(key: str) -> None:
+    def _check_system_key(key: str, value: Any) -> None:
+        """Check that ``key`` names a config field and ``value`` fits its
+        type, before the config's own range checks compare it."""
         if key in _SHADOWED_KEYS:
             raise WorkloadError(
                 f"system override {key!r} shadows the spec field "
                 f"{_SHADOWED_KEYS[key]!r}; set that field instead"
             )
-        top_fields = {f.name for f in fields(SystemConfig)}
+        top_fields = {f.name: f for f in fields(SystemConfig)}
         if "." in key:
             section, attr = key.split(".", 1)
             if section not in _SECTIONS or "." in attr:
@@ -188,37 +200,44 @@ class ScenarioSpec:
                     f"unknown system override {key!r}; sections: "
                     f"{', '.join(_SECTIONS)}"
                 )
-            section_type = type(getattr(SystemConfig(), section))
-            if attr not in {f.name for f in fields(section_type)}:
+            section_fields = {
+                f.name: f for f in fields(type(getattr(SystemConfig(), section)))
+            }
+            if attr not in section_fields:
                 raise WorkloadError(
                     f"unknown system override {key!r}; {section} fields: "
-                    f"{', '.join(f.name for f in fields(section_type))}"
+                    f"{', '.join(section_fields)}"
                 )
+            field = section_fields[attr]
         elif key in _SECTIONS:
             raise WorkloadError(
                 f"system override {key!r} names a whole config section; "
                 f"override individual fields as {key!r}.<field>"
             )
         elif key not in top_fields:
+            names = set(top_fields) - {"num_procs"} - set(_SECTIONS)
             raise WorkloadError(
                 f"unknown system override {key!r}; top-level fields: "
-                f"{', '.join(sorted(top_fields - {'num_procs'} - set(_SECTIONS)))}"
+                f"{', '.join(sorted(names))}"
+            )
+        else:
+            field = top_fields[key]
+        expected = _FIELD_TYPES[str(field.type)]
+        if not isinstance(value, expected) or (
+            isinstance(value, bool) and bool not in expected
+        ):
+            raise WorkloadError(
+                f"system override {key!r} expects {field.type}, got "
+                f"{type(value).__name__} ({value!r})"
             )
 
-    def to_job(
-        self,
-        power: PowerModel | None = None,
-        validate: bool = True,
-    ) -> "Any":
+    def to_job(self, power: PowerModel | None = None) -> "Any":
         """Lower to the :class:`~repro.exec.jobs.RunJob` the executor runs."""
         from ..exec.jobs import RunJob
 
         model = power if power is not None else PowerModel.derive()
         return RunJob(
-            spec=self.workload_spec(),
-            config=self.system_config(),
-            power=model,
-            validate=validate,
+            spec=self.workload_spec(), config=self.system_config(), power=model
         )
 
     # ------------------------------------------------------------------

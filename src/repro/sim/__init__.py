@@ -16,7 +16,6 @@ __all__ = [
     "StateTimeline",
     "Segment",
     "Counter",
-    "Histogram",
     "StatsRegistry",
     "spawn_rngs",
     "derive_seed",
@@ -28,7 +27,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".engine": ("Engine", "Event"),
     ".timeline": ("StateTimeline", "Segment"),
-    ".stats": ("Counter", "Histogram", "StatsRegistry"),
+    ".stats": ("Counter", "StatsRegistry"),
     ".rng": ("spawn_rngs", "derive_seed"),
     ".trace": ("TraceRecorder", "TraceEvent", "NullTrace"),
 })

@@ -31,15 +31,14 @@ Design notes
 * The engine never advances time backwards; scheduling in the past is a
   :class:`~repro.errors.SimulationError` (it would silently reorder
   causality).
-* ``run()`` drains the queue.  An optional ``until`` bound and a
-  ``max_events`` safety valve guard against runaway simulations; the
-  HTM layer installs a deadlock watchdog on top (see
-  :mod:`repro.htm.machine`).
+* ``run()`` drains the queue; ``step()`` executes one event, for the
+  HTM layer's ``max_cycles`` budget.  The HTM layer installs a
+  deadlock watchdog on top (see :mod:`repro.htm.machine`).
 
-The hottest senders (bus, memory port, directory service) push their
-tuples onto ``_queue`` directly with a sequence number taken from
-``_seq``: their times are at or after ``now`` by construction, so the
-past-check and call frame of :meth:`Engine.schedule_at` buy nothing
+The hottest senders (processors, bus, memory port, directory service)
+push their tuples onto ``_queue`` directly with a sequence number taken
+from ``_seq``: their times are at or after ``now`` by construction, so
+the past-check and call frame of :meth:`Engine.schedule` buy nothing
 there.  ``heappush``/``heappop`` are bound once at import and passed as
 default arguments into the hot methods, avoiding a global lookup per
 event.
@@ -93,20 +92,6 @@ class Engine:
         _push(self._queue, event)
         return event
 
-    def schedule_at(
-        self, time: int, fn: Callable[..., Any], *args: Any, _push=heappush
-    ) -> Event:
-        """Schedule ``fn(*args)`` at absolute cycle ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time}, current time is {self.now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = (time, seq, fn, args or None)
-        _push(self._queue, event)
-        return event
-
     def cancel(self, event: Event) -> None:
         """Discard ``event`` when it is popped, if it is still pending.
 
@@ -155,75 +140,34 @@ class Engine:
             return True
         return False
 
-    def run(
-        self,
-        until: int | None = None,
-        max_events: int | None = None,
-        _pop=heappop,
-    ) -> None:
+    def run(self, _pop=heappop) -> None:
         """Drain the event queue.
 
-        Parameters
-        ----------
-        until:
-            Stop once the next event lies strictly beyond this cycle
-            (the clock is left at the last executed event's time).
-        max_events:
-            Abort with :class:`SimulationError` after this many events —
-            a safety valve against protocol livelock bugs.
+        The dispatch loop is inlined (no per-event method call, no head
+        peeking); a callback may stop it by raising.
         """
         queue = self._queue
         cancelled = self._cancelled
-        if until is None and max_events is None:
-            # Unbounded drain: inline the dispatch loop (no per-event
-            # method call, no head peeking).
-            executed = 0
-            try:
-                while queue:
-                    time, seq, fn, args = _pop(queue)
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
-                    self.now = time
-                    executed += 1
-                    if args is None:
-                        fn()
-                    else:
-                        fn(*args)
-            finally:
-                self.events_executed += executed
-            return
-
         executed = 0
-        while queue:
-            # Drop cancelled heads without executing them.
-            head = queue[0]
-            if cancelled and head[1] in cancelled:
-                cancelled.discard(_pop(queue)[1])
-                continue
-            if until is not None and head[0] > until:
-                return
-            if not self.step():  # pragma: no cover - guarded by `while queue`
-                return
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted after {executed} events at "
-                    f"t={self.now}; possible livelock"
-                )
+        try:
+            while queue:
+                time, seq, fn, args = _pop(queue)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                self.now = time
+                executed += 1
+                if args is None:
+                    fn()
+                else:
+                    fn(*args)
+        finally:
+            self.events_executed += executed
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         # Every recorded cancellation names an event still in the queue.
         return len(self._queue) - len(self._cancelled)
-
-    def next_event_time(self) -> int | None:
-        """Time of the earliest live event, or ``None`` if drained."""
-        cancelled = self._cancelled
-        return min(
-            (event[0] for event in self._queue if event[1] not in cancelled),
-            default=None,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Engine t={self.now} pending={self.pending()}>"

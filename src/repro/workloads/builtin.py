@@ -3,9 +3,9 @@
 Each builder module (:mod:`~repro.workloads.genome`, ...) imports its
 scale table and :class:`~repro.workloads.schema.WorkloadSchema` from
 here.  Keeping them apart from the builders, which import NumPy and
-the program model, lets :mod:`~repro.workloads.registry` list,
-describe and validate every workload without importing a builder: a
-command that never builds a workload never loads one.
+the program model, lets :mod:`~repro.workloads.registry` list
+and validate every workload without importing a builder: a command
+that never builds a workload never loads one.
 """
 
 from __future__ import annotations
@@ -56,13 +56,10 @@ GENOME_SCHEMA = WorkloadSchema(
     doc="hash-set dedup + segment matching (moderate conflicts)",
     params=(
         Param("segments", "int",
-              scale_values={s: v[0] for s, v in GENOME_SCALES.items()},
               doc="segment stream length (with duplicates)"),
         Param("distinct_fraction", "float",
-              scale_values={s: v[1] for s, v in GENOME_SCALES.items()},
               doc="fraction of the stream that is distinct"),
         Param("probes", "int",
-              scale_values={s: v[2] for s, v in GENOME_SCALES.items()},
               doc="overlap-candidate lookups per match transaction"),
         Param("table_slack", "float", default=1.4,
               doc="hash-table slots per distinct segment"),
@@ -83,13 +80,10 @@ YADA_SCHEMA = WorkloadSchema(
     doc="cavity-expansion mesh refinement (long, loop-repeated conflicts)",
     params=(
         Param("elements", "int",
-              scale_values={s: v[0] for s, v in YADA_SCALES.items()},
               doc="mesh elements (rounded to a full square grid)"),
         Param("bad_fraction", "float",
-              scale_values={s: v[1] for s, v in YADA_SCALES.items()},
               doc="fraction of elements initially flagged bad"),
         Param("max_cavity", "int",
-              scale_values={s: v[2] for s, v in YADA_SCALES.items()},
               doc="cavity size cap (bounds read/write-set growth)"),
     ),
 )
@@ -108,13 +102,10 @@ INTRUDER_SCHEMA = WorkloadSchema(
     doc="shared packet queue + flow reassembly (short txs, high aborts)",
     params=(
         Param("packets", "int",
-              scale_values={s: v[0] for s, v in INTRUDER_SCALES.items()},
               doc="target packet count (fragments across all flows)"),
         Param("flows", "int",
-              scale_values={s: v[1] for s, v in INTRUDER_SCALES.items()},
               doc="number of flows to reassemble"),
         Param("detect_cycles", "int",
-              scale_values={s: v[2] for s, v in INTRUDER_SCALES.items()},
               doc="detector compute cycles per reassembled fragment"),
     ),
 )
@@ -133,13 +124,10 @@ KMEANS_SCHEMA = WorkloadSchema(
     doc="clustering; read-mostly centroid updates (low contention)",
     params=(
         Param("points", "int",
-              scale_values={s: v[0] for s, v in KMEANS_SCALES.items()},
               doc="data points to cluster"),
         Param("clusters", "int",
-              scale_values={s: v[1] for s, v in KMEANS_SCALES.items()},
               doc="centroid count k; fewer clusters = more contention"),
         Param("iterations", "int",
-              scale_values={s: v[2] for s, v in KMEANS_SCALES.items()},
               doc="Lloyd iterations (assign + update + reduce each)"),
     ),
 )
@@ -158,10 +146,8 @@ VACATION_SCHEMA = WorkloadSchema(
     doc="travel reservations; mixed-size transactions over shared tables",
     params=(
         Param("ops", "int",
-              scale_values={s: v[0] for s, v in VACATION_SCALES.items()},
               doc="client operations per thread"),
         Param("relations", "int",
-              scale_values={s: v[1] for s, v in VACATION_SCALES.items()},
               doc="items per relation table; fewer = hotter items"),
         Param("query_fraction", "float", default=0.5,
               doc="fraction of operations that are read-only queries"),
@@ -186,13 +172,10 @@ LABYRINTH_SCHEMA = WorkloadSchema(
     doc="grid routing; long transactions with large write sets",
     params=(
         Param("grid_side", "int",
-              scale_values={s: v[0] for s, v in LABYRINTH_SCALES.items()},
               doc="grid is side x side cells"),
         Param("paths_per_thread", "int",
-              scale_values={s: v[1] for s, v in LABYRINTH_SCALES.items()},
               doc="routes each thread must place"),
         Param("max_path_length", "int",
-              scale_values={s: v[2] for s, v in LABYRINTH_SCALES.items()},
               doc="cells (= cache lines) per route, drawn in [max/2, max]"),
     ),
 )
@@ -205,8 +188,7 @@ COUNTER_SCHEMA = WorkloadSchema(
     workload="counter",
     doc="shared-counter increments (maximum contention)",
     params=(
-        Param("increments", "int", scale_values=dict(MICRO_SCALES),
-              doc="increments per thread"),
+        Param("increments", "int", doc="increments per thread"),
         Param("work_cycles", "int", default=5,
               doc="compute cycles inside each increment transaction"),
     ),
@@ -218,8 +200,7 @@ BANK_SCHEMA = WorkloadSchema(
     params=(
         Param("accounts", "int", default=32,
               doc="ledger size; fewer accounts = more conflicts"),
-        Param("transfers", "int", scale_values=dict(MICRO_SCALES),
-              doc="transfers per thread"),
+        Param("transfers", "int", doc="transfers per thread"),
         Param("initial_balance", "int", default=1000,
               doc="starting balance per account"),
     ),
@@ -229,8 +210,7 @@ ARRAY_WALK_SCHEMA = WorkloadSchema(
     workload="array_walk",
     doc="disjoint per-thread updates (zero-conflict control)",
     params=(
-        Param("updates", "int", scale_values=dict(MICRO_SCALES),
-              doc="updates per thread"),
+        Param("updates", "int", doc="updates per thread"),
         Param("slots_per_thread", "int", default=16,
               doc="private slots each thread cycles through"),
     ),
@@ -240,8 +220,7 @@ LLIST_SCHEMA = WorkloadSchema(
     workload="llist",
     doc="sorted linked-list inserts (large read-sets, head hot-spot)",
     params=(
-        Param("inserts", "int", scale_values=dict(MICRO_SCALES),
-              doc="inserts per thread"),
+        Param("inserts", "int", doc="inserts per thread"),
         Param("key_space", "int", default=10_000,
               doc="key range; smaller = denser collisions"),
     ),

@@ -7,7 +7,7 @@ maps names to builder functions.  Builders accept
 
 Every registration carries a :class:`~repro.workloads.schema.WorkloadSchema`
 describing the builder's override parameters (names, scalar types,
-fixed or per-scale defaults).  :func:`build_workload` validates
+fixed defaults).  :func:`build_workload` validates
 overrides against the schema *before* calling the builder, so an
 unknown or mistyped parameter raises :class:`~repro.errors.WorkloadError`
 listing the valid parameters — which is what lets the scenario layer

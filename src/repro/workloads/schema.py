@@ -2,7 +2,7 @@
 
 Every registered workload carries a :class:`WorkloadSchema`: the set of
 override parameters its builder accepts, each with a scalar type, a
-default (fixed or per-scale), and a one-line description.  Schemas are
+fixed default (when the builder has one), and a one-line description.  Schemas are
 what make workload specs *data*: the scenario layer
 (:mod:`repro.scenarios`) validates a spec's parameter overrides against
 the schema before any simulation runs, so a suite of hundreds of runs
@@ -45,16 +45,13 @@ def _is_valid(kind: str, value: Any) -> bool:
 class Param:
     """One override parameter of a workload builder.
 
-    ``default`` is the builder's fixed default; ``scale_values`` maps
-    scale names to the value the builder derives when the parameter is
-    not overridden (for parameters whose default comes from the scale
-    table).  Exactly one of the two is normally set.
+    ``default`` is the builder's fixed default; it is None for a
+    parameter whose default comes from the workload's scale table.
     """
 
     name: str
     kind: str = "int"
     default: Any = None
-    scale_values: Mapping[str, Any] | None = None
     doc: str = ""
 
     def __post_init__(self) -> None:
@@ -74,12 +71,6 @@ class Param:
                 f"got {type(value).__name__} ({value!r})"
             )
         return value
-
-    def default_for(self, scale: str) -> Any:
-        """The effective default at ``scale`` (None when unknown)."""
-        if self.scale_values is not None and scale in self.scale_values:
-            return self.scale_values[scale]
-        return self.default
 
 
 @dataclass(frozen=True)
@@ -138,22 +129,6 @@ class WorkloadSchema:
             )
             for key, value in overrides.items()
         }
-
-    def defaults(self, scale: str) -> dict[str, Any]:
-        """Effective parameter values at ``scale`` with no overrides."""
-        return {p.name: p.default_for(scale) for p in self.params}
-
-    def describe(self) -> str:
-        lines = [f"{self.workload}: {self.doc}".rstrip().rstrip(":")]
-        for p in self.params:
-            default = (
-                f"per-scale {dict(p.scale_values)}"
-                if p.scale_values is not None
-                else f"default {p.default!r}"
-            )
-            lines.append(f"  {p.name} ({p.kind}, {default})"
-                         + (f" — {p.doc}" if p.doc else ""))
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     @classmethod

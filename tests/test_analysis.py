@@ -87,14 +87,14 @@ class TestConflictStats:
         _, trace = traced_run
         stats = conflict_stats(trace)
         assert stats.hottest_site == "counter.inc"
-        assert stats.hottest_pair is not None
+        assert stats.pair_counts
 
     def test_empty_stats(self, quiet_run):
         _, trace = quiet_run
         stats = conflict_stats(trace)
         assert stats.total_aborts == 0
         assert stats.hottest_site is None
-        assert stats.hottest_pair is None
+        assert stats.pair_counts == {}
         assert stats.reciprocity() == 0.0
 
 
@@ -590,7 +590,7 @@ class TestObsAndGatingRules:
             def wire(stats, prefix):
                 a = stats.counter("tx.commits")
                 b = stats.counter(f"{prefix}.fills")
-                c = stats.histogram("gating.window")
+                c = stats.counter("gating.gated")
                 return a, b, c
             """,
             module="htm/example.py",
@@ -659,11 +659,11 @@ class TestObsAndGatingRules:
     def test_obs304_matches_fstring_prefix_bumps(self, tmp_path):
         path = self._metrics_fixture(
             tmp_path,
-            ["*.fills", "gating.window"],
+            ["*.fills", "gating.gated"],
             """\
             def wire(stats, prefix):
                 a = stats.counter(f"{prefix}.fills")
-                b = stats.histogram("gating.window")
+                b = stats.counter("gating.gated")
                 return a, b
             """,
         )

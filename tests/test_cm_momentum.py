@@ -12,6 +12,7 @@ from repro.cm.registry import create_cm
 from repro.config import GatingConfig, SystemConfig
 from repro.errors import ConfigError
 from repro.harness.runner import run_workload, workload
+from repro.sim.trace import TraceRecorder
 
 
 class TestMomentumWindows:
@@ -87,10 +88,11 @@ class TestMomentumEndToEnd:
                 gating=GatingConfig(enabled=True, w0=8,
                                     contention_manager=cm_name),
             )
-            result = run_workload(
-                workload("yada", scale="tiny", seed=6), config
+            trace = TraceRecorder(kinds=("gate.record", "gate.renew"))
+            run_workload(
+                workload("yada", scale="tiny", seed=6), config, trace=trace
             )
-            hist = result.machine_result.stats.histograms().get("gating.window")
-            results[cm_name] = hist.mean if hist is not None else 0.0
+            windows = [event.window for event in trace]
+            results[cm_name] = sum(windows) / len(windows) if windows else 0.0
         if results["gating-aware"] and results["momentum"]:
             assert results["momentum"] > results["gating-aware"]

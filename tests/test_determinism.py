@@ -14,6 +14,9 @@ Two layers of regression protection:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,3 +203,57 @@ def test_smoke_suite_store_jsonl_byte_identical(tmp_path):
         {json.loads(r)["digest"] for r in log} for log in logs
     ]
     assert digests[0] == digests[1] and len(digests[0]) == 3
+
+
+# ----------------------------------------------------------------------
+# interpreter shape: results do not depend on the string hash seed
+# ----------------------------------------------------------------------
+#: runs the smoke and flush golden grids, printing digest -> result
+_GOLDEN_GRIDS_PROBE = """
+import json
+from repro.exec.executor import Executor
+from repro.exec.serialize import result_to_dict
+from repro.scenarios.builtin import get_suite
+from repro.scenarios.runner import run_specs
+from repro.scenarios.spec import ScenarioSpec
+
+specs = list(get_suite("smoke", scale="tiny", seed=0).expand()) + [
+    ScenarioSpec(workload=w, scale="tiny", threads=16, seed=0, gating=g)
+    for w in ("yada", "labyrinth")
+    for g in (False, True)
+]
+print(json.dumps({
+    entry.spec.to_job().digest: result_to_dict(entry.result)
+    for entry in run_specs(specs, executor=Executor(jobs=1))
+}))
+"""
+
+
+def test_goldens_hold_under_another_hash_seed():
+    """Set iteration order follows ``PYTHONHASHSEED`` for strings; no
+    simulated number may.  Re-run both golden grids in a fresh
+    interpreter under a fixed non-default seed and compare each result
+    with the committed capture."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_GRIDS_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    fresh = json.loads(probe.stdout)
+    for path, added in (
+        (GOLDEN_PATH, COUNTERS_ADDED_SINCE_GOLDEN),
+        (FLUSH_GOLDEN_PATH, FLUSH_COUNTERS_ADDED_SINCE_GOLDEN),
+    ):
+        for entry in json.loads(path.read_text())["entries"]:
+            result = dict(fresh.pop(entry["digest"]))
+            counters = {k: v for k, v in result.pop("counters").items()
+                        if k not in added}
+            golden = dict(entry["result"])
+            assert counters == golden.pop("counters"), entry["digest"][:12]
+            assert result == golden, entry["digest"][:12]
+    assert fresh == {}, "jobs outside the goldens"
+

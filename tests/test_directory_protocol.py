@@ -31,14 +31,20 @@ def run_programs(program_fns, gating=False, seed=0, trace=None, num_dirs=None):
     return machine, machine.run()
 
 
+def line_and_home(machine, addr):
+    """The line holding ``addr`` and its home directory, computed the
+    way the processor and directories do (line-interleaved homes)."""
+    line = addr // machine.addr_map.line_bytes
+    return line, machine.dir(line % machine.addr_map.num_dirs)
+
+
 class TestSharerTracking:
     def test_fill_registers_sharer(self):
         def program(ctx):
             yield Load(HOT)
 
         machine, _ = run_programs([program])
-        line = machine.addr_map.line_of(HOT)
-        home = machine.dir(machine.addr_map.home_of_line(line))
+        line, home = line_and_home(machine, HOT)
         assert 0 in home.sharers_of(line)
 
     def test_commit_rehomes_ownership(self):
@@ -49,8 +55,7 @@ class TestSharerTracking:
             yield TxOp(body, site="w")
 
         machine, _ = run_programs([program])
-        line = machine.addr_map.line_of(HOT)
-        home = machine.dir(machine.addr_map.home_of_line(line))
+        line, home = line_and_home(machine, HOT)
         assert home.owner_of(line) == 0
         assert home.sharers_of(line) == frozenset({0})
 
@@ -68,8 +73,7 @@ class TestSharerTracking:
             yield TxOp(body, site="w")
 
         machine, _ = run_programs([reader, writer])
-        line = machine.addr_map.line_of(HOT)
-        home = machine.dir(machine.addr_map.home_of_line(line))
+        line, home = line_and_home(machine, HOT)
         assert home.sharers_of(line) == frozenset({1})
         assert not machine.proc(0).cache.contains(line)
 
@@ -173,7 +177,7 @@ class TestMultiDirectoryCommit:
         for i, addr in enumerate(addrs):
             assert machine.memory.read_word(addr) == i + 1
         # homes really differ
-        homes = {machine.addr_map.home_of_addr(a) for a in addrs}
+        homes = {line_and_home(machine, a)[1].dir_id for a in addrs}
         assert len(homes) == 4
 
     def test_futile_spin_abort_while_committing(self):

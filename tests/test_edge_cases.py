@@ -83,7 +83,7 @@ class TestTinyCache:
         from repro.harness.validation import check_serializability
 
         check_serializability({}, result, machine.memory.version_log)
-        assert result.stats.get("proc0.cache.evictions") > 0
+        assert result.counters().get("proc0.cache.evictions", 0) > 0
 
 
 class TestStaleMessages:

@@ -256,15 +256,6 @@ class TestResultStore:
         # tombstone survives a reload of the same directory
         assert tiny_job().digest in ResultStore(tmp_path)
 
-    def test_refresh_skips_reads_but_writes(self, tmp_path):
-        job = tiny_job()
-        store = ResultStore(tmp_path)
-        Executor(store=store).run([job])
-        exe = Executor(store=store, refresh=True)
-        exe.run([job])
-        assert exe.last_report.executed == 1
-        assert len(store) == 1
-
     def test_corrupt_and_foreign_schema_lines_skipped(self, tmp_path):
         job = tiny_job()
         store = ResultStore(tmp_path)

@@ -213,7 +213,7 @@ class TestIncrementalBuild:
                 w0_values=(2, 4),
             ),
         )
-        (status,) = grown.status(names=["table2"])
+        (status,), _misses, _total = grown.overview(names=["table2"])
         assert status.artifact == "stale"
         report = grown.build(names=["table2"])
         assert report.artifacts[0].status == "rebuilt"
@@ -495,10 +495,10 @@ class TestReviewRegressions:
         # per-figure miss counts overlap (fig4/5/6/headline share the
         # eval suite; fig7 shares jobs with it) — the aggregate must
         # match what a build would actually simulate
-        misses, total = builder.residual_jobs()
+        _statuses, misses, total = builder.overview()
         assert (misses, total) == (3, 3)
         assert builder.build().executed == 3
-        assert builder.residual_jobs() == (0, 3)
+        assert builder.overview()[1:] == (0, 3)
 
     def test_cli_status_reports_unique_residuals(self, capsys, tmp_path):
         from repro.cli import main

@@ -23,6 +23,7 @@ from repro.harness.runner import run_workload, workload
 from repro.power.energy import compute_energy
 from repro.power.model import PowerModel, PowerModelParams
 from repro.power.states import ProcState
+from repro.sim.trace import TraceRecorder
 
 pytestmark = pytest.mark.integration
 
@@ -220,15 +221,17 @@ class TestAblations:
         windows = {}
         for app in ("yada", "intruder"):
             for policy in ("gating-aware", "momentum"):
+                trace = TraceRecorder(kinds=("gate.record", "gate.renew"))
                 result = run_workload(
                     workload(app, scale="small", seed=SEED),
                     self.CONFIG.with_gating(True, contention_manager=policy),
+                    trace=trace,
                 )
                 assert result.commits > 0
-                hist = result.machine_result.stats.histograms().get(
-                    "gating.window"
+                armed = [event.window for event in trace]
+                windows[(app, policy)] = (
+                    sum(armed) / len(armed) if armed else 0.0
                 )
-                windows[(app, policy)] = hist.mean if hist else 0.0
         assert windows[("yada", "momentum")] > windows[("yada", "gating-aware")]
 
     def test_renewal_cuts_aborts(self, executor, monkeypatch):

@@ -123,14 +123,10 @@ class TestStatsRegistryReset:
     def test_reset_zeroes_but_keeps_handles(self):
         stats = StatsRegistry()
         c = stats.counter("tx.commits")
-        h = stats.histogram("tx.latency")
         c.add(7)
-        h.record(3)
         stats.reset()
         assert stats.counter("tx.commits") is c
-        assert stats.histogram("tx.latency") is h
         assert stats.counters() == {}
-        assert h.count == 0
 
     def test_counters_after_reset_match_fresh(self):
         stats = StatsRegistry()

@@ -1,11 +1,15 @@
-"""Address arithmetic and directory homing."""
+"""Address geometry, the processor's line math and directory homing."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import MemoryModelError
+from repro.config import GatingConfig, SystemConfig
+from repro.errors import MemoryModelError, ProtocolError
+from repro.htm.machine import Machine
+from repro.htm.ops import Load, Store, TxOp
+from repro.htm.program import ThreadProgram
 from repro.mem.address import WORD_BYTES, AddressMap
 
 
@@ -39,41 +43,92 @@ class TestValidation:
             AddressMap(line_bytes=64, num_dirs=4, memory_bytes=32)
 
 
+def one_processor(program, num_dirs):
+    config = SystemConfig(
+        num_procs=1, num_dirs=num_dirs, gating=GatingConfig(enabled=False)
+    )
+    return Machine(config, [ThreadProgram(program)])
+
+
+def run_loads(addrs, num_dirs=4):
+    """One processor loading ``addrs`` in order on a ``num_dirs`` machine."""
+
+    def program(ctx):
+        for addr in addrs:
+            yield Load(addr)
+
+    machine = one_processor(program, num_dirs)
+    return machine, machine.run()
+
+
+def commit_flushes(lines, num_dirs):
+    """One transaction writing one word of each of ``lines``: the
+    ``(directory, lines)`` flush requests its commit sends."""
+
+    def program(ctx):
+        def body(tx):
+            for line in lines:
+                yield Store(line * 64, 1)
+
+        yield TxOp(body, site="w")
+
+    machine = one_processor(program, num_dirs)
+    flushes = []
+    for directory in machine.dirs:
+        def record(proc, tid, flushed, *rest, _home=directory.dir_id,
+                   _receive=directory.receive_flush_request):
+            flushes.append((_home, flushed))
+            _receive(proc, tid, flushed, *rest)
+
+        directory.receive_flush_request = record
+    machine.run()
+    return flushes
+
+
+def homes_accepting(machine, line):
+    """Ids of the directories whose home check accepts ``line``."""
+    homes = []
+    for directory in machine.dirs:
+        try:
+            directory._check_home((line,))
+        except ProtocolError:
+            continue
+        homes.append(directory.dir_id)
+    return homes
+
+
 class TestLineMath:
     def test_line_of(self):
-        amap = make_map()
-        assert amap.line_of(0) == 0
-        assert amap.line_of(63) == 0
-        assert amap.line_of(64) == 1
-        assert amap.line_of(6400) == 100
-
-    def test_line_base_roundtrip(self):
-        amap = make_map()
-        assert amap.line_base(5) == 320
-        assert amap.line_of(amap.line_base(5)) == 5
-
-    def test_words_of_line(self):
-        amap = make_map()
-        words = list(amap.words_of_line(2))
-        assert len(words) == 8
-        assert words[0] == 128
-        assert words[-1] == 128 + 56
-        assert amap.words_per_line == 8
+        """The processor caches the line ``addr // line_bytes``: 0 and 56
+        share line 0, 64 starts line 1 and 6400 is line 100."""
+        machine, result = run_loads([0, 56, 64, 6400])
+        cache = machine.proc(0).cache
+        assert all(cache.contains(line) for line in (0, 1, 100))
+        counters = result.counters()
+        assert counters["proc0.cache.misses"] == 3
+        assert counters["proc0.cache.hits"] == 1
 
 
 class TestHoming:
+    def test_lines_by_home_groups_and_sorts(self):
+        """A commit sends one flush per home directory, in directory
+        order, each carrying its lines sorted."""
+        assert commit_flushes([5, 2, 4, 3, 2], num_dirs=2) == [
+            (0, (2, 4)), (1, (3, 5))
+        ]
+
     def test_interleaving(self):
-        amap = make_map(num_dirs=4)
-        assert [amap.home_of_line(i) for i in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
+        machine, _ = run_loads([], num_dirs=4)
+        assert [homes_accepting(machine, line) for line in range(8)] == [
+            [0], [1], [2], [3], [0], [1], [2], [3]
+        ]
 
     def test_home_of_addr(self):
-        amap = make_map(num_dirs=4)
-        assert amap.home_of_addr(64 * 5) == 1
-
-    def test_lines_by_home_groups_and_sorts(self):
-        amap = make_map(num_dirs=2)
-        grouped = amap.lines_by_home([5, 2, 4, 3, 2])
-        assert grouped == {0: [2, 4], 1: [3, 5]}
+        """A miss on ``64 * 5`` registers the sharer at directory 1."""
+        machine, _ = run_loads([64 * 5], num_dirs=4)
+        assert [d.sharers_of(5) for d in machine.dirs] == [
+            frozenset(), frozenset({0}), frozenset(), frozenset()
+        ]
 
 
 @given(
@@ -83,23 +138,20 @@ class TestHoming:
     num_dirs=st.integers(min_value=1, max_value=32),
 )
 def test_every_word_has_exactly_one_home(addr, num_dirs):
-    amap = make_map(num_dirs=num_dirs)
-    line = amap.line_of(addr)
-    home = amap.home_of_line(line)
-    assert 0 <= home < num_dirs
-    assert amap.home_of_addr(addr) == home
+    machine, _ = run_loads([], num_dirs=num_dirs)
+    line = addr // 64
+    (home,) = homes_accepting(machine, line)
     # all words of the line share the home
-    for word in amap.words_of_line(line):
-        assert amap.home_of_addr(word) == home
+    for word in range(line * 64, line * 64 + 64, WORD_BYTES):
+        assert homes_accepting(machine, word // 64) == [home]
 
 
-@given(st.lists(st.integers(0, 10_000), max_size=60), st.integers(1, 16))
+@given(st.lists(st.integers(0, 1023), max_size=60), st.integers(1, 16))
 def test_lines_by_home_is_a_partition(lines, num_dirs):
-    amap = make_map(num_dirs=num_dirs)
-    grouped = amap.lines_by_home(lines)
-    flattened = [line for group in grouped.values() for line in group]
+    flushes = commit_flushes(lines, num_dirs)
+    flattened = [line for _home, group in flushes for line in group]
     assert sorted(flattened) == sorted(set(lines))
-    for home, group in grouped.items():
-        assert group == sorted(group)
+    for home, group in flushes:
+        assert list(group) == sorted(group)
         for line in group:
-            assert amap.home_of_line(line) == home
+            assert line % num_dirs == home

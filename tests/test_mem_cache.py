@@ -75,7 +75,7 @@ class TestReplacement:
         victim = cache.fill(16)
         assert victim in (0, 8)  # allowed: conflict detection survives
         stats = cache._stats  # noqa: SLF001 - test introspection
-        assert stats.get("proc0.cache.spec_evictions") == 1
+        assert stats.counters()["proc0.cache.spec_evictions"] == 1
 
 
 class TestSpeculativeBits:
@@ -175,10 +175,10 @@ class TestInvalidation:
         for line in (1, 2, 9):
             cache.fill(line)
         assert cache.invalidate_lines((1, 3, 9, 1, 17)) == 2  # 3, 17 absent
-        assert cache._stats.get("proc0.cache.invalidations") == 2
+        assert cache._stats.counters()["proc0.cache.invalidations"] == 2
         assert sorted(cache.resident_lines()) == [2]
         assert cache.invalidate_lines(()) == 0
-        assert cache._stats.get("proc0.cache.invalidations") == 2
+        assert cache._stats.counters()["proc0.cache.invalidations"] == 2
 
 
 class TestLazySets:

@@ -79,7 +79,6 @@ class TestSerializabilityUnderBothModes:
         result = run_workload(
             build_workload(name, 4, scale="tiny", seed=13),
             config,
-            validate=True,
             check_serial=True,
         )
         assert result.commits > 0

@@ -103,6 +103,57 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError):
             scenario("counter", system={"memory.latency": -5})
 
+    def test_mistyped_system_override_rejected(self):
+        """A value the config field cannot hold fails as a WorkloadError
+        naming the key and the type, before the config's range checks
+        compare it with a number."""
+        for system, message in (
+            ({"cache.ways": "two"}, r"'cache\.ways' expects int, got str"),
+            ({"memory.latency": True}, r"'memory\.latency' expects int, got bool"),
+            ({"bus.occupancy": None}, r"'bus\.occupancy' expects int, got NoneType"),
+            ({"num_dirs": 2.0}, r"'num_dirs' expects int \| None, got float"),
+            ({"max_cycles": False}, r"'max_cycles' expects int \| None, got bool"),
+        ):
+            with pytest.raises(WorkloadError, match=message):
+                scenario("counter", system=system)
+
+    def test_mistyped_system_override_in_a_suite_file(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({
+            "base": {"workload": "counter", "system": {"cache.ways": "two"}},
+            "axes": [],
+        }))
+        with pytest.raises(WorkloadError, match="'cache.ways' expects int"):
+            main(["suite", "describe", "--file", str(path)])
+
+    def test_null_system_override_only_where_the_default_is_none(self):
+        spec = scenario("counter", system={
+            "num_dirs": None, "max_cycles": None,
+            "gating.or_circuit_cycles": None,
+        })
+        assert spec.system_config() == scenario("counter").system_config()
+
+    def test_every_config_field_accepts_its_default(self):
+        """The override type check knows every field of every section."""
+        from dataclasses import fields
+
+        from repro.scenarios.spec import _SECTIONS, _SHADOWED_KEYS
+
+        config = SystemConfig()
+        keys = {
+            f.name: getattr(config, f.name)
+            for f in fields(SystemConfig) if f.name not in _SECTIONS
+        }
+        for section in _SECTIONS:
+            part = getattr(config, section)
+            keys.update({f"{section}.{f.name}": getattr(part, f.name)
+                         for f in fields(part)})
+        for key, default in keys.items():
+            if key not in _SHADOWED_KEYS:
+                scenario("counter", system={key: default})
+
     def test_mistyped_first_class_fields_rejected(self):
         with pytest.raises(WorkloadError, match="expects an integer"):
             ScenarioSpec.from_dict({"workload": "counter", "threads": "4"})

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.sim.rng import derive_seed, spawn_rngs
-from repro.sim.stats import Counter, Histogram, StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 from repro.sim.trace import NullTrace, TraceRecorder
 
 
@@ -21,69 +17,21 @@ class TestCounter:
         assert c.value == 6
 
 
-class TestHistogram:
-    def test_moments(self):
-        h = Histogram("lat")
-        h.record_many([2, 4, 6])
-        assert h.count == 3
-        assert h.total == 12
-        assert h.mean == 4.0
-        assert h.min == 2
-        assert h.max == 6
-        assert math.isclose(h.variance, 8.0 / 3.0)
-        assert math.isclose(h.stddev, math.sqrt(8.0 / 3.0))
-
-    def test_empty(self):
-        h = Histogram("empty")
-        assert h.mean == 0.0
-        assert h.variance == 0.0
-        assert h.min is None
-
-    def test_single_sample_variance(self):
-        h = Histogram("one")
-        h.record(10)
-        assert h.variance == 0.0
-
-    def test_buckets_are_log2(self):
-        h = Histogram("b")
-        h.record_many([0, 1, 2, 3, 4, 8, 1000])
-        # bit_length buckets: 0->0, 1->1, 2,3->2, 4->3, 8->4, 1000->10
-        assert h.buckets == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1, 10: 1}
-
-    @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=100))
-    def test_moments_match_numpy(self, values):
-        h = Histogram("prop")
-        h.record_many(values)
-        assert h.count == len(values)
-        assert math.isclose(h.mean, float(np.mean(values)), rel_tol=1e-9)
-        assert math.isclose(
-            h.variance, float(np.var(values)), rel_tol=1e-6, abs_tol=1e-6
-        )
-
-
 class TestStatsRegistry:
     def test_counter_reuse(self):
         reg = StatsRegistry()
-        reg.bump("a.b")
-        reg.bump("a.b", 2)
-        assert reg.get("a.b") == 3
-        assert reg.get("missing") == 0
-        assert reg.get("missing", 9) == 9
+        handle = reg.counter("a.b")
+        handle.add()
+        reg.counter("a.b").add(2)
+        assert reg.counter("a.b") is handle
+        reg.counter("missing")  # registered, never bumped
+        assert reg.counters() == {"a.b": 3}
 
     def test_counters_sorted(self):
         reg = StatsRegistry()
-        reg.bump("z")
-        reg.bump("a")
+        reg.counter("z").add()
+        reg.counter("a").add()
         assert list(reg.counters()) == ["a", "z"]
-
-    def test_as_dict_includes_histograms(self):
-        reg = StatsRegistry()
-        reg.bump("n", 2)
-        reg.histogram("h").record(5)
-        d = reg.as_dict()
-        assert d["n"] == 2
-        assert d["h.count"] == 1
-        assert d["h.mean"] == 5.0
 
 
 class TestRng:

@@ -200,11 +200,6 @@ class TestCaptureChecks:
         with pytest.raises(SimulationError, match="gating table"):
             machine._capture_warm("counter.warm")
 
-    def test_histogram_sampled(self, machine):
-        machine.stats.histogram("tx.latency").record(7)
-        with pytest.raises(SimulationError, match="histogram"):
-            machine._capture_warm("counter.warm")
-
 
 @pytest.mark.parametrize("name", BUILTIN)
 def test_builtin_programs_hold_no_warm_up(name):
