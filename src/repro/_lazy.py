@@ -8,7 +8,7 @@ defines each public name and imports it on the first attribute access::
 
     __getattr__, __dir__ = lazy_exports(globals(), {
         ".engine": ("Engine", "Event"),
-        ".rng": ("derive_seed", "spawn_rngs"),
+        ".rng": ("derive_seed",),
     })
 
 ``from repro.sim import Engine``, ``repro.sim.Engine`` and ``from

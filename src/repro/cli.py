@@ -39,6 +39,16 @@ Execution control (``compare``, ``suite run``)
                    under D (``REPRO_OBS=1`` enables it by environment)
 ``--profile``      wrap each executed job in cProfile and merge the
                    hot spots into the run manifest
+
+Exit status
+-----------
+0 on success; 1 when the command ran but did not succeed (a batch's
+failed jobs are each listed); 2 for bad input — argparse's usage
+errors, and any
+:class:`~repro.errors.ReproError` (an unknown name, an out-of-range
+value, a missing file), printed as one ``repro: error:`` line.  A
+:class:`~repro.errors.SimulationError` is a simulator bug, not bad
+input: it keeps its traceback.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from typing import Sequence
 
 from .cm.registry import available_cms
 from .config import GatingConfig, SystemConfig
+from .errors import ReproError, SimulationError
 from .exec.executor import BatchExecutionError, Executor
 from .exec.progress import ConsoleProgress
 from .exec.store import ResultStore
@@ -971,6 +982,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BatchExecutionError as exc:
         _print_failures(exc)
         return 1
+    except SimulationError:
+        raise
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if obs_mode is not None:
             from . import obs

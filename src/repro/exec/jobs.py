@@ -290,7 +290,9 @@ def execute_pack(
     seed-invariant workload preparation is cached across the family.
     Per-member exceptions are caught so one bad seed cannot take down
     the rest of the family; a failure also drops the cached machine
-    (it may be mid-run), so the next member rebuilds from scratch.
+    (it may be mid-run), so the next member rebuilds from scratch.  The
+    machine is closed when the pack ends, so a pool worker carries no
+    dead machine between packs.
     """
     from ..harness.runner import RunReuse  # lazy: loads the simulator
 
@@ -324,6 +326,8 @@ def execute_pack(
                     profile_rows=rows,
                 )
             )
+    if reuse is not None:
+        reuse.discard_machine()
     stats = PackStats(
         reset_reuses=reuse.machine_resets if reuse is not None else 0,
         shared_prep_hits=reuse.prep_hits if reuse is not None else 0,

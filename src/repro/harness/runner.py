@@ -91,7 +91,11 @@ class RunReuse:
         self.prep_hits = 0
 
     def discard_machine(self) -> None:
-        """Drop the cached machine (a failed run leaves it mid-state)."""
+        """Close and drop the cached machine (a failed run leaves it
+        mid-state; a new topology or a finished pack has no use for
+        it)."""
+        if self._machine is not None:
+            self._machine.close()
         self._machine = None
         self._machine_key = None
 
@@ -182,17 +186,22 @@ def run_workload(
             warm=instance.warm,
         )
         if reuse is not None and trace is None:
-            reuse._machine = machine
-            reuse._machine_key = (replace(config, seed=0), check_serial)
-    mresult = machine.run()
-
-    window = (mresult.parallel_start, mresult.parallel_end)
-    verify_tiling(mresult.timelines, *window)
-    instance.validate_final_memory(mresult.memory_snapshot)
-    if check_serial:
-        check_serializability(
-            instance.initial_memory, mresult, machine.memory.version_log
-        )
+            reuse.discard_machine()
+            reuse._machine, reuse._machine_key = machine, machine_key
+    try:
+        mresult = machine.run()
+        window = (mresult.parallel_start, mresult.parallel_end)
+        verify_tiling(mresult.timelines, *window)
+        instance.validate_final_memory(mresult.memory_snapshot)
+        if check_serial:
+            check_serializability(
+                instance.initial_memory, mresult, machine.memory.version_log
+            )
+    finally:
+        # A machine the pack keeps is closed when the pack replaces or
+        # discards it.
+        if reuse is None or reuse._machine is not machine:
+            machine.close()
 
     model = power_model if power_model is not None else PowerModel.derive()
     energy = compute_energy(

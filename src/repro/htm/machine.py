@@ -54,7 +54,6 @@ from ..mem.directory import Directory
 from ..mem.memory import MainMemory
 from ..power.states import ProcState
 from ..sim.engine import Engine
-from ..sim.rng import derive_seed, spawn_rngs
 from ..sim.stats import StatsRegistry
 from ..sim.timeline import StateTimeline
 from ..sim.trace import NullTrace
@@ -235,12 +234,11 @@ class Machine:
         The replicate-pack warm path: the topology (engine, bus, memory,
         directories, gating units, processors, caches, stats handle
         bindings) is reused; everything mutable is returned to its
-        just-constructed state and the seed-dependent pieces (contention
-        manager, timelines, thread RNGs drawn in :meth:`run`) are
-        re-derived from ``config.seed``.  A
-        reset machine is pinned bit-identical to a freshly constructed
-        one per (config, programs) by the rebuild-vs-reset parity tests
-        and the golden captures.
+        just-constructed state, the timelines are rebuilt and the
+        seed-dependent contention manager is re-derived from
+        ``config.seed``.  A reset machine is pinned bit-identical to a
+        freshly constructed one per (config, programs) by the
+        rebuild-vs-reset parity tests and the golden captures.
 
         Contract: ``config`` must describe the *same topology* as the
         construction config — only ``seed`` may differ (enforced here).
@@ -405,10 +403,9 @@ class Machine:
     def run(self) -> MachineResult:
         """Execute until every thread program completes."""
         num = self.config.num_procs
-        rngs = spawn_rngs(derive_seed(self.config.seed, "threads"), num)
         contexts = [
-            ThreadContext(proc_id=proc_id, num_threads=num, rng=rng)
-            for proc_id, rng in enumerate(rngs)
+            ThreadContext(proc_id=proc_id, num_threads=num)
+            for proc_id in range(num)
         ]
         max_cycles = self.config.max_cycles
         engine = self.engine
@@ -588,6 +585,27 @@ class Machine:
         waiters = self._barriers.setdefault(barrier, _BarrierState()).waiters
         for proc_id in arrivals:
             waiters.append((proc_id, self.procs[proc_id]._program_step))
+
+    # ------------------------------------------------------------------
+    # teardown
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Break this machine's reference cycles; it cannot run again.
+
+        Processors, directories and gating units point back at the
+        machine and at each other, and queued events and gating timers
+        point at their handlers, so a finished machine would otherwise
+        wait for a full collection.  The queue and those components'
+        attributes are dropped; the machine's own fields (engine,
+        memory, stats, timelines) stay readable.
+        """
+        self.engine._queue.clear()
+        self.engine._cancelled.clear()
+        for entries in self._gating_entries:
+            for entry in entries:
+                entry.timer_event = None
+        for component in (*self.procs, *self.dirs, *self.gating_units):
+            component.__dict__.clear()
 
     def _deadlock_report(self) -> str:
         lines = [

@@ -2,8 +2,8 @@
 
 A :class:`ThreadProgram` is the unit of work bound to one processor.
 Its :meth:`~ThreadProgram.generate` method receives a
-:class:`ThreadContext` (thread id, thread count, deterministic RNG) and
-returns the generator of intents that the processor executes.
+:class:`ThreadContext` (thread id and thread count) and returns the
+generator of intents that the processor executes.
 
 Programs are written once per workload and instantiated per thread;
 see :mod:`repro.workloads` for the STAMP-equivalent kernels.
@@ -16,12 +16,9 @@ before its program starts; the machine runs it (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import Callable, Generator
 
 from ..errors import WorkloadError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["ThreadContext", "ThreadProgram", "WarmSweep"]
 
@@ -47,7 +44,6 @@ class ThreadContext:
 
     proc_id: int
     num_threads: int
-    rng: np.random.Generator
 
 
 class ThreadProgram:

@@ -62,6 +62,9 @@ __all__ = [
     "average_power_reduction",
 ]
 
+#: every power state; timeline segments are coded by index into this
+_STATES = tuple(ProcState)
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -132,51 +135,49 @@ def direct_energy(
 ) -> tuple[float, dict[ProcState, tuple[int, float]]]:
     """Integrate ``P(state)`` over every processor's clipped timeline.
 
-    Consumes the timelines' lazy array materialisation
-    (:meth:`~repro.sim.timeline.StateTimeline.as_arrays`) instead of
-    per-segment objects: clipped durations come from one vectorised
-    ``diff(clip(times))``, and the remaining per-segment work is plain
-    arithmetic.  The accumulation order (timelines in order, segments
-    in time order, zero-length clips skipped) is the same as the
-    historical segment-object loop, so totals are bit-identical.
+    Consumes the run's flat segment arrays
+    (:func:`~repro.sim.timeline.segment_arrays`) instead of per-segment
+    objects: clipped durations come from one vectorised
+    ``clip(ends) - clip(starts)``.  The accumulation order (timelines
+    in order, segments in time order, zero-length clips skipped) is the
+    same as the historical segment-object loop, so totals are
+    bit-identical.
     """
-    import numpy as np
+    return _direct(_segments(timelines, window), window, model)
 
+
+def _segments(
+    timelines: Sequence[StateTimeline], window: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The timelines' flat segment arrays, coded by :data:`_STATES`."""
     lo, hi = window
     if hi < lo:
         raise SimulationError(f"invalid clip window [{lo}, {hi})")
-    by_state: dict[ProcState, tuple[int, float]] = {}
-    if hi == lo:
-        # Zero-width window: nothing to integrate, but keep the
-        # historical finalization check each clipped-segment walk did.
-        for timeline in timelines:
-            timeline.end  # noqa: B018 - raises on an unfinalized timeline
-        return 0.0, by_state
+    from ..sim.timeline import segment_arrays
 
-    # Map every timeline's local state table onto one shared code space
-    # so all segments reduce in a single concatenated pass.
-    all_states = list(ProcState)
-    index_of = {state: i for i, state in enumerate(all_states)}
-    powers = np.asarray(
-        [model.power_of(s) for s in all_states], dtype=np.float64
-    )
-    dur_parts: list[np.ndarray] = []
-    code_parts: list[np.ndarray] = []
-    for timeline in timelines:
-        times, codes, states = timeline.as_arrays()
-        dur_parts.append(np.diff(np.clip(times, lo, hi)))
-        lookup = np.asarray([index_of[s] for s in states], dtype=np.intp)
-        code_parts.append(lookup[codes])
-    if not dur_parts:
-        return 0.0, by_state
-    durations = np.concatenate(dur_parts)
-    gcodes = np.concatenate(code_parts)
+    return segment_arrays(timelines, _STATES)
+
+
+def _direct(
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray],
+    window: tuple[int, int],
+    model: PowerModel,
+) -> tuple[float, dict[ProcState, tuple[int, float]]]:
+    import numpy as np
+
+    lo, hi = window
+    starts, ends, codes = segments
+    by_state: dict[ProcState, tuple[int, float]] = {}
+    durations = np.clip(ends, lo, hi) - np.clip(starts, lo, hi)
     nz = np.nonzero(durations)[0]
     if nz.size == 0:
         return 0.0, by_state
     durations = durations[nz]
-    gcodes = gcodes[nz]
-    energies = durations * powers[gcodes]
+    codes = codes[nz]
+    powers = np.asarray(
+        [model.power_of(s) for s in _STATES], dtype=np.float64
+    )
+    energies = durations * powers[codes]
 
     # Bit-identity with the historical per-segment Python loop: cumsum
     # accumulates strictly left to right, and add.at folds repeated
@@ -185,15 +186,15 @@ def direct_energy(
     # order — the sequential walk performed (float addition is not
     # associative; a per-timeline partial-sum merge would NOT match).
     total = float(np.cumsum(energies)[-1])
-    acc = np.zeros(len(all_states), dtype=np.float64)
-    np.add.at(acc, gcodes, energies)
-    cycles = np.zeros(len(all_states), dtype=np.int64)
-    np.add.at(cycles, gcodes, durations)
+    acc = np.zeros(len(_STATES), dtype=np.float64)
+    np.add.at(acc, codes, energies)
+    cycles = np.zeros(len(_STATES), dtype=np.int64)
+    np.add.at(cycles, codes, durations)
 
     # Dict keys in historical order: first nonzero occurrence globally.
-    uniq, first = np.unique(gcodes, return_index=True)
+    uniq, first = np.unique(codes, return_index=True)
     for code in uniq[np.argsort(first)].tolist():
-        by_state[all_states[code]] = (int(cycles[code]), float(acc[code]))
+        by_state[_STATES[code]] = (int(cycles[code]), float(acc[code]))
     return total, by_state
 
 
@@ -204,20 +205,29 @@ def interval_breakdown(
 ) -> IntervalBreakdown:
     """Sweep state-change events to build :math:`X_i, \\alpha_i, \\beta_i`.
 
-    Fully vectorised over the timelines' array materialisation: each
-    timeline contributes its in-window change-points as *count deltas*
-    (did the processor enter/leave a low-power kind), a stable merge
-    sort plus cumulative sums reconstruct the low-power population
-    between every pair of boundaries, and ``np.add.at`` scatters the
-    interval lengths into :math:`X_i` and the weighted sums.  All
-    quantities are int64 throughout, so the result is exactly the one
-    the historical per-event Python sweep produced.
+    Fully vectorised over the run's flat segment arrays: every
+    change-point inside the window contributes *count deltas* (did the
+    processor enter/leave a low-power kind), a stable merge sort plus
+    cumulative sums reconstruct the low-power population between every
+    pair of boundaries, and ``np.add.at`` scatters the interval lengths
+    into :math:`X_i` and the weighted sums.  All quantities are int64
+    throughout, so the result is exactly the one the historical
+    per-event Python sweep produced.
     """
+    return _intervals(
+        timelines, _segments(timelines, window), window, low_states
+    )
+
+
+def _intervals(
+    timelines: Sequence[StateTimeline],
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray],
+    window: tuple[int, int],
+    low_states: frozenset[ProcState],
+) -> IntervalBreakdown:
     import numpy as np
 
     lo, hi = window
-    if hi < lo:
-        raise SimulationError(f"invalid clip window [{lo}, {hi})")
     p = len(timelines)
     x = np.zeros(p + 1, dtype=np.int64)
     miss_w = np.zeros(p + 1, dtype=np.int64)
@@ -234,47 +244,36 @@ def interval_breakdown(
             return 2
         return 3
 
-    # Initial per-kind populations at `lo`, plus per-timeline deltas at
-    # every change-point strictly inside (lo, hi).
+    # Initial per-kind populations at `lo`.
     n0 = [0, 0, 0, 0]  # [low, miss, commit, gate]
-    t_parts: list[np.ndarray] = []
-    d_parts: list[np.ndarray] = []
     for timeline in timelines:
         state0 = timeline.state_at(lo) if hi > lo else ProcState.RUN
         k0 = classify(state0)
         if k0:
             n0[0] += 1
             n0[k0] += 1
-        if hi <= lo:
-            continue
-        times, codes, states = timeline.as_arrays()
-        kind_of = np.asarray([classify(s) for s in states], dtype=np.int64)
-        kinds = kind_of[codes]
-        starts = times[:-1]
-        idx = np.nonzero((starts > lo) & (starts < hi))[0]
-        if idx.size == 0:
-            continue
-        # idx >= 1 always: times[0] is the timeline start, which cannot
-        # exceed `lo` (state_at(lo) above would have raised), so every
-        # in-window event has an in-array predecessor carrying the kind
-        # the processor held just before the change.
-        new_k = kinds[idx]
-        old_k = kinds[idx - 1]
-        t_parts.append(starts[idx])
-        d_parts.append(np.stack([
-            (new_k != 0).astype(np.int64) - (old_k != 0),
-            (new_k == 1).astype(np.int64) - (old_k == 1),
-            (new_k == 2).astype(np.int64) - (old_k == 2),
-            (new_k == 3).astype(np.int64) - (old_k == 3),
-        ]))
 
     if hi > lo:
-        if t_parts:
-            all_t = np.concatenate(t_parts)
-            all_d = np.concatenate(d_parts, axis=1)
+        # Deltas at every change-point strictly inside (lo, hi).  A
+        # selected change-point is never its timeline's first (that one
+        # is the timeline start, which cannot exceed `lo`: state_at(lo)
+        # above would have raised), so the entry before it carries the
+        # kind the processor held just before the change.
+        starts, _ends, codes = segments
+        kinds = np.asarray([classify(s) for s in _STATES], dtype=np.int64)[codes]
+        idx = np.nonzero((starts > lo) & (starts < hi))[0]
+        if idx.size:
+            new_k = kinds[idx]
+            old_k = kinds[idx - 1]
+            all_t = starts[idx]
             order = np.argsort(all_t, kind="stable")
             t_sorted = all_t[order]
-            d_sorted = all_d[:, order]
+            d_sorted = np.stack([
+                (new_k != 0).astype(np.int64) - (old_k != 0),
+                (new_k == 1).astype(np.int64) - (old_k == 1),
+                (new_k == 2).astype(np.int64) - (old_k == 2),
+                (new_k == 3).astype(np.int64) - (old_k == 3),
+            ])[:, order]
             counts = n0[0] + np.cumsum(d_sorted[0])
             n_low = np.concatenate(([n0[0]], counts))
             n_miss = np.concatenate(([n0[1]], n0[1] + np.cumsum(d_sorted[1])))
@@ -355,8 +354,9 @@ def compute_energy(
     """Full accounting for one run, cross-checking both formulations
     to a relative tolerance of 1e-6."""
     low = LOW_POWER_STATES_GATED if gated_run else LOW_POWER_STATES_UNGATED
-    total, by_state = direct_energy(timelines, window, model)
-    intervals = interval_breakdown(timelines, window, low)
+    segments = _segments(timelines, window)  # one pass serves both
+    total, by_state = _direct(segments, window, model)
+    intervals = _intervals(timelines, segments, window, low)
     via_eq = energy_from_intervals(intervals, model, gated_run)
     if abs(via_eq - total) > 1e-6 * max(1.0, abs(total)):
         raise SimulationError(

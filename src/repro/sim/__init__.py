@@ -17,7 +17,6 @@ __all__ = [
     "Segment",
     "Counter",
     "StatsRegistry",
-    "spawn_rngs",
     "derive_seed",
     "TraceRecorder",
     "TraceEvent",
@@ -28,6 +27,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".engine": ("Engine", "Event"),
     ".timeline": ("StateTimeline", "Segment"),
     ".stats": ("Counter", "StatsRegistry"),
-    ".rng": ("spawn_rngs", "derive_seed"),
+    ".rng": ("derive_seed",),
     ".trace": ("TraceRecorder", "TraceEvent", "NullTrace"),
 })

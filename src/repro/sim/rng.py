@@ -1,23 +1,19 @@
 """Deterministic random-number plumbing.
 
-Every stochastic choice in the simulator (workload data, access
-patterns) flows from one root seed through ``numpy``'s SeedSequence
-spawning discipline, so:
+Every stochastic choice in the simulator flows from one root seed
+through :func:`derive_seed` and a context naming the consumer: the
+workload builders seed their NumPy generators with it (workload data,
+access patterns), and randomized back-off draws from it directly.  So:
 
 * the same ``SystemConfig.seed`` reproduces the identical run, and
-* per-thread streams are independent — thread 3's draws do not change
-  when thread 2 draws more (crucial for comparing 4- vs 8-core runs of
+* streams are independent — thread 3's draws do not change when
+  thread 2 draws more (crucial for comparing 4- vs 8-core runs of
   "the same" workload).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
-
-__all__ = ["derive_seed", "spawn_rngs"]
+__all__ = ["derive_seed"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -38,14 +34,3 @@ def derive_seed(root_seed: int, *context: object) -> int:
             acc = (acc * _FNV_PRIME) & _MASK64
     return acc & 0x7FFFFFFFFFFFFFFF
 
-
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """``count`` independent generators derived from ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, the documented
-    mechanism for parallel-stream independence.
-    """
-    import numpy as np
-
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

@@ -12,24 +12,24 @@ the timeline is a generic change-point recorder so it can be unit- and
 property-tested independently of the HTM.
 
 Recording is run-length by construction — only *changes* are stored,
-as parallel ``times``/``states`` lists — and materialisation is lazy:
-:meth:`StateTimeline.as_arrays` exposes the change-points as cached
-numpy arrays (times plus small-integer state codes) once the timeline
-is finalized, which is what the energy layer's interval sweep consumes
-directly instead of per-segment Python objects
-(:mod:`repro.power.energy`; measured by ``repro bench bench_timeline``).
+as parallel ``times``/``states`` lists.  :func:`segment_arrays` flattens
+the segments of a whole run's finalized timelines into numpy arrays in
+one C-level pass per list, which is what the energy layer sweeps
+instead of per-segment Python objects (:mod:`repro.power.energy`;
+measured by ``repro bench bench_timeline``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Generic, Hashable, Sequence, TypeVar
 
 import numpy as np
 
 from ..errors import SimulationError
 
-__all__ = ["Segment", "StateTimeline"]
+__all__ = ["Segment", "StateTimeline", "segment_arrays", "verify_tiling"]
 
 S = TypeVar("S", bound=Hashable)
 
@@ -56,15 +56,12 @@ class StateTimeline(Generic[S]):
     segments are dropped at finalisation).
     """
 
-    __slots__ = ("_times", "_states", "_finalized_end", "_arrays")
+    __slots__ = ("_times", "_states", "_finalized_end")
 
     def __init__(self, initial_state: S, start: int = 0) -> None:
         self._times: list[int] = [start]
         self._states: list[S] = [initial_state]
         self._finalized_end: int | None = None
-        #: lazy (times, codes, states) materialisation; valid only after
-        #: finalize() since the timeline is immutable from then on
-        self._arrays: tuple[np.ndarray, np.ndarray, list[S]] | None = None
 
     # ------------------------------------------------------------------
     # recording
@@ -127,41 +124,6 @@ class StateTimeline(Generic[S]):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, list[S]]:
-        """Change-points as numpy arrays (lazy; requires finalization).
-
-        Returns ``(times, codes, states)`` where ``times`` is an
-        ``int64`` array of length ``n + 1`` — the ``n`` change-point
-        cycles followed by the finalized end — and ``codes`` is an
-        ``int64`` array of length ``n`` giving, per segment, an index
-        into ``states`` (the distinct states in first-appearance
-        order).  Segment ``j`` thus spans ``[times[j], times[j + 1])``
-        in state ``states[codes[j]]``.
-
-        The tuple is computed once and cached: a finalized timeline is
-        immutable, and the energy layer sweeps it several times (direct
-        integration plus the interval formulation).
-        """
-        arrays = self._arrays
-        if arrays is None:
-            end = self.end  # raises if not finalized
-            index: dict[S, int] = {}
-            states: list[S] = []
-            codes = []
-            for s in self._states:
-                i = index.get(s)
-                if i is None:
-                    i = index[s] = len(states)
-                    states.append(s)
-                codes.append(i)
-            times = np.empty(len(self._times) + 1, dtype=np.int64)
-            times[:-1] = self._times
-            times[-1] = end
-            arrays = self._arrays = (
-                times, np.asarray(codes, dtype=np.int64), states
-            )
-        return arrays
-
     def segments(self) -> list[Segment[S]]:
         """Maximal constant-state segments tiling ``[start, end)``."""
         end = self.end
@@ -218,6 +180,47 @@ class StateTimeline(Generic[S]):
         return len(self._times)
 
 
+def segment_arrays(
+    timelines: Sequence[StateTimeline[S]], states: Sequence[S]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every segment of ``timelines`` as flat arrays (requires finalization).
+
+    Returns ``(starts, ends, codes)``, one entry per change-point, in
+    timeline order and then time order: segment ``j`` spans
+    ``[starts[j], ends[j])`` in state ``states[codes[j]]``.  ``ends``
+    is the next change-point of the same timeline, or its finalized
+    end, so a change at that end gives a zero-length segment.
+
+    States are matched to ``states`` by identity (one ``id`` per
+    change-point, no ``__hash__`` call), so ``states`` must hold the
+    very objects recorded, as enum members are.
+    """
+    ends_of = [tl.end for tl in timelines]  # raises if not finalized
+    counts = [len(tl._times) for tl in timelines]
+    total = sum(counts)
+    starts = np.fromiter(
+        chain.from_iterable(tl._times for tl in timelines),
+        dtype=np.int64, count=total,
+    )
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[np.cumsum(counts, dtype=np.intp) - 1] = ends_of
+    ids = np.fromiter(
+        map(id, chain.from_iterable(tl._states for tl in timelines)),
+        dtype=np.uintp, count=total,
+    )
+    known = np.fromiter(map(id, states), dtype=np.uintp, count=len(states))
+    order = np.argsort(known)
+    slots = np.searchsorted(known[order], ids).clip(max=len(states) - 1)
+    codes = order[slots]
+    if not np.array_equal(known[codes], ids):
+        known_ids = set(map(id, states))
+        stray = next(s for tl in timelines for s in tl._states
+                     if id(s) not in known_ids)
+        raise SimulationError(f"timeline state {stray!r} is not one of {states!r}")
+    return starts, ends, codes
+
+
 def verify_tiling(timelines: Sequence[StateTimeline], lo: int, hi: int) -> None:
     """Assert that every timeline fully tiles ``[lo, hi)`` without gaps.
 
@@ -248,6 +251,3 @@ def verify_tiling(timelines: Sequence[StateTimeline], lo: int, hi: int) -> None:
                 f"timeline {idx} does not cover [{lo}, {hi}): "
                 f"covers [{max(start, lo)}, {min(end, hi)})"
             )
-
-
-__all__.append("verify_tiling")

@@ -206,10 +206,8 @@ class TestSuiteCommands:
         assert all(len(d) == 64 for d in digests)
 
     def test_suite_unknown_name(self, capsys):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError, match="unknown suite"):
-            main(["suite", "run", "--suite", "paper-fig9"])
+        assert main(["suite", "run", "--suite", "paper-fig9"]) == 2
+        assert "unknown suite 'paper-fig9'" in capsys.readouterr().err
 
 
 class TestExecStatusGc:
@@ -261,3 +259,44 @@ class TestExecStatusGc:
         assert out == ""
         out = run_cli(capsys, "exec-status", "--cache-dir", str(tmp_path))
         assert "0 entries" in out
+
+
+class TestErrorBoundary:
+    """Bad input exits 2 with one ``repro: error:`` line; a simulator
+    failure keeps its traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "nope"], "unknown workload 'nope'"),
+        (["run", "counter", "--procs", "0"], "num_procs must be in"),
+        (["run", "counter", "--cm", "nope"], "unknown contention manager"),
+        (["run", "counter", "--w0", "-1"], "W0 must be at least 1"),
+        (["compare", "counter", "--jobs", "-2"], "cannot be negative: -2"),
+        (["suite", "run", "--file", "{tmp}/missing.json"],
+         "cannot read suite file"),
+        (["suite", "describe", "--suite", "nope"], "unknown suite 'nope'"),
+        (["figures", "build", "--only", "nope"], "unknown figure(s): nope"),
+        (["obs", "show", "--obs-dir", "{tmp}"],
+         "no observability runs found"),
+    ], ids=["workload", "procs", "cm", "w0", "jobs", "suite-file", "suite",
+            "figure", "obs-runs"])
+    def test_bad_input_is_one_line_and_exit_2(
+        self, capsys, tmp_path, argv, message
+    ):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_simulation_error_keeps_its_traceback(self, monkeypatch):
+        from repro import cli
+        from repro.errors import DeadlockError
+
+        def deadlock(args):
+            raise DeadlockError("event queue drained")
+
+        monkeypatch.setitem(cli._COMMANDS, "run", deadlock)
+        with pytest.raises(DeadlockError, match="event queue drained"):
+            main(["run", "counter"])

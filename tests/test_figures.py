@@ -469,11 +469,13 @@ class TestFiguresCli:
     def test_duplicate_grid_values_fail_before_simulating(
         self, capsys, tmp_path
     ):
-        with pytest.raises(FigureError, match="procs has duplicate"):
-            self.run(capsys, "figures", "build", "--only", "fig4",
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--out-dir", str(tmp_path / "figs"),
-                     "--scale", "tiny", "--apps", "counter", "--grid", "2", "2")
+        code, _out, err = self.run(
+            capsys, "figures", "build", "--only", "fig4",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out-dir", str(tmp_path / "figs"),
+            "--scale", "tiny", "--apps", "counter", "--grid", "2", "2")
+        assert code == 2
+        assert "procs has duplicate" in err
         # no store opened, so no records written
         assert not (tmp_path / "cache").exists()
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+from dataclasses import replace
+
 import pytest
 
 from repro.config import SystemConfig
-from repro.errors import HarnessError, ProtocolError
+from repro.errors import HarnessError, ProtocolError, SimulationError
+from repro.exec.jobs import RunJob, execute_pack
 from repro.harness.compare import compare_gating
 from repro.harness.reporting import format_matrix, format_table
 from repro.harness.runner import RunResult, WorkloadSpec, run_workload, workload
@@ -15,6 +19,7 @@ from repro.power.report import format_energy_report
 from repro.sim.timeline import StateTimeline
 from repro.power.states import ProcState
 from repro.sim.stats import StatsRegistry
+from repro.sim.trace import TraceRecorder
 
 
 class TestWorkloadSpec:
@@ -65,6 +70,70 @@ class TestRunResult:
         text = result.summary()
         assert "counter" in text
         assert "gated" in text
+
+
+def _intruder_x8(gated: bool) -> SystemConfig:
+    return SystemConfig(num_procs=8).with_gating(gated)
+
+
+def _over_budget() -> None:
+    # The gated parallel section runs from cycle 3,998 to 10,886; this
+    # budget stops it with gating timers armed and a machine handler
+    # queued, the two cycles that outlive the components.
+    config = replace(_intruder_x8(True), max_cycles=10_000)
+    try:
+        run_workload(workload("intruder", scale="tiny"), config)
+    except SimulationError:
+        return
+    raise AssertionError("the run finished inside its cycle budget")
+
+
+_RUNS = {
+    "ungated": lambda: run_workload(
+        workload("intruder", scale="tiny"), _intruder_x8(False)
+    ),
+    "gated": lambda: run_workload(
+        workload("intruder", scale="tiny"), _intruder_x8(True)
+    ),
+    "traced": lambda: run_workload(
+        workload("intruder", scale="tiny"), _intruder_x8(True),
+        trace=TraceRecorder(),
+    ),
+    "over-budget": _over_budget,
+    "pack": lambda: execute_pack([
+        RunJob(workload("intruder", scale="tiny", seed=seed),
+               replace(_intruder_x8(True), seed=seed))
+        for seed in (0, 1)
+    ]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_RUNS))
+def test_runs_leave_no_simulator_object_to_the_collector(path):
+    """A finished run frees its machine by reference counting.
+
+    A reference cycle through a processor, directory, gating unit or
+    queued event would keep the whole machine alive until a full
+    collection; with the collector paused, any such object lands in
+    ``gc.garbage``.
+    """
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _RUNS[path]()
+        gc.collect()
+        leaked = sorted({
+            type(obj).__qualname__ for obj in gc.garbage
+            if type(obj).__module__.startswith("repro.")
+        })
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert leaked == []
 
 
 class TestCompareGating:

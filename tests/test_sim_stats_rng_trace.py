@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.rng import derive_seed, spawn_rngs
+from repro.sim.rng import derive_seed
 from repro.sim.stats import Counter, StatsRegistry
 from repro.sim.trace import NullTrace, TraceRecorder
 
@@ -45,19 +45,6 @@ class TestRng:
     def test_derive_seed_in_63_bits(self):
         for ctx in range(50):
             assert 0 <= derive_seed(123, ctx) < 2**63
-
-    def test_spawn_independence(self):
-        a1, b1 = spawn_rngs(42, 2)
-        a2, _ = spawn_rngs(42, 2)
-        draws_a1 = a1.integers(0, 1 << 30, size=10)
-        # drawing extra from b1 must not perturb stream a
-        _ = b1.integers(0, 1 << 30, size=100)
-        draws_a2 = a2.integers(0, 1 << 30, size=10)
-        assert (draws_a1 == draws_a2).all()
-
-    def test_spawn_distinct_streams(self):
-        a, b = spawn_rngs(42, 2)
-        assert (a.integers(0, 1 << 30, size=10) != b.integers(0, 1 << 30, size=10)).any()
 
 
 class TestTrace:

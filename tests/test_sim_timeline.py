@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.timeline import Segment, StateTimeline, verify_tiling
+from repro.power.states import ProcState
+from repro.sim.timeline import (
+    Segment,
+    StateTimeline,
+    segment_arrays,
+    verify_tiling,
+)
 
 
 def make(events, end, initial="A", start=0):
@@ -172,3 +178,34 @@ def test_clip_consistency(ops_end, a, b):
     assert sum(s.duration for s in clipped) == hi - lo
     for seg in clipped:
         assert tl.state_at(seg.start) == seg.state
+
+
+@given(st.lists(timeline_ops(), max_size=4))
+def test_segment_arrays_flatten_the_segments(runs):
+    """The flat arrays list every timeline's segments in order, states
+    coded by their position in the given table (the per-segment
+    ``segments()`` walk is the reference)."""
+    states = tuple(ProcState)
+    letters = dict(zip("ABCD", states))
+    timelines = [
+        make([(t, letters[s]) for t, s in ops], end, initial=ProcState.RUN)
+        for ops, end in runs
+    ]
+    starts, ends, codes = segment_arrays(timelines, states)
+    flat = [
+        (start, end, states[code])
+        for start, end, code in zip(starts.tolist(), ends.tolist(),
+                                    codes.tolist())
+        if end > start
+    ]
+    assert flat == [
+        (seg.start, seg.end, seg.state)
+        for tl in timelines for seg in tl.segments()
+    ]
+
+
+def test_segment_arrays_reject_unknown_and_unfinalized():
+    with pytest.raises(SimulationError, match="'B' is not one of"):
+        segment_arrays([make([(3, "B")], 10)], ("A",))
+    with pytest.raises(SimulationError, match="not finalized"):
+        segment_arrays([StateTimeline("A")], ("A",))

@@ -24,7 +24,6 @@ from repro.htm.machine import WARM_STATES, Machine
 from repro.htm.ops import BarrierOp, Load
 from repro.htm.program import ThreadContext
 from repro.power.model import PowerModel
-from repro.sim.rng import spawn_rngs
 from repro.sim.trace import TraceRecorder
 from repro.workloads.registry import build_workload
 
@@ -206,10 +205,8 @@ def test_builtin_programs_hold_no_warm_up(name):
     instance = build_workload(name, scale="tiny", num_threads=2)
     assert instance.warm is not None and instance.warm.barrier.endswith(".warm")
     assert len(instance.warm.addrs) > 0
-    for proc_id, (program, rng) in enumerate(
-        zip(instance.programs, spawn_rngs(1, 2))
-    ):
-        first = next(program.generate(ThreadContext(proc_id, 2, rng)))
+    for proc_id, program in enumerate(instance.programs):
+        first = next(program.generate(ThreadContext(proc_id, 2)))
         assert not isinstance(first, Load)
         assert not (isinstance(first, BarrierOp)
                     and first.name == instance.warm.barrier)
