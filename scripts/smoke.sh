@@ -69,22 +69,9 @@ off_digests=$(python -m repro exec-status --cache-dir "$PACKS_OFF_DIR" --digests
 [ -n "$on_digests" ] || { echo "smoke FAILED: pack run stored nothing"; exit 1; }
 [ "$on_digests" = "$off_digests" ] || {
   echo "smoke FAILED: pack-on and pack-off stores diverge"; exit 1; }
-echo "smoke OK: replicate packs store digest-identical results"
-
-echo "== smoke: machine reset-reuse vs rebuild (store digest identity) =="
-# The same seed family with the pack warm path disabled: every member
-# rebuilds its machine from scratch.  Stores must match the reset-reuse
-# run digest for digest.
-RESET_OFF_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-reset-off
-rm -rf "$RESET_OFF_DIR"
-REPRO_NO_RESET=1 python -m repro suite run --file "$PACK_SUITE" --jobs 2 \
-  --cache-dir "$RESET_OFF_DIR" >/dev/null
-reset_off_digests=$(python -m repro exec-status --cache-dir "$RESET_OFF_DIR" --digests)
-[ "$on_digests" = "$reset_off_digests" ] || {
-  echo "smoke FAILED: reset-reuse and rebuild stores diverge"; exit 1; }
 rm -f "$PACK_SUITE"
-rm -rf "$PACKS_ON_DIR" "$PACKS_OFF_DIR" "$RESET_OFF_DIR"
-echo "smoke OK: machine reset-reuse stores digest-identical results"
+rm -rf "$PACKS_ON_DIR" "$PACKS_OFF_DIR"
+echo "smoke OK: replicate packs store digest-identical results"
 
 echo "== smoke: incremental figure pipeline =="
 bash "$(dirname "$0")/smoke_figures.sh"

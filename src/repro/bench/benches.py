@@ -36,10 +36,10 @@ Benchmarks
 ``bench_replicates_marginal``
     The pack warm path in isolation: one in-process ``execute_pack``
     over a seed family, reporting the *marginal*-seed cost (members
-    served by ``Machine.reset`` and the shared prep cache) as the
-    headline rate, with the first-seed (cold build) cost in ``meta``.
-    This is the number the pack-shared warm state work moves: the
-    first seed pays construction, every further seed pays only the
+    whose machine ``Machine.reset`` rebuilds in place and whose
+    workload comes from the shared prep cache) as the headline rate,
+    with the first-seed cost in ``meta``.  The first seed also pays the
+    workload build; every further seed pays a machine build and the
     simulation.
 ``bench_e2e_suite``
     The ``smoke`` scenario suite end-to-end on a cold cache (serial

@@ -60,7 +60,7 @@ from typing import Sequence
 
 from .cm.registry import available_cms
 from .config import GatingConfig, SystemConfig
-from .errors import ReproError, SimulationError
+from .errors import ExecutionError, ReproError, SimulationError
 from .exec.executor import BatchExecutionError, Executor
 from .exec.progress import ConsoleProgress
 from .exec.store import ResultStore
@@ -702,18 +702,16 @@ def _cmd_exec_status(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.cache_dir):
         # Read-only command: never create the directory (a typo'd path
         # would otherwise masquerade as an empty store).
-        print(f"no result store at {args.cache_dir}", file=sys.stderr)
-        return 1
+        raise ExecutionError(f"no result store at {args.cache_dir}")
     if (args.older_than is not None or args.label is not None) \
             and not args.prune:
-        print("--older-than/--label are GC policies for --prune; "
-              "add --prune to apply them", file=sys.stderr)
-        return 2
+        raise ExecutionError("--older-than/--label are GC policies for "
+                             "--prune; add --prune to apply them")
     if args.older_than is not None and not args.older_than >= 0:
         # also rejects NaN; a negative age would expire every entry
-        print(f"--older-than must be >= 0 days, got {args.older_than}",
-              file=sys.stderr)
-        return 2
+        raise ExecutionError(
+            f"--older-than must be >= 0 days, got {args.older_than}"
+        )
     store = ResultStore(args.cache_dir)
     prune_report = None
     if args.prune:

@@ -42,7 +42,6 @@ packs at all.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -70,19 +69,7 @@ __all__ = [
     "PackMemberOutcome",
     "PackStats",
     "execute_pack",
-    "reset_enabled_from_env",
 ]
-
-#: environment switch disabling machine reset-reuse inside replicate
-#: packs (mirror of ``REPRO_NO_PACKS``); any non-empty value other than
-#: ``0``/``false``/``no`` disables — members then rebuild per seed
-NO_RESET_ENV = "REPRO_NO_RESET"
-
-
-def reset_enabled_from_env() -> bool:
-    """Pack reset-reuse default: on unless ``REPRO_NO_RESET`` is set."""
-    value = os.environ.get(NO_RESET_ENV, "").strip().lower()
-    return value in ("", "0", "false", "no")
 
 #: Bump whenever job semantics or the result encoding change in a way
 #: that invalidates previously cached results; the store skips records
@@ -200,9 +187,8 @@ def execute_job(job: RunJob, reuse: "RunReuse | None" = None) -> ExecResult:
     job's spec and config, so executing in a pool worker produces
     bit-identical numbers to executing inline (the engine has no global
     state and every seed travels inside the job).  With ``reuse`` (the
-    pack warm path), the machine is reset instead of rebuilt — pinned
-    bit-identical by :meth:`repro.htm.machine.Machine.reset`'s contract
-    and the rebuild-vs-reset parity tests.
+    pack warm path), the previous member's machine is rebuilt in place
+    by :meth:`repro.htm.machine.Machine.reset`.
     """
     from ..harness.runner import run_workload  # lazy: loads the simulator
 
@@ -284,10 +270,10 @@ def execute_pack(
     standalone dispatch uses — same seeds travelling inside the job —
     so pack results are bit-identical to per-process results by
     construction.  The pack amortizes process/dispatch overhead plus,
-    via a shared :class:`~repro.harness.runner.RunReuse` (unless
-    ``REPRO_NO_RESET`` is set), the per-seed constant factor: the
-    machine topology is built once and reset between members, and
-    seed-invariant workload preparation is cached across the family.
+    via a shared :class:`~repro.harness.runner.RunReuse`, the per-seed
+    constant factor: seed-invariant workload preparation is cached
+    across the family, and each member's machine is rebuilt in place
+    by :meth:`repro.htm.machine.Machine.reset`.
     Per-member exceptions are caught so one bad seed cannot take down
     the rest of the family; a failure also drops the cached machine
     (it may be mid-run), so the next member rebuilds from scratch.  The
@@ -296,7 +282,7 @@ def execute_pack(
     """
     from ..harness.runner import RunReuse  # lazy: loads the simulator
 
-    reuse = RunReuse() if reset_enabled_from_env() else None
+    reuse = RunReuse()
     outcomes: list[PackMemberOutcome] = []
     for job in jobs:
         started = time.perf_counter()
@@ -308,8 +294,7 @@ def execute_pack(
             else:
                 result, rows = execute_job(job, reuse), None
         except Exception as exc:
-            if reuse is not None:
-                reuse.discard_machine()
+            reuse.discard_machine()
             outcomes.append(
                 PackMemberOutcome(
                     result=None,
@@ -326,10 +311,8 @@ def execute_pack(
                     profile_rows=rows,
                 )
             )
-    if reuse is not None:
-        reuse.discard_machine()
+    reuse.discard_machine()
     stats = PackStats(
-        reset_reuses=reuse.machine_resets if reuse is not None else 0,
-        shared_prep_hits=reuse.prep_hits if reuse is not None else 0,
+        reset_reuses=reuse.machine_resets, shared_prep_hits=reuse.prep_hits
     )
     return outcomes, stats

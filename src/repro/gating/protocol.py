@@ -77,21 +77,6 @@ class GatingUnit:
         )
 
     # ------------------------------------------------------------------
-    def reset(self, cm: ContentionManager, config: SystemConfig) -> None:
-        """Restore pristine table state and rebind the per-run policy.
-
-        The contention manager is seed-dependent (randomized policies
-        draw from a seeded RNG), so :meth:`repro.htm.machine.Machine.reset`
-        creates a fresh one per member and passes it here along with the
-        member's config.  Entries are reset in place — the protocol
-        layer's bound ``entries`` list survives.
-        """
-        self._cm = cm
-        self._config = config
-        for entry in self._entries:
-            entry.reset()
-
-    # ------------------------------------------------------------------
     # 1. abort path
     # ------------------------------------------------------------------
     def on_abort(self, victim: int, aborter: int, aborter_site: str | None) -> bool:

@@ -76,25 +76,6 @@ class GatingEntry:
             self.timer_event = None
         self.epoch += 1
 
-    def reset(self) -> None:
-        """Restore field defaults (machine-reset path).
-
-        The timer event is dropped without cancelling: resets only run
-        between simulations, when the engine queue has already been
-        cleared, so the handle is expired.  ``epoch`` returns to 0 —
-        safe for the same reason (no in-flight callbacks can observe
-        the rollback).
-        """
-        self.aborter_proc = None
-        self.aborter_site = None
-        self.abort_count = 0
-        self.renew_count = 0
-        self.off = False
-        self.gated_at = -1
-        self.momentum = 0
-        self.timer_event = None
-        self.epoch = 0
-
 
 class GatingTable:
     """All per-processor entries of one directory."""

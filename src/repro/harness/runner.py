@@ -63,11 +63,12 @@ class RunResult(TxMetricsMixin):
 class RunReuse:
     """Warm state shared across the runs of one replicate pack.
 
-    Holds (a) one wired :class:`~repro.htm.machine.Machine`, reset
-    between runs instead of rebuilt — keyed by the seed-zeroed config
-    and the validation switch, so only true seed replicates ever share
-    it — and (b) a prep cache of built :class:`WorkloadInstance` values
-    for workloads whose builds are seed-invariant (see
+    Holds (a) one wired :class:`~repro.htm.machine.Machine`, rebuilt in
+    place between runs by :meth:`~repro.htm.machine.Machine.reset` —
+    keyed by the seed-zeroed config and the validation switch, so only
+    true seed replicates ever share it — and (b) a prep cache of built
+    :class:`WorkloadInstance` values for workloads whose builds are
+    seed-invariant (see
     :func:`repro.workloads.registry.register_workload`).
 
     PACK-SHARING CONTRACT: everything cached here must be independent
@@ -156,10 +157,9 @@ def run_workload(
     reuse:
         Optional :class:`RunReuse` carrying pack-shared warm state.
         When the cached machine's topology matches (config equal up to
-        ``seed``, same validation mode), it is reset in place instead
-        of rebuilt — bit-identical by the reset contract
-        (:meth:`repro.htm.machine.Machine.reset`).  Ignored when a
-        trace is requested (a machine binds its trace at construction).
+        ``seed``, same validation mode), it is rebuilt in place by
+        :meth:`repro.htm.machine.Machine.reset`.  Ignored when a trace
+        is requested (a machine binds its trace at construction).
     """
     instance = _resolve_instance(source, config, reuse)
     machine: Machine | None = None

@@ -192,8 +192,7 @@ class Machine:
                 self.gating_units.append(unit)
             directory.attach(self, unit)
         # proc id -> that processor's entry in every gating table, for
-        # the commit fan-out.  Tables are reset in place, so the lists
-        # survive Machine.reset.
+        # the commit fan-out.
         self._gating_entries: list[list[GatingEntry]] = [
             [unit.table.entry(p) for unit in self.gating_units]
             for p in range(config.num_procs)
@@ -219,7 +218,7 @@ class Machine:
         self.commit_log: list[CommittedTx] = []
 
     # ------------------------------------------------------------------
-    # reset-not-rebuild (pack-shared warm state)
+    # rebuild in place (the replicate-pack warm path)
     # ------------------------------------------------------------------
     def reset(
         self,
@@ -229,60 +228,29 @@ class Machine:
         validation_mode: bool = False,
         warm: WarmSweep | None = None,
     ) -> None:
-        """Restore pristine state for a new run without rebuilding.
+        """Close this machine and rebuild it for a new run of the same
+        topology.
 
-        The replicate-pack warm path: the topology (engine, bus, memory,
-        directories, gating units, processors, caches, stats handle
-        bindings) is reused; everything mutable is returned to its
-        just-constructed state, the timelines are rebuilt and the
-        seed-dependent contention manager is re-derived from
-        ``config.seed``.  A reset machine is pinned bit-identical to a
-        freshly constructed one per (config, programs) by the
-        rebuild-vs-reset parity tests and the golden captures.
-
-        Contract: ``config`` must describe the *same topology* as the
-        construction config — only ``seed`` may differ (enforced here).
-        The trace bound at construction stays; callers wanting tracing
-        must rebuild.  Resetting zeroes the shared :class:`StatsRegistry`,
-        so counters of a previous run's ``MachineResult`` must be copied
-        out before calling this.
+        ``config`` must equal the construction config up to ``seed``
+        (enforced here); the trace bound at construction stays.  The
+        machine is rebuilt by ``__init__``, so a reset machine is a
+        fresh one; a previous run's ``MachineResult`` keeps its own
+        counters and timelines.
         """
-        if len(programs) != config.num_procs:
-            raise ConfigError(
-                f"{config.num_procs} processors but {len(programs)} thread "
-                "programs; they must match one-to-one"
-            )
         if replace(config, seed=0) != replace(self.config, seed=0):
             raise ConfigError(
                 "Machine.reset() requires a config identical to the "
                 "construction config up to `seed`; rebuild for a new topology"
             )
-        self.config = config
-        self.validation_mode = validation_mode
-        self.engine.reset()
-        self.stats.reset()
-        self.memory.reset(initial_memory or {}, record_versions=validation_mode)
-        self.bus.reset()
-        self.vendor.reset()
-        self.cm = create_cm(config.gating, config.seed)
-        self._timelines = [
-            StateTimeline(ProcState.RUN) for _ in range(config.num_procs)
-        ]
-        for directory in self.dirs:
-            directory.reset()
-        for unit in self.gating_units:
-            unit.reset(self.cm, config)
-        for proc in self.procs:
-            proc.reset()
-        self._programs = list(programs)
-        self._warm = warm
-        self._barriers.clear()
-        self._held_barrier = None
-        self._finished = 0
-        self._raise_on_complete = False
-        self.parallel_start = None
-        self.parallel_end = None
-        self.commit_log = []
+        self.close()
+        self.__init__(  # type: ignore[misc]
+            config,
+            programs,
+            initial_memory=initial_memory,
+            trace=self.trace,
+            validation_mode=validation_mode,
+            warm=warm,
+        )
 
     # ------------------------------------------------------------------
     # component access
@@ -590,7 +558,8 @@ class Machine:
     # teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Break this machine's reference cycles; it cannot run again.
+        """Break this machine's reference cycles; it cannot run again
+        until :meth:`reset` rebuilds it.
 
         Processors, directories and gating units point back at the
         machine and at each other, and queued events and gating timers

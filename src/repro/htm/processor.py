@@ -169,44 +169,6 @@ class Processor:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Restore the just-constructed state for a machine reset.
-
-        Called by :meth:`repro.htm.machine.Machine.reset` after the
-        machine has installed the member's config, contention manager
-        and fresh timelines — the seed-dependent binding (the CM) is
-        recomputed from the machine here.  The
-        structural fast-path bindings (engine/bus/memory/directory
-        methods, counter handles, config-derived latencies) survive:
-        those objects are reset in place and the non-seed config is
-        identical by the reset contract.
-        """
-        m = self._m
-        self.cache.reset()
-        self._cm = m.cm
-        self.timeline = m.timeline(self.proc_id)
-        self._tl_set_state = self.timeline.set_state
-        self._cur_state = _RUN
-
-        self._program_send = None
-        self._ctx = None
-        self._txop = None
-        self._tx = None
-        self._tx_gen = None
-        self._tx_send = None
-        self._tx_index = -1
-        self._attempt = 0
-        self._consecutive_aborts = 0
-        self._epoch = 0
-        self._commit_dirs = None
-        self._commit_footprint = None
-        self._awaiting_fill = None
-        self._fill_seq = 0
-        self._restart_event = None
-        self.gated = False
-        self._gated_by = set()
-        self.finished = False
-
     def bind(self, program: ThreadProgram, ctx: ThreadContext) -> None:
         """Bind the thread program; the next :meth:`_program_step` runs
         its first op."""

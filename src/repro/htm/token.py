@@ -49,12 +49,6 @@ class TokenVendor:
         self._c_releases = stats.counter("vendor.releases")
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Return to the just-constructed state (TIDs restart at 1)."""
-        self._next_tid = 1
-        self._live.clear()
-        self._waiters.clear()
-
     def issue(self, proc: int) -> int:
         """Hand out the next TID (the commit timestamp)."""
         tid = self._next_tid

@@ -99,10 +99,6 @@ class Bus:
         return arrival
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Free the bus (the only mutable state is the reservation)."""
-        self._busy_until = 0
-
     @property
     def busy_until(self) -> int:
         """Cycle at which the bus next becomes free (for tests)."""

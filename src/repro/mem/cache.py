@@ -73,13 +73,12 @@ class L1Cache:
         self._config = config
         self._proc_id = proc_id
         self._stats = stats
-        self._num_sets = config.num_sets
         self._set_mask = config.num_sets - 1
         self._ways = config.ways
         # set index -> {line id -> CacheLineState}; _EMPTY_SET until
         # the set's first fill
         self._sets: list[Mapping[int, CacheLineState]] = (
-            [_EMPTY_SET] * self._num_sets
+            [_EMPTY_SET] * config.num_sets
         )
         self._use_clock = 0
         self._prefix = f"proc{proc_id}.cache"
@@ -175,16 +174,6 @@ class L1Cache:
         )
         self._c_fills.value += 1
         return victim_line
-
-    def reset(self) -> None:
-        """Drop all resident lines, returning to the just-built state.
-
-        Every set reads as the shared empty mapping again.  Counter
-        handles stay bound — the registry is reset separately as part of
-        the :meth:`repro.htm.machine.Machine.reset` contract.
-        """
-        self._sets = [_EMPTY_SET] * self._num_sets
-        self._use_clock = 0
 
     def clean_lines(self) -> list[int]:
         """Resident lines with their LRU stamps, flat: ``[line,

@@ -114,18 +114,6 @@ class Directory:
         self._machine = machine
         self.gating = gating
 
-    def reset(self) -> None:
-        """Forget all sharer/owner/commit state (machine-reset path).
-
-        The attached machine and gating unit survive; the gating unit's
-        own table is reset by its owner.  Counter handles stay bound.
-        """
-        self._sharers.clear()
-        self._owner.clear()
-        self.marked.clear()
-        self.last_committed_tid = -1
-        self._busy_until = 0
-
     # ------------------------------------------------------------------
     # sharer bookkeeping
     # ------------------------------------------------------------------

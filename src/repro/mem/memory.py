@@ -72,9 +72,9 @@ class MainMemory:
 
         For readers whose addresses are validated already — load
         completions bind ``words.get`` once and skip :meth:`read_word`'s
-        re-check.  :meth:`reset` clears the dict in place, so such a
-        binding stays valid.  Writes go through :meth:`write_word` and
-        :meth:`write_words`.
+        re-check; the dict is never replaced, so such a binding stays
+        valid for the memory's lifetime.  Writes go through
+        :meth:`write_word` and :meth:`write_words`.
         """
         return self._data
 
@@ -111,19 +111,6 @@ class MainMemory:
     def snapshot(self) -> dict[int, int]:
         """Copy of the committed state (for end-of-run validation)."""
         return dict(self._data)
-
-    def reset(self, image: Mapping[int, int], record_versions: bool) -> None:
-        """Clear committed state and install a fresh workload image.
-
-        Equivalent to constructing a new memory and calling
-        :meth:`load_image` — the version log is replaced (never shared
-        with a previous run's ``MachineResult``) and the port freed.
-        """
-        self._data.clear()
-        self._port_busy_until = 0
-        self.record_versions = record_versions
-        self.version_log = []
-        self.load_image(image)
 
     # ------------------------------------------------------------------
     # timed port

@@ -96,28 +96,16 @@ class Engine:
         """Discard ``event`` when it is popped, if it is still pending.
 
         A late cancel — the event already fired, was already dropped,
-        or belongs to a queue since cleared by :meth:`reset` — is a
-        no-op and leaves nothing behind.  The pending check scans the
-        queue by identity; cancels are rare, so that is cheaper than
-        keeping an index on the scheduling path.
+        or belongs to a queue since cleared by
+        :meth:`repro.htm.machine.Machine.close` — is a no-op and leaves
+        nothing behind.  The pending check scans the queue by identity;
+        cancels are rare, so that is cheaper than keeping an index on
+        the scheduling path.
         """
         for pending in self._queue:
             if pending is event:
                 self._cancelled.add(event[1])
                 return
-
-    def reset(self) -> None:
-        """Return the engine to its just-constructed state.
-
-        Pending events and pending cancellations are dropped.  Part of
-        the :meth:`repro.htm.machine.Machine.reset` pristine-state
-        contract.
-        """
-        self._queue.clear()
-        self._cancelled.clear()
-        self.now = 0
-        self._seq = 0
-        self.events_executed = 0
 
     # ------------------------------------------------------------------
     # execution

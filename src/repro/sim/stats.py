@@ -37,7 +37,7 @@ serialized result of a run.
 
 from __future__ import annotations
 
-import numpy as np
+import sys
 
 __all__ = ["Counter", "StatsRegistry"]
 
@@ -63,11 +63,6 @@ class StatsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        #: name-sorted (name, handle) pairs, rebuilt lazily after a new
-        #: counter registers.  Serialization is per-member work inside a
-        #: replicate pack (the registry survives Machine.reset), so the
-        #: sort is paid once per pack rather than once per seed.
-        self._order: list[tuple[str, Counter]] | None = None
 
     def counter(self, name: str) -> Counter:
         """Resolve (creating if needed) the counter handle for ``name``.
@@ -75,25 +70,17 @@ class StatsRegistry:
         Hot-path consumers call this once at construction and keep the
         returned object; the same name always resolves to the same
         handle, so components sharing a counter share its total.
+
+        Names are interned: every machine builds its per-component
+        names afresh (``f"proc{i}.cache.hits"``), and one string object
+        per name lets pickle share it across the results of a
+        replicate pack.
         """
         c = self._counters.get(name)
         if c is None:
+            name = sys.intern(name)
             c = self._counters[name] = Counter(name)
-            self._order = None
         return c
-
-    def reset(self) -> None:
-        """Zero every counter, keeping all handles bound.
-
-        The machine-reset path: components re-resolve nothing, so the
-        handles they bound at construction must stay live.  A reset
-        registry serializes identically to a fresh one (zero-valued
-        counters are filtered out), but any *previous* result still
-        holding this registry now reads zeros — callers must copy
-        ``counters()`` out before resetting.
-        """
-        for c in self._counters.values():
-            c.value = 0
 
     def counters(self) -> dict[str, int]:
         """Nonzero counter totals, sorted by dotted name.
@@ -102,21 +89,12 @@ class StatsRegistry:
         handle (which registers the name) is indistinguishable, in
         serialized results, from never having touched the counter —
         the pre-handle-binding encoding emitted exactly the counters
-        that had been bumped.
-
-        Finalization is one numpy pass over the cached name-sorted
-        handle order: gather values, select the nonzero indices, build
-        the dict.  Output is byte-identical to the historical sorted
-        dict comprehension (same keys, same order, plain ints).
+        that had been bumped.  Sorting the names alone, not the (name,
+        handle) pairs, is what keeps this cheap.
         """
-        order = self._order
-        if order is None:
-            order = self._order = sorted(self._counters.items())
-        values = np.fromiter(
-            (c.value for _, c in order), dtype=np.int64, count=len(order)
-        )
+        counters = self._counters
         return {
-            order[i][0]: v
-            for i, v in zip(np.nonzero(values)[0].tolist(), values[
-                values != 0].tolist())
+            name: value
+            for name in sorted(counters)
+            if (value := counters[name].value)
         }

@@ -111,8 +111,8 @@ class TestExecFlags:
 
     def test_exec_status_missing_dir_is_an_error(self, capsys, tmp_path):
         missing = tmp_path / "typo-cahce"
-        assert main(["exec-status", "--cache-dir", str(missing)]) == 1
-        assert "no result store" in capsys.readouterr().err
+        assert main(["exec-status", "--cache-dir", str(missing)]) == 2
+        assert "repro: error: no result store" in capsys.readouterr().err
         assert not missing.exists()
 
     def test_exec_status_prune(self, capsys, tmp_path):
@@ -277,8 +277,15 @@ class TestErrorBoundary:
         (["figures", "build", "--only", "nope"], "unknown figure(s): nope"),
         (["obs", "show", "--obs-dir", "{tmp}"],
          "no observability runs found"),
+        (["exec-status", "--cache-dir", "{tmp}/missing"],
+         "no result store at"),
+        (["exec-status", "--cache-dir", "{tmp}", "--older-than", "30"],
+         "add --prune to apply them"),
+        (["exec-status", "--cache-dir", "{tmp}", "--prune", "--older-than",
+          "-1"], "--older-than must be >= 0 days"),
     ], ids=["workload", "procs", "cm", "w0", "jobs", "suite-file", "suite",
-            "figure", "obs-runs"])
+            "figure", "obs-runs", "store-missing", "gc-without-prune",
+            "negative-age"])
     def test_bad_input_is_one_line_and_exit_2(
         self, capsys, tmp_path, argv, message
     ):

@@ -1,11 +1,10 @@
-"""Machine reset-not-rebuild: bit-identical warm state across a pack.
+"""Machine reset: the pack warm path rebuilds each member's machine.
 
-The pack warm path (PR 10) rests on one contract: a machine that has
-been ``reset()`` produces numbers byte-identical to a freshly
-constructed one.  These tests pin that contract at every level — the
-raw ``Machine.reset`` parity, the :class:`RunReuse` cache policy, the
-``REPRO_NO_RESET`` escape hatch, and the end-to-end store-digest
-identity of reset-reuse ON vs OFF (mirroring the packs ON/OFF tests).
+``Machine.reset`` closes the machine and rebuilds it in place, so a
+reset machine produces numbers byte-identical to a freshly constructed
+one.  These tests pin that at two levels: the raw ``Machine.reset``
+parity and topology check, and the :class:`RunReuse` cache policy and
+its pack tallies.
 """
 
 from __future__ import annotations
@@ -14,18 +13,9 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError, WorkloadError
-from repro.exec.executor import Executor
-from repro.exec.jobs import (
-    PackStats,
-    RunJob,
-    execute_pack,
-    reset_enabled_from_env,
-)
-from repro.exec.serialize import result_to_dict
-from repro.exec.store import ResultStore
+from repro.exec.jobs import PackStats, RunJob, execute_pack
 from repro.harness.runner import RunReuse, run_workload, workload
 from repro.htm.machine import Machine
-from repro.sim.stats import StatsRegistry
 from repro.workloads.registry import build_workload, workload_seed_invariant
 
 
@@ -118,37 +108,19 @@ class TestMachineResetParity:
         with pytest.raises(ConfigError):
             machine.reset(config_for(1), inst.programs[:1])
 
-
-class TestStatsRegistryReset:
-    def test_reset_zeroes_but_keeps_handles(self):
-        stats = StatsRegistry()
-        c = stats.counter("tx.commits")
-        c.add(7)
-        stats.reset()
-        assert stats.counter("tx.commits") is c
-        assert stats.counters() == {}
-
-    def test_counters_after_reset_match_fresh(self):
-        stats = StatsRegistry()
-        stats.counter("b.two")
-        stats.counter("a.one")
-        stats.reset()
-        stats.counter("a.one").add(2)
-        stats.counter("b.two").add(1)
-        fresh = StatsRegistry()
-        fresh.counter("b.two")
-        fresh.counter("a.one")
-        fresh.counter("a.one").add(2)
-        fresh.counter("b.two").add(1)
-        assert stats.counters() == fresh.counters()
-        assert list(stats.counters()) == list(fresh.counters())  # sorted
-
-    def test_order_cache_tracks_new_registrations(self):
-        stats = StatsRegistry()
-        stats.counter("m.mid").add(1)
-        assert list(stats.counters()) == ["m.mid"]
-        stats.counter("a.early").add(1)  # registers after first pass
-        assert list(stats.counters()) == ["a.early", "m.mid"]
+    def test_finished_run_keeps_its_counters_across_a_reset(self):
+        inst = build_workload("counter", scale="tiny", num_threads=2, seed=1)
+        machine = Machine(
+            config_for(1), inst.programs, initial_memory=inst.initial_memory
+        )
+        result = machine.run()
+        counters = result.counters()
+        assert counters
+        machine.reset(
+            config_for(2), inst.programs, initial_memory=inst.initial_memory
+        )
+        assert result.counters() == counters
+        machine.close()
 
 
 class TestRunReuse:
@@ -212,23 +184,12 @@ class TestRunReuse:
         assert reuse.machine_resets == 0
 
 
-class TestResetEnvSwitch:
-    @pytest.mark.parametrize(
-        "value,enabled",
-        [("", True), ("0", True), ("false", True), ("no", True),
-         ("1", False), ("yes", False), ("true", False)],
-    )
-    def test_values(self, monkeypatch, value, enabled):
-        monkeypatch.setenv("REPRO_NO_RESET", value)
-        assert reset_enabled_from_env() is enabled
-
-    def test_unset_means_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_RESET", raising=False)
-        assert reset_enabled_from_env() is True
-
-
 class TestPackResetIdentity:
-    """End-to-end: reset-reuse ON and OFF land byte-identical stores."""
+    """A pack's tallies count the members its shared state served.
+
+    Pack results against per-process ones, bit for bit and store for
+    store: tests/test_exec.py ``TestReplicatePacks``.
+    """
 
     def seed_family(self, count: int = 4) -> list[RunJob]:
         return [
@@ -239,46 +200,7 @@ class TestPackResetIdentity:
             for seed in range(1, count + 1)
         ]
 
-    def test_pack_stats_count_warm_members(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_RESET", raising=False)
+    def test_pack_stats_count_warm_members(self):
         outcomes, stats = execute_pack(self.seed_family())
         assert all(o.error is None for o in outcomes)
         assert stats == PackStats(reset_reuses=3, shared_prep_hits=3)
-
-    def test_no_reset_env_disables_reuse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_RESET", "1")
-        outcomes, stats = execute_pack(self.seed_family())
-        assert all(o.error is None for o in outcomes)
-        assert stats == PackStats(reset_reuses=0, shared_prep_hits=0)
-
-    def test_reset_on_off_results_bit_identical(self, monkeypatch):
-        jobs = self.seed_family()
-        monkeypatch.delenv("REPRO_NO_RESET", raising=False)
-        on, _ = execute_pack(jobs)
-        monkeypatch.setenv("REPRO_NO_RESET", "1")
-        off, _ = execute_pack(jobs)
-        assert [result_to_dict(o.result) for o in on] == [
-            result_to_dict(o.result) for o in off
-        ]
-
-    def test_reset_on_off_stores_identical(self, tmp_path, monkeypatch):
-        jobs = self.seed_family()
-
-        def normalized(directory):
-            store = ResultStore(directory)
-            records = {
-                digest: result_to_dict(store.get(digest))
-                for digest, _label in store.labels()
-            }
-            store.close()
-            return records
-
-        monkeypatch.delenv("REPRO_NO_RESET", raising=False)
-        Executor(jobs=2, packs=True,
-                 store=ResultStore(tmp_path / "on")).run(jobs)
-        monkeypatch.setenv("REPRO_NO_RESET", "1")
-        Executor(jobs=2, packs=True,
-                 store=ResultStore(tmp_path / "off")).run(jobs)
-        on, off = normalized(tmp_path / "on"), normalized(tmp_path / "off")
-        assert sorted(on) == sorted(off)
-        assert on == off

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import CacheConfig
@@ -213,16 +212,6 @@ class TestLazySets:
         assert cache._sets[3] is not _EMPTY_SET
         assert sorted(cache._sets[3]) == [3, 11]
         assert len(_EMPTY_SET) == 0
-
-    def test_reset_returns_every_set_to_the_shared_mapping(self):
-        cache = make_cache()
-        for line in range(16):
-            cache.fill(line)
-        cache.reset()
-        assert all(set_ is _EMPTY_SET for set_ in cache._sets)
-        assert cache.occupancy() == 0
-        cache.fill(4)
-        assert cache.contains(4) and len(_EMPTY_SET) == 0
 
 
 class _RefCache:

@@ -87,20 +87,6 @@ def test_step_and_bounded_run_skip_cancelled():
     assert engine.pending() == 0
 
 
-def test_reset_clears_pending_cancellations():
-    engine = Engine()
-    engine.cancel(engine.schedule(5, lambda: None))
-    engine.reset()
-    assert engine.pending() == 0
-    # The first event after a reset reuses sequence number 0; a
-    # cancellation left over from before the reset would drop it.
-    fired: list[int] = []
-    engine.schedule(5, fired.append, 1)
-    assert engine.pending() == 1
-    engine.run()
-    assert fired == [1]
-
-
 def test_cannot_schedule_in_the_past():
     engine = Engine()
     engine.schedule(5, lambda: None)

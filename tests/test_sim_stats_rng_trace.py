@@ -33,6 +33,23 @@ class TestStatsRegistry:
         reg.counter("a").add()
         assert list(reg.counters()) == ["a", "z"]
 
+    def test_late_registration_stays_sorted(self):
+        reg = StatsRegistry()
+        reg.counter("m.mid").add(1)
+        assert list(reg.counters()) == ["m.mid"]
+        reg.counter("a.early").add(1)  # registers after the first pass
+        assert list(reg.counters()) == ["a.early", "m.mid"]
+
+    def test_counter_names_are_shared_across_registries(self):
+        # Every machine builds its per-component names afresh.  One
+        # string per name lets pickle share it across a replicate
+        # pack's results, which keeps the pack payloads small, and
+        # with them the pool parent's memory (seeds-pool peak RSS).
+        proc = 0
+        first = StatsRegistry().counter(f"proc{proc}.cache.hits").name
+        second = StatsRegistry().counter(f"proc{proc}.cache.hits").name
+        assert first is second
+
 
 class TestRng:
     def test_derive_seed_stable(self):
