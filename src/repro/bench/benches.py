@@ -194,8 +194,7 @@ def bench_cache(check: bool = False, repeats: int = 5, warmup: int = 2) -> Bench
             # Multiplicative-congruential walk: deterministic, scattered
             # across sets, revisits lines often enough to produce hits.
             line = (line * 1103515245 + 12345 + i) % lines
-            entry = cache.touch(line)
-            if entry is None:
+            if not cache.touch(line):
                 cache.fill(line)
             if not i % 9:
                 cache.mark_spec_read(line)

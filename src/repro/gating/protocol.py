@@ -105,10 +105,10 @@ class GatingUnit:
         # Momentum (Section VI future work): the victim's invested work
         # at abort time, learned from the abort acknowledgement.  Used
         # only by momentum-aware policies; Eq. 8 ignores it.
-        entry.momentum = self._m.proc(victim).attempt_age()
+        entry.momentum = self._m.procs[victim].attempt_age()
         window = self._arm_timer(entry)
 
-        self._c_aborts_recorded.add()
+        self._c_aborts_recorded.value += 1
         if self._trace_on:
             self._trace.emit(
                 now,
@@ -196,8 +196,8 @@ class GatingUnit:
             self._send_on(entry, reason="victim-committed")
             return
         entry.renew_count += 1
-        self._c_renewals.add()
-        self._c_renewals_global.add()
+        self._c_renewals.value += 1
+        self._c_renewals_global.value += 1
         window = self._arm_timer(entry)
         if self._trace_on:
             self._trace.emit(
@@ -213,7 +213,7 @@ class GatingUnit:
     def _send_on(self, entry: GatingEntry, reason: str) -> None:
         entry.off = False
         entry.cancel_timer(self._m.engine)
-        self._c_turn_ons.add()
+        self._c_turn_ons.value += 1
         if self._trace_on:
             self._trace.emit(
                 self._m.engine.now,
@@ -222,7 +222,7 @@ class GatingUnit:
                 victim=entry.proc,
                 reason=reason,
             )
-        proc = self._m.proc(entry.proc)
+        proc = self._m.procs[entry.proc]
         self._m.bus.send_ctrl(proc.receive_turn_on, self._dir.dir_id)
 
     # ------------------------------------------------------------------
@@ -244,7 +244,7 @@ class GatingUnit:
             # a redundant Turn-On (see _timer_expired for why this is
             # load-bearing for deadlock freedom).
             entry.off = False
-            self._c_stale_off_cleared.add()
+            self._c_stale_off_cleared.value += 1
             if self._trace_on:
                 self._trace.emit(
                     self._m.engine.now,

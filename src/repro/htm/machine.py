@@ -255,12 +255,6 @@ class Machine:
     # ------------------------------------------------------------------
     # component access
     # ------------------------------------------------------------------
-    def proc(self, proc_id: int) -> Processor:
-        return self.procs[proc_id]
-
-    def dir(self, dir_id: int) -> Directory:
-        return self.dirs[dir_id]
-
     def timeline(self, proc_id: int) -> StateTimeline:
         return self._timelines[proc_id]
 
@@ -291,7 +285,7 @@ class Machine:
         if not proc.accept_tid(epoch, tid):
             # Processor aborted while the grant was in flight.
             self.vendor.release(tid)
-            self._c_stale_grants.add()
+            self._c_stale_grants.value += 1
 
     def query_tx_site(self, target: int, cont: Callable[[str | None], None]) -> None:
         """TxInfoReq/Reply round-trip over the bus.
@@ -302,11 +296,11 @@ class Machine:
         """
 
         def at_target() -> None:
-            site = self.proc(target).current_tx_site()
+            site = self.procs[target].current_tx_site()
             self.bus.send_ctrl(cont, site)
 
         self.bus.send_ctrl(at_target)
-        self._c_txinfo_requests.add()
+        self._c_txinfo_requests.value += 1
 
     # -- barriers --------------------------------------------------------
     def barrier_arrive(
@@ -342,9 +336,14 @@ class Machine:
 
     # -- commit fan-out ----------------------------------------------------
     def notify_commit(self, proc_id: int) -> None:
-        """Reset the committer's abort counters in every directory."""
+        """Reset the committer's abort counters in every directory.
+
+        Only entries with an abort recorded need it: a renew count is
+        nonzero only while the abort count is.
+        """
         for entry in self._gating_entries[proc_id]:
-            entry.reset_on_commit()
+            if entry.abort_count:
+                entry.reset_on_commit()
 
     def record_committed_tx(self, tx: TxState) -> None:
         self.commit_log.append(

@@ -11,12 +11,13 @@ references is abstracted as ``Compute(cycles)``, the standard
 trace/intent-driven simulation idiom (one event instead of one event
 per instruction keeps 16-core runs tractable in CPython; see the
 optimization guide's "algorithmic optimization first").  The intent
-classes are slotted but not frozen: workload bodies construct one per
-yield, so they sit on the dispatch hot path alongside the protocol
-messages, and frozen-dataclass construction (``object.__setattr__``
-per field) was a measured cost there.  They are immutable by
-convention — programs hand them to the processor and never touch them
-again.
+classes are slotted but not frozen: workload bodies construct most of
+them per yield, so they sit on the dispatch hot path alongside the
+protocol messages, and frozen-dataclass construction
+(``object.__setattr__`` per field) was a measured cost there.  They are
+immutable by convention — programs hand them to the processor and
+never touch them again — so a data structure may yield one ``Load``
+per address many times (:class:`LoadCache`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Generator, Any
 
 from ..errors import WorkloadError
 
-__all__ = ["Op", "Load", "Store", "Compute", "TxOp", "BarrierOp"]
+__all__ = ["Op", "Load", "Store", "Compute", "TxOp", "BarrierOp", "LoadCache"]
 
 
 class Op:
@@ -46,6 +47,22 @@ class Load(Op):
     """
 
     addr: int
+
+
+class LoadCache(dict):
+    """``addr -> Load(addr)``, each intent built on first use.
+
+    A data structure keeps one per instance, so its bodies yield one
+    ``Load`` per address rather than one per access.  Sharing is safe
+    because intents are immutable by convention and the processor
+    keeps none of them.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, addr: int) -> Load:
+        load = self[addr] = Load(addr)
+        return load
 
 
 @dataclass(slots=True)

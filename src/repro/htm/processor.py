@@ -129,6 +129,9 @@ class Processor:
         self._line_bytes = addr_map.line_bytes
         self._num_dirs = addr_map.num_dirs
         self._dirs = machine.dirs
+        #: every directory's Marked set, which a commit joins at TID
+        #: accept and leaves at finalize or abort
+        self._marked = [directory.marked for directory in machine.dirs]
         # Load completions read committed memory with one dict lookup:
         # the address was validated when the load issued.
         self._committed_word = machine.memory.words.get
@@ -140,6 +143,7 @@ class Processor:
         # the timeline's initial state.
         self._cur_state = _RUN
         self._cache_touch = self.cache.touch
+        self._cache_touch_read = self.cache.touch_read
         self._cache_fill = self.cache.fill
         # Tracing is decided per run; a disabled trace must cost
         # nothing, not even the kwargs dict an emit() call builds.
@@ -245,8 +249,7 @@ class Processor:
             if addr < 0 or addr + 8 > self._mem_bytes or addr & 7:
                 self._check_word_addr(addr)  # raises the detailed error
             line = addr // self._line_bytes
-            entry = self._cache_touch(line)
-            if entry is None or entry.partial:
+            if not self._cache_touch(line):
                 self._c_cache_misses.value += 1
                 if self._cur_state is not _MISS:
                     self._cur_state = _MISS
@@ -324,20 +327,18 @@ class Processor:
                 # between issue and data return must abort this attempt
                 # (fill/flush race).
                 tx.read_lines.add(line)
-                entry = self._cache_touch(line)
                 # A partial (store-allocated) line cannot serve loads of
                 # words the transaction did not write: the data was never
                 # fetched and the processor is not registered as a
                 # sharer (the fuzzer found the resulting stale-read
-                # serializability hole).
-                if entry is None or entry.partial:
+                # serializability hole).  A usable hit sets the SR bit.
+                if not self._cache_touch_read(line):
                     self._c_cache_misses.value += 1
                     if self._cur_state is not _MISS:
                         self._cur_state = _MISS
                         self._tl_set_state(self._engine.now, _MISS)
                     self._send_fill(line, addr, True)
                     return
-                entry.spec_read = True
                 self._c_cache_hits.value += 1
                 args = (epoch, addr, None)
             delay = self._hit_latency
@@ -454,20 +455,23 @@ class Processor:
             tx.read_log = []
         self._tx = tx
         gen = op.body(handle)
-        if not hasattr(gen, "send"):
+        try:
+            self._tx_send = gen.send
+        except AttributeError:
             raise WorkloadError(
                 f"transaction body for site {op.site!r} must return a "
                 f"generator (got {type(gen).__name__})"
-            )
+            ) from None
         self._tx_gen = gen
-        self._tx_send = gen.send
         self._c_tx_attempts.value += 1
         if self._trace_on:
             self._trace.emit(
                 now, "tx.begin", proc=self.proc_id, site=op.site,
                 attempt=self._attempt,
             )
-        self._set_state(_RUN)
+        if self._cur_state is not _RUN:
+            self._cur_state = _RUN
+            self._tl_set_state(now, _RUN)
         self._tx_step(self._epoch, None, None)
 
     # ------------------------------------------------------------------
@@ -476,7 +480,9 @@ class Processor:
     def _begin_commit(self) -> None:
         tx = self._tx
         tx.status = _COMMITTING
-        self._set_state(_COMMIT)
+        if self._cur_state is not _COMMIT:
+            self._cur_state = _COMMIT
+            self._tl_set_state(self._engine.now, _COMMIT)
         self._c_tx_commit_attempts.value += 1
         if self._trace_on:
             self._trace.emit(
@@ -497,10 +503,13 @@ class Processor:
         footprint = tx.read_lines | tx.write_lines
         self._commit_footprint = footprint
         num_dirs = self._num_dirs
-        self._commit_dirs = sorted({line % num_dirs for line in footprint})
-        dirs = self._dirs
-        for dir_id in self._commit_dirs:
-            dirs[dir_id].mark_commit(self.proc_id)
+        self._commit_dirs = homes = sorted({line % num_dirs for line in footprint})
+        # Record commit intent: the "Marked" bit piggybacked on the
+        # commit request (Fig. 2e).
+        marked = self._marked
+        proc_id = self.proc_id
+        for dir_id in homes:
+            marked[dir_id].add(proc_id)
         self._vendor.wait_for_turn(tid, self._commit_go, epoch, tid)
         return True
 
@@ -512,9 +521,20 @@ class Processor:
         if tx is None or tx.tid != tid:  # pragma: no cover - defensive
             raise ProtocolError(f"commit-go for unknown TID {tid}")
         # One flush per home directory of the write set, in directory
-        # order: the written lines and the store buffer are each sorted
-        # once and partitioned by home in one pass.
+        # order.  The common single-line write set goes as one flush
+        # of the whole store buffer; otherwise the written lines and the
+        # store buffer are each sorted once and partitioned by home in
+        # one pass.
         num_dirs = self._num_dirs
+        if len(tx.write_lines) == 1:
+            (line,) = tx.write_lines
+            tx.flush_acks_pending = 1
+            self._send_data(
+                self._dirs[line % num_dirs].receive_flush_request,
+                self.proc_id, tid, (line,), tuple(sorted(tx.writes.items())),
+                self._engine.now, tx.site,
+            )
+            return
         groups: dict[int, list[int]] = {}
         for line in sorted(tx.write_lines):
             group = groups.get(line % num_dirs)
@@ -554,9 +574,10 @@ class Processor:
         now = self._engine.now
         tx.status = TxStatus.COMMITTED
         self.cache.clear_speculative(self._commit_footprint, commit=True)
-        dirs = self._dirs
+        marked = self._marked
+        proc_id = self.proc_id
         for dir_id in self._commit_dirs:
-            dirs[dir_id].unmark_commit(self.proc_id)
+            marked[dir_id].discard(proc_id)
         self._commit_dirs = None
         self._commit_footprint = None
         self._m.notify_commit(self.proc_id)
@@ -579,7 +600,9 @@ class Processor:
         self._tx_gen = None
         self._tx_send = None
         self._txop = None
-        self._set_state(_RUN)
+        if self._cur_state is not _RUN:
+            self._cur_state = _RUN
+            self._tl_set_state(now, _RUN)
         self._program_step(result)
 
     # ------------------------------------------------------------------
@@ -631,7 +654,7 @@ class Processor:
     ) -> None:
         now = self._engine.now
         tx = self._tx
-        if tx is None or not tx.live:
+        if tx is None or tx.status not in _LIVE:
             # Stop-Clock caught us between attempts (retry scheduled but
             # not started): freeze; the wake-up restarts the attempt.
             if gate:
@@ -645,12 +668,13 @@ class Processor:
                     "the completion barrier should make this impossible"
                 )
             if tx.tid is not None:
+                marked = self._marked
                 for dir_id in self._commit_dirs:
-                    self._dirs[dir_id].unmark_commit(self.proc_id)
+                    marked[dir_id].discard(self.proc_id)
                 self._commit_dirs = None
                 self._commit_footprint = None
                 self._vendor.release(tx.tid)
-                self._c_aborts_while_committing.add()
+                self._c_aborts_while_committing.value += 1
 
         # Counter semantics (see repro.sim.stats "counts versus sums"):
         # tx.aborts.{conflict,self} and tx.aborts.total are *event
@@ -672,7 +696,9 @@ class Processor:
         self._awaiting_fill = None
         if self._tx_gen is not None:
             self._tx_gen.close()
-        self.cache.clear_speculative(tx.footprint_lines, commit=False)
+        clear_speculative = self.cache.clear_speculative
+        clear_speculative(tx.read_lines, commit=False)
+        clear_speculative(tx.write_lines, commit=False)
         tx.status = TxStatus.ABORTED
         self._tx = None
         self._tx_gen = None
@@ -689,7 +715,9 @@ class Processor:
             delay = self._m.config.commit.abort_drain_cycles + max(
                 0, self._cm.retry_delay(self.proc_id, self._consecutive_aborts)
             )
-            self._set_state(_RUN)
+            if self._cur_state is not _RUN:
+                self._cur_state = _RUN
+                self._tl_set_state(now, _RUN)
             self._restart_event = self._engine.schedule(
                 max(1, delay), self._start_attempt
             )
@@ -705,7 +733,7 @@ class Processor:
         self.gated = True
         self._gated_by = {from_dir} if from_dir is not None else set()
         self._set_state(_GATED)
-        self._c_gated.add()
+        self._c_gated.value += 1
         if self._trace_on:
             self._trace.emit(
                 self._engine.now, "gate.off", proc=self.proc_id,
@@ -715,11 +743,11 @@ class Processor:
     def receive_turn_on(self, directory: int) -> None:
         """Bus-arrival handler for ``directory``'s "on" command."""
         if not self.gated:
-            self._c_redundant_on.add()
+            self._c_redundant_on.value += 1
             return
         self.gated = False
         self._gated_by.clear()
-        self._c_wakeups.add()
+        self._c_wakeups.value += 1
         if self._trace_on:
             self._trace.emit(
                 self._engine.now, "gate.on", proc=self.proc_id,
@@ -741,7 +769,7 @@ class Processor:
         (Section VI's future work).
         """
         tx = self._tx
-        if tx is not None and tx.live:
+        if tx is not None and tx.status in _LIVE:
             return self._engine.now - tx.start_time
         return 0
 
@@ -755,7 +783,7 @@ class Processor:
         if self.gated:
             return None
         tx = self._tx
-        if tx is not None and tx.live:
+        if tx is not None and tx.status in _LIVE:
             return tx.site
         return None
 

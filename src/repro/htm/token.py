@@ -24,7 +24,7 @@ iteration instead of recursion.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Any, Callable
 
 from ..errors import ProtocolError
 from ..sim.engine import Engine
@@ -41,8 +41,9 @@ class TokenVendor:
         self._stats = stats
         self._next_tid = 1
         self._live: set[int] = set()
-        # min-heap of (tid, callback) waiting for their barrier turn
-        self._waiters: list[tuple[int, Callable[[], None]]] = []
+        # min-heap of (tid, callback, args) waiting for their barrier
+        # turn; wait_for_turn calls callback(*args) at the turn
+        self._waiters: list[tuple[int, Callable[..., None], tuple[Any, ...]]] = []
         self._c_tids_issued = stats.counter("vendor.tids_issued")
         self._c_barrier_waits = stats.counter("vendor.barrier_waits")
         self._c_commits = stats.counter("vendor.commits")
@@ -54,7 +55,7 @@ class TokenVendor:
         tid = self._next_tid
         self._next_tid += 1
         self._live.add(tid)
-        self._c_tids_issued.add()
+        self._c_tids_issued.value += 1
         return tid
 
     def min_live(self) -> int | None:
@@ -81,7 +82,7 @@ class TokenVendor:
             return
         # TIDs are unique, so heap ordering never compares past them.
         heapq.heappush(self._waiters, (tid, callback, args))
-        self._c_barrier_waits.add()
+        self._c_barrier_waits.value += 1
 
     # ------------------------------------------------------------------
     def finish(self, tid: int) -> None:
@@ -93,20 +94,20 @@ class TokenVendor:
         self._retire(tid, self._c_releases)
 
     def _retire(self, tid: int, counter) -> None:
-        if tid not in self._live:
+        live = self._live
+        if tid not in live:
             raise ProtocolError(f"retiring TID {tid} that is not live")
-        self._live.remove(tid)
-        counter.add()
-        self._drain_waiters()
-
-    def _drain_waiters(self) -> None:
-        while self._waiters:
-            tid, callback, args = self._waiters[0]
-            if tid not in self._live:
+        live.remove(tid)
+        counter.value += 1
+        # Release the waiter whose turn has come, if any.
+        waiters = self._waiters
+        while waiters:
+            tid, callback, args = waiters[0]
+            if tid not in live:
                 # Waiter aborted after queueing; drop the dead entry.
-                heapq.heappop(self._waiters)
+                heapq.heappop(waiters)
                 continue
-            if min(self._live) != tid:
+            if min(live) != tid:
                 return
-            heapq.heappop(self._waiters)
+            heapq.heappop(waiters)
             self._engine.schedule(0, callback, *args)

@@ -104,14 +104,6 @@ class TxState:
         self.flush_acks_pending = 0
 
     # ------------------------------------------------------------------
-    @property
-    def live(self) -> bool:
-        return self.status in (TxStatus.RUNNING, TxStatus.COMMITTING)
-
-    @property
-    def footprint_lines(self) -> set[int]:
-        return self.read_lines | self.write_lines
-
     def buffer_store(self, addr: int, value: int, line: int) -> None:
         """Record a speculative store, enforcing the FIFO depth."""
         if addr not in self.writes and len(self.writes) >= STORE_FIFO_DEPTH:

@@ -18,7 +18,7 @@ reserves its occupancy and schedules the call.
 
 from .address import AddressMap, WORD_BYTES
 from .bus import Bus
-from .cache import L1Cache, CacheLineState
+from .cache import L1Cache
 from .directory import Directory
 from .memory import MainMemory
 
@@ -27,7 +27,6 @@ __all__ = [
     "WORD_BYTES",
     "Bus",
     "L1Cache",
-    "CacheLineState",
     "Directory",
     "MainMemory",
 ]

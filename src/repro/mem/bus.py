@@ -97,9 +97,3 @@ class Bus:
         if depart > now:
             self._c_queue_cycles.value += depart - now
         return arrival
-
-    # ------------------------------------------------------------------
-    @property
-    def busy_until(self) -> int:
-        """Cycle at which the bus next becomes free (for tests)."""
-        return self._busy_until

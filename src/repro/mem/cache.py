@@ -23,6 +23,19 @@ were never architectural); speculatively-read lines stay valid since
 they still mirror committed memory.  On commit both kinds survive with
 their speculative bits cleared — the committer becomes the line owner.
 
+Each resident line is one int in its set's dict, ``line id -> state``::
+
+    state = last_use << 3 | partial << 2 | SM << 1 | SR
+
+``last_use`` is the LRU stamp, a per-cache use clock that every touch
+and fill advances, so no two resident lines share one.  A fill stores
+an int and allocates no object, and a dict of ints is never tracked by
+the garbage collector.  Replacing a value keeps the key's position in
+its dict, so the victim scan walks a set in fill order whatever was
+touched since.  :meth:`L1Cache.lookup` decodes a line into a
+:class:`LineView` for tests and debugging; no simulated path builds
+one.
+
 Sets are allocated lazily: every set starts as one shared, read-only
 empty mapping and gets its own dict on its first fill, so building a
 cache (512 sets in the Table II geometry) allocates no per-set dict.
@@ -30,22 +43,21 @@ cache (512 sets in the Table II geometry) allocates no per-set dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from ..config import CacheConfig
 from ..sim.stats import StatsRegistry
 
-__all__ = ["CacheLineState", "L1Cache"]
+__all__ = ["L1Cache", "LineView"]
 
 #: what every set reads as until its first fill (never written to)
-_EMPTY_SET: Mapping[int, "CacheLineState"] = MappingProxyType({})
+_EMPTY_SET: Mapping[int, int] = MappingProxyType({})
 
 
-@dataclass(slots=True)
-class CacheLineState:
-    """One resident cache line (tags only — data is functional).
+class LineView(NamedTuple):
+    """A decoded copy of one resident line (tags only — data is
+    functional).
 
     ``partial`` marks a line allocated by a *store* without a directory
     fill: it conceptually holds only the written words (per-word valid
@@ -56,10 +68,10 @@ class CacheLineState:
     """
 
     line: int
-    spec_read: bool = False
-    spec_written: bool = False
-    partial: bool = False
-    last_use: int = 0
+    spec_read: bool
+    spec_written: bool
+    partial: bool
+    last_use: int
 
     @property
     def speculative(self) -> bool:
@@ -75,11 +87,9 @@ class L1Cache:
         self._stats = stats
         self._set_mask = config.num_sets - 1
         self._ways = config.ways
-        # set index -> {line id -> CacheLineState}; _EMPTY_SET until
-        # the set's first fill
-        self._sets: list[Mapping[int, CacheLineState]] = (
-            [_EMPTY_SET] * config.num_sets
-        )
+        # set index -> {line id -> packed state}; _EMPTY_SET until the
+        # set's first fill
+        self._sets: list[Mapping[int, int]] = [_EMPTY_SET] * config.num_sets
         self._use_clock = 0
         self._prefix = f"proc{proc_id}.cache"
         # Counter handles bound once; the access paths must not build
@@ -94,21 +104,45 @@ class L1Cache:
         """Set holding ``line`` (low-order line-number bits)."""
         return line & self._set_mask
 
-    def lookup(self, line: int) -> CacheLineState | None:
-        """Return the resident entry (without touching LRU state)."""
-        return self._sets[line & self._set_mask].get(line)
+    def lookup(self, line: int) -> LineView | None:
+        """Decode the resident line (without touching LRU state)."""
+        state = self._sets[line & self._set_mask].get(line)
+        if state is None:
+            return None
+        return LineView(
+            line, bool(state & 1), bool(state & 2), bool(state & 4), state >> 3
+        )
 
     def contains(self, line: int) -> bool:
-        return self.lookup(line) is not None
+        return line in self._sets[line & self._set_mask]
 
     # ------------------------------------------------------------------
-    def touch(self, line: int) -> CacheLineState | None:
-        """LRU-touch ``line``; returns the entry if resident (a hit)."""
-        entry = self._sets[line & self._set_mask].get(line)
-        if entry is not None:
-            self._use_clock += 1
-            entry.last_use = self._use_clock
-        return entry
+    # The access paths spell the state layout as literals (module
+    # docstring): 1 = SR, 2 = SM, 3 = either, 4 = partial, 7 = all flags.
+    def touch(self, line: int) -> bool:
+        """LRU-touch ``line`` if resident; True on a usable hit
+        (resident and not partial)."""
+        set_ = self._sets[line & self._set_mask]
+        state = set_.get(line)
+        if state is None:
+            return False
+        self._use_clock = clock = self._use_clock + 1
+        set_[line] = (clock << 3) | (state & 7)
+        return not state & 4
+
+    def touch_read(self, line: int) -> bool:
+        """:meth:`touch` for a transactional load: a usable hit also
+        sets the line's SR bit."""
+        set_ = self._sets[line & self._set_mask]
+        state = set_.get(line)
+        if state is None:
+            return False
+        self._use_clock = clock = self._use_clock + 1
+        if state & 4:
+            set_[line] = (clock << 3) | (state & 7)
+            return False
+        set_[line] = (clock << 3) | (state & 7) | 1
+        return True
 
     def fill(
         self,
@@ -120,7 +154,7 @@ class L1Cache:
         """Install ``line``; returns the evicted line id, if any.
 
         ``partial=True`` is the store-allocation path (no data fetched,
-        no directory registration — see :class:`CacheLineState`).  A
+        no directory registration — see :class:`LineView`).  A
         completing (non-partial) fill upgrades a resident partial line;
         a partial fill never downgrades a complete one.  ``spec_read``
         and ``spec_written`` set the installed line's SR and SM bits (a
@@ -134,46 +168,42 @@ class L1Cache:
         """
         index = line & self._set_mask
         set_ = self._sets[index]
-        entry = set_.get(line)
-        self._use_clock += 1
-        if entry is not None:
-            entry.last_use = self._use_clock
-            if not partial:
-                entry.partial = False
-            if spec_read:
-                entry.spec_read = True
-            if spec_written:
-                entry.spec_written = True
+        state = set_.get(line)
+        self._use_clock = clock = self._use_clock + 1
+        if state is not None:
+            set_[line] = (
+                (clock << 3) | (state & (7 if partial else 3))
+                | (spec_written << 1) | spec_read
+            )
             return None
 
-        victim_line: int | None = None
+        victim: int | None = None
         if set_ is _EMPTY_SET:
             set_ = self._sets[index] = {}
         elif len(set_) >= self._ways:
             # Allocation-free victim scan: oldest non-speculative way,
             # falling back to the oldest speculative one.  Ties keep the
-            # first-seen entry, matching min() over insertion order.
-            victim: CacheLineState | None = None
-            spec_victim: CacheLineState | None = None
-            for e in set_.values():
-                if e.spec_read or e.spec_written:
-                    if spec_victim is None or e.last_use < spec_victim.last_use:
-                        spec_victim = e
-                elif victim is None or e.last_use < victim.last_use:
-                    victim = e
+            # first-seen line, matching min() over fill order.
+            spec_victim: int | None = None
+            oldest = spec_oldest = 0
+            for other, state in set_.items():
+                stamp = state >> 3
+                if state & 3:
+                    if spec_victim is None or stamp < spec_oldest:
+                        spec_victim, spec_oldest = other, stamp
+                elif victim is None or stamp < oldest:
+                    victim, oldest = other, stamp
             if victim is None:
                 victim = spec_victim
-            victim_line = victim.line
-            del set_[victim_line]
-            self._c_evictions.value += 1
-            if victim.spec_read or victim.spec_written:
                 self._c_spec_evictions.value += 1
+            del set_[victim]
+            self._c_evictions.value += 1
 
-        set_[line] = CacheLineState(
-            line, spec_read, spec_written, partial, self._use_clock
+        set_[line] = (
+            (clock << 3) | (partial << 2) | (spec_written << 1) | spec_read
         )
         self._c_fills.value += 1
-        return victim_line
+        return victim
 
     def clean_lines(self) -> list[int]:
         """Resident lines with their LRU stamps, flat: ``[line,
@@ -184,8 +214,8 @@ class L1Cache:
         """
         out: list[int] = []
         for set_ in self._sets:
-            for entry in set_.values():
-                out += (entry.line, entry.last_use)
+            for line, state in set_.items():
+                out += (line, state >> 3)
         return out
 
     def install_clean(self, lines: list[int], use_clock: int) -> None:
@@ -197,7 +227,7 @@ class L1Cache:
             set_ = sets[line & mask]
             if set_ is _EMPTY_SET:
                 set_ = sets[line & mask] = {}
-            set_[line] = CacheLineState(line, False, False, False, last_use)
+            set_[line] = last_use << 3
         self._use_clock = use_clock
 
     def invalidate(self, line: int) -> bool:
@@ -223,14 +253,16 @@ class L1Cache:
     # speculative state
     # ------------------------------------------------------------------
     def mark_spec_read(self, line: int) -> None:
-        entry = self.lookup(line)
-        if entry is not None:
-            entry.spec_read = True
+        set_ = self._sets[line & self._set_mask]
+        state = set_.get(line)
+        if state is not None:
+            set_[line] = state | 1
 
     def mark_spec_written(self, line: int) -> None:
-        entry = self.lookup(line)
-        if entry is not None:
-            entry.spec_written = True
+        set_ = self._sets[line & self._set_mask]
+        state = set_.get(line)
+        if state is not None:
+            set_[line] = state | 2
 
     def clear_speculative(self, lines, commit: bool) -> None:
         """End-of-transaction cleanup over the transaction's lines.
@@ -242,20 +274,20 @@ class L1Cache:
         sets = self._sets
         mask = self._set_mask
         for line in lines:
-            entry = sets[line & mask].get(line)
-            if entry is None:
+            set_ = sets[line & mask]
+            state = set_.get(line)
+            if state is None or not state & 3:
                 continue
-            if not commit and entry.spec_written:
-                del sets[line & mask][line]
-                continue
-            entry.spec_read = False
-            entry.spec_written = False
+            if not commit and state & 2:
+                del set_[line]
+            else:
+                set_[line] = state & -4
 
     def speculative_lines(self) -> Iterator[int]:
         for set_ in self._sets:
-            for entry in set_.values():
-                if entry.speculative:
-                    yield entry.line
+            for line, state in set_.items():
+                if state & 3:
+                    yield line
 
     # ------------------------------------------------------------------
     def resident_lines(self) -> Iterator[int]:

@@ -17,7 +17,7 @@ Commit flushes occupy the server for ``latency + lines × commit_line_cycles``
 cycles.  At completion the directory
 
 1. applies the committed words to functional memory,
-2. re-homes sharer bits (committer becomes owner, others dropped),
+2. re-homes sharer bits (the committer becomes the only sharer),
 3. broadcasts one invalidation message per victim sharer (single bus
    data transaction — the split-transaction bus is a broadcast medium),
    attaching a Stop-Clock command for victims that will abort when the
@@ -82,9 +82,9 @@ class Directory:
         #: line with one int store and victim extraction is bit
         #: arithmetic instead of set iteration (PR 7 batched flush path).
         self._sharers: dict[int, int] = {}
-        #: line -> last committer ("Owner" coherence state of Fig. 2b)
-        self._owner: dict[int, int] = {}
-        #: processors with live commit intent here ("Marked" bit, Fig. 2e)
+        #: processors with live commit intent here ("Marked" bit, Fig.
+        #: 2e); a committer adds itself at TID accept and discards
+        #: itself when its commit finishes or aborts
         self.marked: set[int] = set()
         #: per-directory watermark of the last TID whose flush completed here
         self.last_committed_tid = -1
@@ -126,9 +126,6 @@ class Directory:
             mask ^= low
         return frozenset(sharers)
 
-    def owner_of(self, line: int) -> int | None:
-        return self._owner.get(line)
-
     def _check_home(self, lines: Iterable[int]) -> None:
         num_dirs = self._num_dirs
         dir_id = self.dir_id
@@ -138,16 +135,6 @@ class Directory:
                     f"line {line} homed at dir {line % num_dirs}, "
                     f"not {dir_id}"
                 )
-
-    # ------------------------------------------------------------------
-    # commit-intent marking ("Marked" bits)
-    # ------------------------------------------------------------------
-    def mark_commit(self, proc: int) -> None:
-        """Record commit intent (piggybacked on the commit request)."""
-        self.marked.add(proc)
-
-    def unmark_commit(self, proc: int) -> None:
-        self.marked.discard(proc)
 
     # ------------------------------------------------------------------
     # fill path
@@ -274,7 +261,6 @@ class Directory:
         #    with bit arithmetic, and re-homing is a single int store
         #    per line (no per-line set allocation).
         sharers = self._sharers
-        owner = self._owner
         procs = self._machine.procs
         committer_bit = 1 << committer
         victims: dict[int, list[int]] = {}
@@ -290,7 +276,6 @@ class Directory:
                 else:
                     lines.append(line)
             sharers[line] = committer_bit
-            owner[line] = committer
 
         if victims:
             # 3. gating decisions + one invalidation broadcast per
@@ -304,7 +289,7 @@ class Directory:
             stop_clock = 0
             for victim, lines in ordered:
                 if procs[victim].would_abort_on(lines):
-                    self._c_aborts_caused.add()
+                    self._c_aborts_caused.value += 1
                     if self._trace_on:
                         self._trace.emit(
                             now,
@@ -335,10 +320,6 @@ class Directory:
         self._bus.send_ctrl(procs[committer].receive_flush_done, tid)
 
     # ------------------------------------------------------------------
-    @property
-    def busy_until(self) -> int:
-        return self._busy_until
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Directory {self.dir_id} lines={len(self._sharers)} "

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ...errors import WorkloadError
-from ...htm.ops import Load, Store
+from ...htm.ops import LoadCache, Store
 from ...mem.address import WORD_BYTES
 from ..base import MemoryLayout
 
@@ -35,6 +35,7 @@ class TArray:
         self.length = length
         self.stride_bytes = stride_words * WORD_BYTES
         self.base = layout.alloc_words(length * stride_words, line_aligned)
+        self._loads = LoadCache()
 
     def addr(self, index: int, word: int = 0) -> int:
         """Byte address of ``index`` (+ an intra-element word offset)."""
@@ -55,7 +56,7 @@ class TArray:
     # -- transactional --------------------------------------------------
     def get(self, index: int, word: int = 0):
         """Generator: load element ``index``."""
-        value = yield Load(self.addr(index, word))
+        value = yield self._loads[self.addr(index, word)]
         return value
 
     def put(self, index: int, value: int, word: int = 0):
@@ -65,6 +66,6 @@ class TArray:
     def add(self, index: int, delta: int, word: int = 0):
         """Generator: read-modify-write element ``index``."""
         addr = self.addr(index, word)
-        value = yield Load(addr)
+        value = yield self._loads[addr]
         yield Store(addr, value + delta)
         return value + delta

@@ -12,7 +12,7 @@ genome contends on its segment hashtable.
 from __future__ import annotations
 
 from ...errors import WorkloadError
-from ...htm.ops import Load, Store
+from ...htm.ops import LoadCache, Store
 from ...mem.address import WORD_BYTES
 from ..base import MemoryLayout, mix64
 
@@ -30,6 +30,7 @@ class THashTable:
         self.name = name
         self.num_slots = num_slots
         self.base = layout.alloc_words(num_slots * _SLOT_WORDS, line_aligned=True)
+        self._loads = LoadCache()
 
     # ------------------------------------------------------------------
     def _slot_addr(self, slot: int) -> int:
@@ -73,12 +74,13 @@ class THashTable:
     def lookup(self, key: int):
         """Generator: value stored under ``key``, or None."""
         self._check_key(key)
+        loads = self._loads
         slot = self._home_slot(key)
         for _ in range(self.num_slots):
             addr = self._slot_addr(slot)
-            stored = yield Load(addr)
+            stored = yield loads[addr]
             if stored == key:
-                value = yield Load(addr + WORD_BYTES)
+                value = yield loads[addr + WORD_BYTES]
                 return value
             if stored == 0:
                 return None
@@ -94,10 +96,11 @@ class THashTable:
         size tables with headroom, so overflow indicates a sizing bug.
         """
         self._check_key(key)
+        loads = self._loads
         slot = self._home_slot(key)
         for _ in range(self.num_slots):
             addr = self._slot_addr(slot)
-            stored = yield Load(addr)
+            stored = yield loads[addr]
             if stored == key:
                 if update:
                     yield Store(addr + WORD_BYTES, value)
@@ -115,12 +118,13 @@ class THashTable:
         Returns the new value.
         """
         self._check_key(key)
+        loads = self._loads
         slot = self._home_slot(key)
         for _ in range(self.num_slots):
             addr = self._slot_addr(slot)
-            stored = yield Load(addr)
+            stored = yield loads[addr]
             if stored == key:
-                value = yield Load(addr + WORD_BYTES)
+                value = yield loads[addr + WORD_BYTES]
                 yield Store(addr + WORD_BYTES, value + delta)
                 return value + delta
             if stored == 0:

@@ -29,6 +29,9 @@ class TQueue:
         self.head_addr = layout.alloc_lines(1)
         self.tail_addr = layout.alloc_lines(1)
         self.buf_base = layout.alloc_words(capacity, line_aligned=True)
+        # every push and pop reads both counters: one intent each
+        self._load_head = Load(self.head_addr)
+        self._load_tail = Load(self.tail_addr)
 
     def _slot_addr(self, index: int) -> int:
         return self.buf_base + (index % self.capacity) * WORD_BYTES
@@ -54,8 +57,8 @@ class TQueue:
     # ------------------------------------------------------------------
     def push(self, value: int):
         """Generator: append ``value``; returns False when full."""
-        tail = yield Load(self.tail_addr)
-        head = yield Load(self.head_addr)
+        tail = yield self._load_tail
+        head = yield self._load_head
         if tail - head >= self.capacity:
             return False
         yield Store(self._slot_addr(tail), value)
@@ -64,8 +67,8 @@ class TQueue:
 
     def pop(self):
         """Generator: remove the oldest value; returns None when empty."""
-        head = yield Load(self.head_addr)
-        tail = yield Load(self.tail_addr)
+        head = yield self._load_head
+        tail = yield self._load_tail
         if head >= tail:
             return None
         value = yield Load(self._slot_addr(head))

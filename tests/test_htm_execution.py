@@ -506,7 +506,7 @@ class TestStepLoop:
         config = cfg1()
         programs = [ThreadProgram(program, "t0")]
         machine = Machine(config, programs, initial_memory={C: 9})
-        proc = machine.proc(0)
+        proc = machine.procs[0]
         # A reply to a request never made, and one for another line.
         machine.engine.schedule(5, proc.receive_fill_reply, line, 99)
         machine.engine.schedule(5, proc.receive_fill_reply, line + 1, 1)

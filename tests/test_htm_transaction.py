@@ -25,7 +25,7 @@ def live_on_processor(tx: TxState):
         yield  # pragma: no cover - generator marker
 
     config = SystemConfig(num_procs=1, gating=GatingConfig(enabled=False))
-    proc = Machine(config, [ThreadProgram(idle)]).proc(0)
+    proc = Machine(config, [ThreadProgram(idle)]).procs[0]
     proc._tx = tx
     return proc
 
@@ -80,19 +80,22 @@ class TestConflicts:
         tx = make_tx()
         tx.read_lines.add(1)
         tx.buffer_store(256, 9, line=4)
-        assert tx.footprint_lines == {1, 4}
+        assert tx.read_lines | tx.write_lines == {1, 4}
 
 
 class TestLifecycle:
     def test_initial_status(self):
         tx = make_tx()
         assert tx.status is TxStatus.RUNNING
-        assert tx.live
 
     def test_committed_not_live(self):
+        """The directory's probe ignores an attempt that has committed."""
         tx = make_tx()
+        tx.read_lines.add(1)
+        proc = live_on_processor(tx)
+        assert proc.would_abort_on([1])
         tx.status = TxStatus.COMMITTED
-        assert not tx.live
+        assert not proc.would_abort_on([1])
 
     def test_handle_result(self):
         handle = TxHandle(2, 8, "s", 3)

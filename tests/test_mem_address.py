@@ -102,7 +102,7 @@ class TestLineMath:
         """The processor caches the line ``addr // line_bytes``: 0 and 56
         share line 0, 64 starts line 1 and 6400 is line 100."""
         machine, result = run_loads([0, 56, 64, 6400])
-        cache = machine.proc(0).cache
+        cache = machine.procs[0].cache
         assert all(cache.contains(line) for line in (0, 1, 100))
         counters = result.counters()
         assert counters["proc0.cache.misses"] == 3

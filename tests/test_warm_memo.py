@@ -145,6 +145,45 @@ class TestMemoKeys:
         assert [key[0].bus.occupancy for key in WARM_STATES] == [1, 3]
 
 
+class TestSmallPointEventGraph:
+    """One `small` paper-grid point's simulated counts, pinned.
+
+    Results stay bit-identical only while the event graph does (the
+    engine breaks same-cycle ties by scheduling order), so adding,
+    merging or reordering an event moves these counts.  Both the run
+    that simulates the warm sweep and the one that restores it must
+    reach them.
+    """
+
+    #: intruder, 16 threads, `small`, seed 0, gated
+    COUNTS = {
+        "events": 73_942,
+        "bus.messages": 33_109,
+        "tx.attempts": 4_661,
+        "tx.commits": 736,
+        "cache.misses": 7_865,
+    }
+
+    def test_intruder_16_counts(self, runs):
+        instance = build_workload("intruder", scale="small", num_threads=16, seed=0)
+        config = SystemConfig(num_procs=16, seed=0).with_gating(True)
+        seen = []
+        for _ in ("simulated", "restored"):
+            counters = run_workload(instance, config).counters
+            seen.append({
+                "events": runs["machines"][-1].engine.events_executed,
+                "bus.messages": counters["bus.messages"],
+                "tx.attempts": counters["tx.attempts"],
+                "tx.commits": counters["tx.commits"],
+                "cache.misses": sum(
+                    value for name, value in counters.items()
+                    if name.endswith(".cache.misses")
+                ),
+            })
+        assert runs["restores"] == 1
+        assert seen == [self.COUNTS, self.COUNTS]
+
+
 class TestTracedRuns:
     def test_traced_run_simulates_the_sweep(self, runs):
         instance = build_workload("intruder", scale="tiny", num_threads=4)
