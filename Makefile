@@ -16,9 +16,10 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The static-analysis gate: the repo's own AST rules over the whole
-# tree (see docs/static-analysis.md), then the typed-core/style gates
-# when the external tools are installed (CI always runs them; a bare
-# dev container may not have them).
+# tree (store discipline, metric catalog, typed core, replicate packs;
+# see docs/static-analysis.md; tier-1 runs the same rules), then the
+# typed-core/style gates when the external tools are installed (CI
+# always runs them; a bare dev container may not have them).
 check:
 	$(PYTHON) -m repro check src tests scripts
 	$(MAKE) typecheck

@@ -13,9 +13,6 @@ SUITE=(suite run --suite smoke --jobs 2 --cache-dir "$CACHE_DIR"
 
 rm -rf "$CACHE_DIR"
 
-echo "== smoke: static analysis (repro check) =="
-python -m repro check src tests scripts
-
 echo "== smoke: named suite, cold (expand -> exec cache) =="
 suite_cold=$(python -m repro "${SUITE[@]}" 2>suite_cold.err)
 cat suite_cold.err

@@ -15,10 +15,9 @@ Turns traces and timelines into the artefacts a systems study needs:
   the shared :mod:`repro.figures.extract` outputs instead of
   re-deriving rows.
 * :mod:`~repro.analysis.lint` / :mod:`~repro.analysis.rules` — the
-  ``repro check`` static-analysis engine: AST rules that keep the
-  tree's determinism, digest-purity, store-discipline, observability
-  and gating-protocol invariants machine-checked (imported lazily by
-  the CLI; see docs/static-analysis.md).
+  ``repro check`` static-analysis engine: AST rules for the store
+  discipline, metric catalog, typed core and replicate-pack invariants
+  (imported lazily by the CLI; see docs/static-analysis.md).
 
 Each name below imports its module on first use, so reading a
 figure artifact (``figreport``, behind ``figures build --show``) loads

@@ -1,24 +1,22 @@
-"""`repro check`: the determinism-invariant lint engine.
+"""`repro check`: the repository's own AST lint engine.
 
-The repo's core promise — (jobs, packs on/off, obs on/off) never
-changes a byte — is enforced dynamically by golden captures and
-smoke scripts.  This module adds the *static* half: an
-AST-based rule engine whose rules encode the domain invariants generic
-linters cannot express (wall-clock reads in the deterministic core,
-unordered set iteration feeding digests, store-file access outside the
-store module, unbalanced advisory locks, undeclared metric names,
-Eq. 8 gating-window preconditions, ...).
+Bit-identical results and Eq. 8's precondition are enforced at run
+time by tier-1 (goldens, determinism tests, the gating asserts).  This
+engine checks the rest: store-file access outside the store module,
+unbalanced advisory locks, the metric-name catalog, the typed core
+without a mypy install, and the replicate-pack contracts.
+``docs/static-analysis.md`` records, per rule, whether tier-1 catches
+its defect.
 
 Architecture
 ------------
 * :class:`Rule` subclasses register themselves via :func:`register`;
-  each rule has a stable ``id`` (``DET003``), a slug ``name``
-  (``set-iteration``) and a one-line ``rationale``.
+  each rule has a stable ``id`` (``STO201``), a slug ``name``
+  (``store-access``) and a one-line ``rationale``.
 * :class:`ModuleContext` wraps one parsed file: source, AST, a parent
-  map (for "is this call a ``with`` item?" questions) and the module
-  path relative to the ``repro`` package root, which is how rules
-  scope themselves to the deterministic core, the typed core, or the
-  storage layer.
+  map (for "which class encloses this function?" questions) and the
+  module path relative to the ``repro`` package root, which is how
+  rules scope themselves to the typed core or the storage layer.
 * Findings on a line carrying ``# repro: allow[rule-id]`` (id, slug or
   ``*``) are suppressed — the suppression syntax for reviewed,
   justified exceptions.  Unknown rule ids in a suppression are
@@ -26,7 +24,9 @@ Architecture
 * :func:`run_check` walks files/directories deterministically (sorted,
   ``__pycache__``/hidden dirs skipped) and returns a
   :class:`CheckReport`; :func:`render_text` / :func:`render_json` are
-  the two reporters behind ``repro check [--json]``.
+  the two reporters behind ``repro check [--json]``.  A path that does
+  not exist, or a ``--select``/``--ignore`` token naming no rule, is a
+  :class:`~repro.errors.ReproError`, never an empty, passing run.
 
 The concrete rules live in :mod:`repro.analysis.rules`; importing that
 module populates the registry.
@@ -42,6 +42,8 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from ..errors import ReproError
 
 __all__ = [
     "Finding",
@@ -219,8 +221,8 @@ def _module_parts(path: Path) -> tuple[str, ...]:
 class Rule:
     """One invariant.  Subclass, set the class attrs, implement check().
 
-    ``id`` is the stable selector (``DET003``); ``name`` the
-    human-facing slug (``set-iteration``); ``rationale`` one line of
+    ``id`` is the stable selector (``STO201``); ``name`` the
+    human-facing slug (``store-access``); ``rationale`` one line of
     *why* — it is surfaced by ``repro check --list-rules`` and the rule
     catalog in ``docs/static-analysis.md``.
     """
@@ -260,10 +262,23 @@ def _ensure_rules_loaded() -> None:
         from . import rules  # noqa: F401  (import populates _REGISTRY)
 
 
+def _rule_tokens(rules: Iterable[Rule]) -> set[str]:
+    """Every id and slug of ``rules``: what a selector may name."""
+    return {token for rule in rules for token in (rule.id, rule.name)}
+
+
 def _select_rules(
     select: Iterable[str] | None, ignore: Iterable[str] | None
 ) -> list[Rule]:
     rules = registered_rules()
+    known = _rule_tokens(rules)
+    for option, tokens in (("--select", select), ("--ignore", ignore)):
+        unknown = sorted(set(tokens or ()) - known)
+        if unknown:
+            raise ReproError(
+                f"{option} names no registered rule: {', '.join(unknown)} "
+                f"(rules: {', '.join(r.id for r in rules)})"
+            )
     if select:
         wanted = {token for token in select}
         rules = [r for r in rules if r.id in wanted or r.name in wanted]
@@ -353,10 +368,7 @@ def check_source(
                 suppressed += 1
             else:
                 findings.append(finding)
-    known = {"*", _PARSE_RULE.id, _PARSE_RULE.name}
-    for registered in registered_rules():
-        known.add(registered.id)
-        known.add(registered.name)
+    known = {"*"} | _rule_tokens([_PARSE_RULE, *registered_rules()])
     for line, ids in ctx.suppression_lines():
         for token in sorted(ids - known):
             findings.append(Finding(
@@ -373,6 +385,8 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
     seen: dict[Path, None] = {}
     for raw in paths:
         path = Path(raw)
+        if not path.exists():
+            raise ReproError(f"no such file or directory: {raw}")
         if path.is_dir():
             candidates = sorted(
                 p for p in path.rglob("*.py")

@@ -1,19 +1,18 @@
-"""The determinism-invariant rule catalog behind ``repro check``.
+"""The rule catalog behind ``repro check``.
 
-Each rule encodes one *domain* invariant of this repository — things a
-generic linter has no vocabulary for.  The catalog (with rationale and
-an example violation per rule) is documented in
+Each rule encodes one invariant of this repository that generic
+linters have no vocabulary for, and stays only while tier-1 does not
+catch its defect.  The catalog (with rationale, an example violation
+per rule, and each rule's planted-defect evidence) is documented in
 ``docs/static-analysis.md``; the one-line summaries here are surfaced
 by ``repro check --list-rules``.
 
 Rule id namespaces:
 
 ====  ==============================================================
-DET   determinism hazards in the simulation core
-DIG   digest purity (content-addressed job/spec/figure identity)
+DIG   digest purity (replicate keys and pack-shared caches)
 STO   result-store access discipline
-OBS   observability hygiene
-GAT   gating-protocol preconditions (the paper's Eq. 8 window)
+OBS   the metric-name catalog in ``metrics.py``
 TYP   typed-core gate (mirrors the ``mypy --strict`` CI packages)
 ====  ==============================================================
 """
@@ -26,12 +25,6 @@ from typing import Iterable, Iterator
 
 from .lint import Finding, ModuleContext, Rule, register
 
-__all__ = ["CORE_PACKAGES", "TYPED_PACKAGES"]
-
-#: subpackages whose execution must be a pure function of the job
-#: digest — the simulation spine and everything feeding it
-CORE_PACKAGES = ("sim", "htm", "mem", "cm", "gating", "power", "workloads")
-
 #: subpackages gated by ``mypy --strict`` in CI (see pyproject.toml)
 TYPED_PACKAGES = ("exec", "figures", "obs", "scenarios")
 
@@ -42,8 +35,8 @@ TYPED_PACKAGES = ("exec", "figures", "obs", "scenarios")
 def _call_root_and_attr(func: ast.AST) -> tuple[str | None, str | None]:
     """(``root``, ``attr``) of an ``<root>.<attr>(...)`` call target.
 
-    ``time.time`` -> ("time", "time"); ``datetime.datetime.now`` ->
-    ("datetime", "now"); ``self._stats.counter`` -> ("_stats",
+    ``fcntl.flock`` -> ("fcntl", "flock"); ``get_recorder().count`` ->
+    ("get_recorder()", "count"); ``self._stats.counter`` -> ("_stats",
     "counter") — the *nearest* receiver name, which is what the
     receiver-hint heuristics match on.
     """
@@ -57,18 +50,6 @@ def _call_root_and_attr(func: ast.AST) -> tuple[str | None, str | None]:
     if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
         return value.func.id + "()", func.attr
     return None, func.attr
-
-
-def _enclosing_function(
-    ctx: ModuleContext, node: ast.AST
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    parents = ctx.parents
-    current = parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = parents.get(current)
-    return None
 
 
 def _functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
@@ -102,295 +83,8 @@ def _string_constants(node: ast.AST) -> Iterator[str]:
 
 
 # ----------------------------------------------------------------------
-# DET — determinism hazards
-# ----------------------------------------------------------------------
-_WALLCLOCK_CALLS = frozenset({
-    ("time", "time"), ("time", "time_ns"),
-    ("time", "monotonic"), ("time", "monotonic_ns"),
-    ("time", "perf_counter"), ("time", "perf_counter_ns"),
-    ("time", "process_time"), ("time", "process_time_ns"),
-    ("time", "localtime"), ("time", "gmtime"), ("time", "strftime"),
-    ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
-    ("date", "today"),
-})
-
-
-@register
-class WallClockRule(Rule):
-    id = "DET001"
-    name = "wallclock"
-    rationale = (
-        "the deterministic core (sim/htm/mem/cm/gating/power/workloads) "
-        "must never read the wall clock: results must be a pure function "
-        "of the job digest"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if not ctx.in_package(*CORE_PACKAGES):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            root, attr = _call_root_and_attr(node.func)
-            if root is not None and (root, attr) in _WALLCLOCK_CALLS:
-                yield ctx.finding(
-                    self, node,
-                    f"wall-clock read `{root}.{attr}()` in the "
-                    f"deterministic core; derive timing from engine "
-                    f"cycles instead",
-                )
-
-
-#: np.random module-level helpers that are legitimate to *construct*
-#: generators with (the draws themselves must come from a Generator
-#: seeded through sim/rng.py)
-_NP_RANDOM_OK = frozenset({
-    "default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64",
-})
-
-
-@register
-class UnseededRngRule(Rule):
-    id = "DET002"
-    name = "unseeded-rng"
-    rationale = (
-        "every random draw in the deterministic core must flow from the "
-        "run seed through sim/rng.py; ambient entropy (stdlib random, "
-        "os.urandom, uuid, unseeded/literal-seeded default_rng) breaks "
-        "replicate identity"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if not ctx.in_package(*CORE_PACKAGES) or ctx.module == ("sim", "rng"):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                value = func.value
-                if isinstance(value, ast.Name) and value.id == "random":
-                    yield ctx.finding(
-                        self, node,
-                        f"stdlib `random.{func.attr}()` in the "
-                        f"deterministic core; use a Generator from "
-                        f"sim/rng.py",
-                    )
-                    continue
-                if isinstance(value, ast.Name) and value.id == "os" and (
-                    func.attr == "urandom"
-                ):
-                    yield ctx.finding(
-                        self, node, "`os.urandom()` is ambient entropy; "
-                        "seeds must derive from the job's root seed")
-                    continue
-                if isinstance(value, ast.Name) and value.id == "uuid" and (
-                    func.attr in ("uuid1", "uuid4")
-                ):
-                    yield ctx.finding(
-                        self, node, f"`uuid.{func.attr}()` is "
-                        "nondeterministic; derive identifiers from "
-                        "seeded state")
-                    continue
-                if isinstance(value, ast.Name) and value.id == "secrets":
-                    yield ctx.finding(
-                        self, node, "`secrets` draws ambient entropy; use "
-                        "sim/rng.py derivations")
-                    continue
-                # np.random.<fn>(...) / numpy.random.<fn>(...)
-                if (isinstance(value, ast.Attribute)
-                        and value.attr == "random"
-                        and isinstance(value.value, ast.Name)
-                        and value.value.id in ("np", "numpy")
-                        and func.attr not in _NP_RANDOM_OK):
-                    yield ctx.finding(
-                        self, node,
-                        f"module-level `np.random.{func.attr}()` uses the "
-                        f"shared global state; use a Generator seeded via "
-                        f"sim/rng.py",
-                    )
-                    continue
-            is_default_rng = (
-                isinstance(func, ast.Name) and func.id == "default_rng"
-            ) or (isinstance(func, ast.Attribute)
-                  and func.attr == "default_rng")
-            if is_default_rng:
-                if not node.args and not node.keywords:
-                    yield ctx.finding(
-                        self, node,
-                        "`default_rng()` without a seed pulls OS entropy; "
-                        "pass a seed derived via sim/rng.py",
-                    )
-                elif node.args and isinstance(node.args[0], ast.Constant):
-                    yield ctx.finding(
-                        self, node,
-                        "`default_rng(<literal>)` bypasses the root-seed "
-                        "derivation discipline; derive the seed with "
-                        "sim/rng.derive_seed",
-                    )
-
-
-_ORDER_INSENSITIVE = frozenset({
-    "sorted", "min", "max", "sum", "len", "any", "all", "set", "frozenset",
-})
-
-
-def _is_set_expr(node: ast.AST, set_names: frozenset[str]) -> bool:
-    if isinstance(node, ast.Set):
-        return True
-    if isinstance(node, ast.SetComp):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        if node.func.id in ("set", "frozenset"):
-            return True
-    if isinstance(node, ast.Name) and node.id in set_names:
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
-    ):
-        return (_is_set_expr(node.left, set_names)
-                or _is_set_expr(node.right, set_names))
-    return False
-
-
-def _is_set_annotation(annotation: ast.AST) -> bool:
-    target = annotation
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    return (isinstance(target, ast.Name)
-            and target.id in ("set", "frozenset", "Set", "FrozenSet"))
-
-
-@register
-class SetIterationRule(Rule):
-    id = "DET003"
-    name = "set-iteration"
-    rationale = (
-        "iterating a set in order-sensitive positions (for loops, "
-        "list/tuple/join materialization) leaks hash order into digests, "
-        "serialized stats and event ordering; wrap in sorted()"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        set_names = self._set_bound_names(ctx.tree)
-        parents = ctx.parents
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For):
-                if _is_set_expr(node.iter, set_names):
-                    yield ctx.finding(
-                        self, node.iter,
-                        "for-loop over a set: iteration order is "
-                        "hash-dependent; use sorted(...)",
-                    )
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-                for comp in node.generators:
-                    if not _is_set_expr(comp.iter, set_names):
-                        continue
-                    if self._feeds_order_insensitive(node, parents):
-                        continue
-                    yield ctx.finding(
-                        self, comp.iter,
-                        "comprehension over a set materializes "
-                        "hash-dependent order; use sorted(...)",
-                    )
-            elif isinstance(node, ast.Call):
-                root, attr = _call_root_and_attr(node.func)
-                if attr == "join" and any(
-                    _is_set_expr(arg, set_names) for arg in node.args
-                ):
-                    yield ctx.finding(
-                        self, node,
-                        "join() over a set concatenates in hash order; "
-                        "join sorted(...) instead",
-                    )
-                elif (isinstance(node.func, ast.Name)
-                      and node.func.id in ("list", "tuple")
-                      and len(node.args) == 1
-                      and _is_set_expr(node.args[0], set_names)):
-                    yield ctx.finding(
-                        self, node,
-                        f"{node.func.id}() over a set freezes "
-                        f"hash-dependent order; use sorted(...)",
-                    )
-
-    @staticmethod
-    def _set_bound_names(tree: ast.Module) -> frozenset[str]:
-        """Names assigned *only* set-valued expressions, module-wide."""
-        set_bound: set[str] = set()
-        other_bound: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    if _is_set_expr(node.value, frozenset()):
-                        set_bound.add(target.id)
-                    else:
-                        other_bound.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                if _is_set_annotation(node.annotation):
-                    set_bound.add(node.target.id)
-                else:
-                    other_bound.add(node.target.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-                    if arg.annotation is not None and _is_set_annotation(
-                        arg.annotation
-                    ):
-                        set_bound.add(arg.arg)
-        return frozenset(set_bound - other_bound)
-
-    @staticmethod
-    def _feeds_order_insensitive(
-        node: ast.AST, parents: dict[ast.AST, ast.AST]
-    ) -> bool:
-        """Is this comprehension an argument of sorted()/min()/... ?"""
-        parent = parents.get(node)
-        if isinstance(parent, ast.Call) and isinstance(parent.func, ast.Name):
-            return parent.func.id in _ORDER_INSENSITIVE
-        return False
-
-
-# ----------------------------------------------------------------------
 # DIG — digest purity
 # ----------------------------------------------------------------------
-_CONSTRUCTION_HOOKS = frozenset({
-    "__init__", "__post_init__", "__new__", "__setstate__",
-    "__copy__", "__deepcopy__", "__reduce__",
-})
-
-
-@register
-class FrozenMutationRule(Rule):
-    id = "DIG101"
-    name = "frozen-mutation"
-    rationale = (
-        "RunJob/ScenarioSpec/FigureSpec identity is their content digest; "
-        "the frozen-dataclass escape hatch object.__setattr__ outside "
-        "construction hooks mutates digest inputs post-construction"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            root, attr = _call_root_and_attr(node.func)
-            if root != "object" or attr != "__setattr__":
-                continue
-            function = _enclosing_function(ctx, node)
-            if function is not None and function.name in _CONSTRUCTION_HOOKS:
-                continue
-            where = function.name if function is not None else "module scope"
-            yield ctx.finding(
-                self, node,
-                f"object.__setattr__ in `{where}`: frozen digest-bearing "
-                f"values may only be written during construction "
-                f"(__init__/__post_init__)",
-            )
-
-
 @register
 class ReplicateSeedSlotsRule(Rule):
     id = "DIG102"
@@ -695,7 +389,7 @@ class LockBalanceRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# OBS — observability hygiene
+# OBS — the metric-name catalog
 # ----------------------------------------------------------------------
 _STATS_RECEIVERS = frozenset({"stats", "_stats", "registry", "_registry"})
 _OBS_RECEIVERS = frozenset({"recorder", "_recorder", "rec", "get_recorder()"})
@@ -723,56 +417,12 @@ def _metric_name_pattern(arg: ast.AST) -> str | None:
     return None
 
 
-@register
-class UndeclaredMetricRule(Rule):
-    id = "OBS301"
-    name = "undeclared-metric"
-    rationale = (
-        "every Counter/obs-counter name bumped in code must be "
-        "declared in metrics.py (DECLARED_METRICS) so reporting, docs "
-        "and dashboards share one canonical catalog"
-    )
+def _metric_bumps(tree: ast.Module) -> Iterator[tuple[ast.Call, str]]:
+    """Every statically-resolvable metric bump in ``tree``.
 
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if not ctx.module:
-            return
-        declared = self._declared()
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            root, attr = _call_root_and_attr(node.func)
-            if attr not in _METRIC_METHODS or root is None:
-                continue
-            if attr == "count":
-                if root not in _OBS_RECEIVERS:
-                    continue
-            elif root not in _STATS_RECEIVERS:
-                continue
-            pattern = _metric_name_pattern(node.args[0])
-            if pattern is None:  # dynamic name: not statically checkable
-                continue
-            if not any(fnmatch(pattern, decl) or pattern == decl
-                       for decl in declared):
-                yield ctx.finding(
-                    self, node,
-                    f"metric name {pattern!r} is not declared in "
-                    f"repro/metrics.py DECLARED_METRICS; declare it (with "
-                    f"its semantics) before bumping it",
-                )
-
-    @staticmethod
-    def _declared() -> frozenset[str]:
-        from ..metrics import DECLARED_METRICS
-
-        return DECLARED_METRICS
-
-
-def _bumped_metric_patterns(tree: ast.Module) -> Iterator[str]:
-    """Every statically-resolvable metric name bumped in ``tree``.
-
-    The mirror image of OBS301's call-site filter: counter on a stats
-    receiver, count on an obs receiver, first argument normalized with
-    f-string interpolations collapsed to ``*``.
+    ``counter`` on a stats receiver or ``count`` on an obs receiver,
+    with the first argument as a :func:`_metric_name_pattern`; a
+    dynamic name is not statically checkable and is skipped.
     """
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not node.args:
@@ -787,7 +437,33 @@ def _bumped_metric_patterns(tree: ast.Module) -> Iterator[str]:
             continue
         pattern = _metric_name_pattern(node.args[0])
         if pattern is not None:
-            yield pattern
+            yield node, pattern
+
+
+@register
+class UndeclaredMetricRule(Rule):
+    id = "OBS301"
+    name = "undeclared-metric"
+    rationale = (
+        "every Counter/obs-counter name bumped in code must be "
+        "declared in metrics.py (DECLARED_METRICS) so reporting, docs "
+        "and dashboards share one canonical catalog"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
+        if not ctx.module:
+            return
+        from ..metrics import DECLARED_METRICS
+
+        for node, pattern in _metric_bumps(ctx.tree):
+            if not any(fnmatch(pattern, decl) or pattern == decl
+                       for decl in DECLARED_METRICS):
+                yield ctx.finding(
+                    self, node,
+                    f"metric name {pattern!r} is not declared in "
+                    f"repro/metrics.py DECLARED_METRICS; declare it (with "
+                    f"its semantics) before bumping it",
+                )
 
 
 @register
@@ -808,7 +484,7 @@ class DeadMetricDeclarationRule(Rule):
         declarations = self._declaration_nodes(ctx.tree)
         if not declarations:
             return
-        bumped = set(_bumped_metric_patterns(ctx.tree))
+        bumped = {pattern for _node, pattern in _metric_bumps(ctx.tree)}
         package_root = ctx.path.parent
         if package_root.is_dir():
             for sibling in sorted(package_root.rglob("*.py")):
@@ -820,7 +496,7 @@ class DeadMetricDeclarationRule(Rule):
                     tree = ast.parse(sibling.read_text(encoding="utf-8"))
                 except (OSError, SyntaxError):
                     continue  # unreadable siblings are PARSE findings
-                bumped.update(_bumped_metric_patterns(tree))
+                bumped.update(pattern for _node, pattern in _metric_bumps(tree))
         for decl, node in declarations:
             if not any(fnmatch(pattern, decl) or pattern == decl
                        for pattern in bumped):
@@ -854,125 +530,6 @@ class DeadMetricDeclarationRule(Rule):
             ]
         return []
 
-
-@register
-class NullRecorderParityRule(Rule):
-    id = "OBS302"
-    name = "null-recorder-parity"
-    rationale = (
-        "instrumented call sites hold a NullRecorder when obs is off; a "
-        "method defined on ObsRecorder but missing from NullRecorder is "
-        "an AttributeError on every obs-off run"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        classes: dict[str, ast.ClassDef] = {}
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name in (
-                "ObsRecorder", "NullRecorder"
-            ):
-                classes[node.name] = node
-        if len(classes) != 2:
-            return
-        null_methods = self._method_names(classes["NullRecorder"])
-        obs_methods = self._method_names(classes["ObsRecorder"])
-        for name in sorted(obs_methods - null_methods):
-            if name.startswith("_"):
-                continue
-            yield ctx.finding(
-                self, classes["ObsRecorder"],
-                f"ObsRecorder.{name} has no NullRecorder counterpart; "
-                f"obs-off call sites would crash",
-            )
-
-    @staticmethod
-    def _method_names(cls: ast.ClassDef) -> set[str]:
-        return {
-            node.name for node in cls.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-
-
-@register
-class SpanContextRule(Rule):
-    id = "OBS303"
-    name = "span-context"
-    rationale = (
-        "recorder.span() is a context manager; calling it without "
-        "`with` records nothing and silently unbalances the span tree"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        parents = ctx.parents
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            root, attr = _call_root_and_attr(node.func)
-            if attr != "span" or root is None:
-                continue
-            if not (root in _OBS_RECEIVERS or "recorder" in root
-                    or "obs" in root):
-                continue
-            if isinstance(parents.get(node), ast.withitem):
-                continue
-            yield ctx.finding(
-                self, node,
-                "recorder.span() outside a `with` block: the span is "
-                "never entered, so nothing is recorded",
-            )
-
-
-# ----------------------------------------------------------------------
-# GAT — gating-protocol preconditions
-# ----------------------------------------------------------------------
-@register
-class GatingWindowGuardRule(Rule):
-    id = "GAT401"
-    name = "gating-window-guard"
-    rationale = (
-        "Eq. 8 is undefined at N_a = 0: every gating_window query must "
-        "be dominated by an abort-recorded check (the PR 5 "
-        "victim-committed crash class)"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if not ctx.module:
-            return
-        for function in _functions(ctx.tree):
-            if function.name.startswith("gating_window"):
-                continue  # the definition/delegation layer
-            guard_lines = self._guard_lines(function)
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                _root, attr = _call_root_and_attr(node.func)
-                if attr not in ("gating_window", "gating_window_ex"):
-                    continue
-                if not any(line <= node.lineno for line in guard_lines):
-                    yield ctx.finding(
-                        self, node,
-                        f"`{attr}` query in `{function.name}` is not "
-                        f"dominated by an abort-recorded check "
-                        f"(abort_count guard or bump_abort call)",
-                    )
-
-    @staticmethod
-    def _guard_lines(function: ast.AST) -> list[int]:
-        lines = []
-        for node in ast.walk(function):
-            if isinstance(node, (ast.If, ast.While)) and _mentions(
-                node.test, "abort_count"
-            ):
-                lines.append(node.lineno)
-            elif isinstance(node, ast.Assert) and _mentions(
-                node.test, "abort_count"
-            ):
-                lines.append(node.lineno)
-            elif isinstance(node, ast.Call):
-                _root, attr = _call_root_and_attr(node.func)
-                if attr == "bump_abort":
-                    lines.append(node.lineno)
-        return lines
 
 
 # ----------------------------------------------------------------------

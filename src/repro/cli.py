@@ -358,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="records to show (default 20)")
 
     p_check = sub.add_parser(
-        "check", help="determinism-invariant lint over the source tree "
-                      "(see docs/static-analysis.md)"
+        "check", help="the repository's own lint rules over the source "
+                      "tree (see docs/static-analysis.md)"
     )
     p_check.add_argument(
         "paths", nargs="*", default=["src", "tests", "scripts"],

@@ -655,9 +655,6 @@ class Executor:
                             progress_state[0], len(pending), job, seconds
                         )
                 if failures:
-                    # repro: allow[DET003] — cancellation of the not-yet-
-                    # scheduled futures is order-insensitive: no result
-                    # is produced or stored on this path
                     for other in remaining:
                         other.cancel()
                     raise self._fail(failures, recorder) from first_exc

@@ -26,10 +26,11 @@ __all__ = ["TxMetricsMixin", "DECLARED_METRICS"]
 #: are ``fnmatch`` patterns: per-component dotted prefixes that are
 #: built with f-strings at wiring time (``f"{prefix}.cache.hits"``)
 #: appear here with the dynamic segment collapsed to ``*``, exactly how
-#: the ``OBS301[undeclared-metric]`` lint rule normalizes them.  Adding
-#: a metric to the code without declaring it here fails `repro check` —
-#: the registry is what keeps reporting, docs and manifests working
-#: from one shared name catalog (see docs/static-analysis.md).
+#: the ``OBS301[undeclared-metric]`` lint rule normalizes them.  Nothing
+#: reads this catalog at run time: its only readers are `repro check`'s
+#: OBS301 (a bumped name missing here) and OBS304 (an entry nothing
+#: bumps), so it documents the names and no run enforces it (see
+#: docs/static-analysis.md).
 DECLARED_METRICS: frozenset[str] = frozenset({
     # -- transactions (htm/processor.py, htm/token.py) ---------------
     "tx.attempts",          # event count: transaction attempts started

@@ -108,10 +108,6 @@ class StateTimeline(Generic[S]):
         self._finalized_end = end
 
     @property
-    def finalized(self) -> bool:
-        return self._finalized_end is not None
-
-    @property
     def end(self) -> int:
         if self._finalized_end is None:
             raise SimulationError("timeline not finalized")

@@ -17,7 +17,7 @@ round-robin placement would behave for shared structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..errors import WorkloadError
 from ..htm.program import ThreadProgram, WarmSweep
@@ -48,10 +48,6 @@ class MemoryLayout:
         self._cursor = base
         self._line_bytes = line_bytes
         self.image: dict[int, int] = {}
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
 
     def alloc_words(self, count: int, line_aligned: bool = False) -> int:
         """Reserve ``count`` words; returns the base byte address."""
@@ -160,11 +156,3 @@ class WorkloadInstance:
         for key, value in sorted(self.params.items()):
             parts.append(f"  {key} = {value}")
         return "\n".join(parts)
-
-
-def partition(items: Sequence, num_threads: int, thread: int) -> list:
-    """Round-robin partition of build-time work across threads."""
-    return [item for idx, item in enumerate(items) if idx % num_threads == thread]
-
-
-__all__ += ["partition"]
