@@ -3,14 +3,14 @@
 # including the incremental figure pipeline.  `make figures` regenerates
 # every paper artifact into figures/ — incrementally, against .repro-cache.
 # `make bench-paper` runs the paper-grid benchmark (paperbench/, see
-# docs/performance.md).
+# docs/performance.md); `make bench-pairs` compares it against a parent.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test check typecheck smoke figures figures-smoke \
 	obs-smoke bench bench-check bench-dir bench-gate bench-paper \
-	clean-cache
+	bench-pairs clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -75,6 +75,17 @@ bench-paper:
 		$(PYTHON) paperbench/run.py --workload $$workload \
 			--seconds $(SECONDS) || exit 1; \
 	done
+
+# alternating pairs of the git ref BASE and the working tree, PAIRS per
+# workload (scripts/bench_pairs.py); CLAIM=METRIC prints the gain verdict
+BASE ?= HEAD
+PAIRS ?= 10
+SEED ?= 0
+
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --pairs $(PAIRS) \
+		--seconds $(SECONDS) --seed $(SEED) --workload $(WORKLOAD) \
+		$(if $(CLAIM),--claim $(CLAIM))
 
 clean-cache:
 	rm -rf .repro-cache .smoke-cache .smoke-figures \

@@ -25,7 +25,7 @@ fail fast at construction rather than deep inside a simulation.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -37,7 +37,12 @@ __all__ = [
     "CommitConfig",
     "GatingConfig",
     "SystemConfig",
+    "MAX_PROCS",
 ]
+
+
+#: the most processors one simulated machine may have
+MAX_PROCS = 1024
 
 
 def _require(condition: bool, message: str) -> None:
@@ -234,17 +239,19 @@ class SystemConfig:
 
     num_procs: int = 4
     num_dirs: int | None = None
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    bus: BusConfig = field(default_factory=BusConfig)
-    directory: DirectoryConfig = field(default_factory=DirectoryConfig)
-    memory: MemoryConfig = field(default_factory=MemoryConfig)
-    commit: CommitConfig = field(default_factory=CommitConfig)
-    gating: GatingConfig = field(default_factory=GatingConfig)
+    # frozen, so one default instance of each section serves every config
+    cache: CacheConfig = CacheConfig()
+    bus: BusConfig = BusConfig()
+    directory: DirectoryConfig = DirectoryConfig()
+    memory: MemoryConfig = MemoryConfig()
+    commit: CommitConfig = CommitConfig()
+    gating: GatingConfig = GatingConfig()
     seed: int = 0
     max_cycles: int | None = None
 
     def __post_init__(self) -> None:
-        _require(1 <= self.num_procs <= 1024, "num_procs must be in [1, 1024]")
+        _require(1 <= self.num_procs <= MAX_PROCS,
+                 f"num_procs must be in [1, {MAX_PROCS}]")
         if self.num_dirs is not None:
             _require(self.num_dirs >= 1, "num_dirs must be >= 1")
         _require(self.seed >= 0, "seed must be non-negative")
@@ -274,12 +281,6 @@ class SystemConfig:
             self.gating, enabled=enabled, **gating_overrides  # type: ignore[arg-type]
         )
         return dataclasses.replace(self, gating=gating)
-
-    def with_w0(self, w0: int) -> "SystemConfig":
-        """Return a copy with a different :math:`W_0` (Fig. 7 sweeps)."""
-        return dataclasses.replace(
-            self, gating=dataclasses.replace(self.gating, w0=w0)
-        )
 
     def table2_rows(self) -> list[tuple[str, str]]:
         """Render this configuration as Table II-style (feature, value) rows."""

@@ -160,5 +160,6 @@ def result_from_dict(data: dict[str, Any]) -> "Any":
         parallel_start=data["parallel_start"],
         parallel_end=data["parallel_end"],
         energy=energy_from_dict(data["energy"]),
-        counters={str(k): int(v) for k, v in data["counters"].items()},
+        # JSON keys are str and the writer stores only ints
+        counters=dict(data["counters"]),
     )

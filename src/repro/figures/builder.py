@@ -413,8 +413,12 @@ class FigureBuilder:
         key: str | None,
     ) -> FigureArtifact:
         path = self.artifact_path(spec.name)
-        state = self._artifact_state(path, digest)
-        if state == "fresh" and not force:
+        if force:
+            # rewritten whatever its digest: only whether it exists counts
+            state = "stale" if path.exists() else "missing"
+        else:
+            state = self._artifact_state(path, digest)
+        if state == "fresh":
             # exports are derived from the (fresh) on-disk payload, so a
             # later `build --csv/--png` still produces them
             if csv or png:

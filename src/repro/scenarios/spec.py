@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Mapping
 
-from ..config import SystemConfig
+from ..config import MAX_PROCS, GatingConfig, SystemConfig
 from ..errors import WorkloadError
 from ..exec.serialize import canonical_json
 from ..power.model import PowerModel
@@ -159,29 +159,30 @@ class ScenarioSpec:
 
     @cached_property
     def _system_config(self) -> SystemConfig:
-        # built on first use; frozen, like the spec it derives from
-        base = SystemConfig(num_procs=self.threads, seed=self.seed)
+        # built on first use, in one constructor call over the shared
+        # default sections; frozen, like the spec it derives from
+        top: dict[str, Any] = {"num_procs": self.threads, "seed": self.seed}
+        if not (1 <= self.threads <= MAX_PROCS and self.seed >= 0):
+            # the spec's own fields fail first, even under a system.seed
+            SystemConfig(**top)
         sections: dict[str, dict[str, Any]] = {}
-        scalars: dict[str, Any] = {}
         for key, value in self.system:
             self._check_system_key(key, value)
             if "." in key:
                 section, attr = key.split(".", 1)
                 sections.setdefault(section, {})[attr] = value
             else:
-                scalars[key] = value
+                top[key] = value  # a system.seed wins over the spec's seed
         gating_overrides = sections.pop("gating", {})
-        updates: dict[str, Any] = dict(scalars)
         for section, attrs in sections.items():
-            updates[section] = replace(getattr(base, section), **attrs)
-        updates["gating"] = replace(
-            base.gating,
+            top[section] = replace(getattr(SystemConfig, section), **attrs)
+        top["gating"] = GatingConfig(
             enabled=self.gating,
             w0=self.w0,
             contention_manager=self.cm,
             **gating_overrides,
         )
-        return replace(base, **updates)
+        return SystemConfig(**top)
 
     @staticmethod
     def _check_system_key(key: str, value: Any) -> None:

@@ -83,17 +83,21 @@ class ScenarioSuite:
         return total
 
     def expand(self) -> list[ScenarioSpec]:
-        """The full grid, validated, in deterministic order."""
+        """The full grid, validated, in deterministic order.  Each
+        scenario is derived from the base in one step: no two axes set
+        the same field or override key, so one combination's values
+        merge into one change set."""
         specs = []
         targets = [_axis_field(axis) for axis, _values in self.axes]
         value_lists = [values for _axis, values in self.axes]
         for combo in itertools.product(*value_lists):
-            spec = self.base
+            changes: dict[str, Any] = {}
             for (field, key), value in zip(targets, combo):
-                spec = spec.with_updates(
-                    **{field: value if key is None else {key: value}}
-                )
-            specs.append(spec.validate())
+                if key is None:
+                    changes[field] = value
+                else:
+                    changes.setdefault(field, {})[key] = value
+            specs.append(self.base.with_updates(**changes).validate())
         return specs
 
     # ------------------------------------------------------------------

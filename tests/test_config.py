@@ -140,9 +140,7 @@ class TestSystemConfig:
         assert off.gating.w0 == base.gating.w0
         assert off.num_procs == base.num_procs
         assert off.seed == base.seed
-
-    def test_with_w0(self):
-        assert SystemConfig().with_w0(32).gating.w0 == 32
+        assert SystemConfig().with_gating(True, w0=32).gating.w0 == 32
 
     def test_configs_are_frozen(self):
         config = SystemConfig()

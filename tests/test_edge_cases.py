@@ -189,7 +189,7 @@ class TestGatedStateEnergy:
 class TestWithW0Sweep:
     @pytest.mark.parametrize("w0", [1, 64])
     def test_extreme_w0_still_correct(self, w0):
-        config = SystemConfig(num_procs=4, seed=9).with_w0(w0)
+        config = SystemConfig(num_procs=4, seed=9).with_gating(True, w0=w0)
         result = run_workload(
             workload("counter", scale="tiny", seed=9), config,
             check_serial=True,

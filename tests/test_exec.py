@@ -528,7 +528,7 @@ class TestSweepIntegration:
 
         baseline = run_workload(spec, config.with_gating(False))
         for w0 in (4, 16):
-            gated = run_workload(spec, config.with_gating(True).with_w0(w0))
+            gated = run_workload(spec, config.with_gating(True, w0=w0))
             suite_baseline, suite_gated = pairs[w0]
             assert suite_baseline.parallel_time == baseline.parallel_time
             assert suite_gated.parallel_time == gated.parallel_time

@@ -202,6 +202,29 @@ class TestIncrementalBuild:
         for artifact in forced.artifacts:
             assert artifact.path.read_bytes() == cold[artifact.name]
 
+    def test_forced_build_reads_no_artifact(
+        self, monkeypatch, tmp_path, golden_store
+    ):
+        builder = FigureBuilder(store=golden_store, out_dir=tmp_path / "f",
+                                params=GOLDEN_PARAMS)
+        first = {a.name: a.path.read_bytes()
+                 for a in builder.build().artifacts}
+        for name in ("fig4", "table1"):
+            builder.artifact_path(name).unlink()
+
+        def no_read(*_args):
+            raise AssertionError("a forced build read an artifact")
+
+        monkeypatch.setattr(FigureBuilder, "_artifact_state", no_read)
+        forced = builder.build(force=True)
+        assert forced.executed == 0
+        assert {a.name: a.status for a in forced.artifacts} == {
+            name: "built" if name in ("fig4", "table1") else "rebuilt"
+            for name in PAPER_ARTIFACTS
+        }
+        for artifact in forced.artifacts:
+            assert artifact.path.read_bytes() == first[artifact.name]
+
     def test_param_change_goes_stale(self, tmp_path):
         builder = FigureBuilder(store=tmp_path / "s", out_dir=tmp_path / "f",
                                 params=TINY_PARAMS)

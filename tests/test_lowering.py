@@ -1,12 +1,16 @@
 """Lowering: the one step from scenario specs to digested jobs.
 
-Two guarantees are pinned here:
+Three guarantees are pinned here:
 
 * store compatibility — :meth:`RunJob.payload` walks the frozen config
   fields instead of ``dataclasses.asdict`` and reads the contention
   manager's class constant instead of building one, and neither may
   move a byte of any job digest (an existing result store must keep
   answering with zero simulations);
+* one derivation per grid point — a suite derives each scenario in
+  one ``with_updates`` and each config in one constructor call, with
+  the specs, configs and errors of a derivation that applies one axis
+  at a time;
 * lowering counts — one figure-builder pass expands each unique suite
   once, digests each unique scenario once, reads each job digest from
   the store once, and hands the executor the jobs it already lowered.
@@ -16,7 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import shutil
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -26,6 +32,15 @@ import repro.cm.registry as cm_registry
 import repro.figures.builder as builder_module
 from repro.cm import ImmediateCM, available_cms, policy_class, register_cm
 from repro.cm.registry import create_cm
+from repro.config import (
+    BusConfig,
+    CacheConfig,
+    CommitConfig,
+    DirectoryConfig,
+    GatingConfig,
+    MemoryConfig,
+    SystemConfig,
+)
 from repro.exec.executor import Executor
 from repro.exec.jobs import SCHEMA_VERSION, RunJob
 from repro.exec.serialize import canonical_json
@@ -42,6 +57,7 @@ from repro.scenarios import (
     plan_suite,
     scenario,
 )
+from repro.scenarios.suite import _axis_field
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,6 +115,15 @@ SYSTEM_OVERRIDES = {
     "gating.or_circuit_cycles": st.one_of(st.none(), st.integers(0, 8)),
 }
 
+#: a spec's sorted ``system`` pairs, up to five valid overrides
+systems = st.dictionaries(
+    st.sampled_from(sorted(SYSTEM_OVERRIDES)), st.none(), max_size=5
+).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: SYSTEM_OVERRIDES[key] for key in keys}
+    )
+).map(lambda system: tuple(sorted(system.items())))
+
 specs = st.builds(
     ScenarioSpec,
     workload=st.sampled_from(["counter", "genome", "intruder"]),
@@ -108,13 +133,7 @@ specs = st.builds(
     gating=st.booleans(),
     w0=st.integers(1, 64),
     cm=st.sampled_from(sorted(available_cms())),
-    system=st.dictionaries(
-        st.sampled_from(sorted(SYSTEM_OVERRIDES)), st.none(), max_size=5
-    ).flatmap(
-        lambda keys: st.fixed_dictionaries(
-            {key: SYSTEM_OVERRIDES[key] for key in keys}
-        )
-    ).map(lambda system: tuple(sorted(system.items()))),
+    system=systems,
 )
 
 powers = st.sampled_from([
@@ -171,6 +190,152 @@ class TestPayloadCompatibility:
         spec = scenario("counter", scale="tiny",
                         system={"memory.latency": 50})
         assert spec.to_job().config is spec.system_config()
+
+
+# ----------------------------------------------------------------------
+# one derivation per grid point
+# ----------------------------------------------------------------------
+class PerAxisSpec(ScenarioSpec):
+    """The reference model of a spec's config: ``SystemConfig(num_procs,
+    seed)`` first, then one ``replace`` per overridden section and one
+    for the whole config."""
+
+    @cached_property
+    def _system_config(self) -> SystemConfig:
+        base = SystemConfig(num_procs=self.threads, seed=self.seed)
+        sections: dict = {}
+        scalars: dict = {}
+        for key, value in self.system:
+            self._check_system_key(key, value)
+            if "." in key:
+                section, attr = key.split(".", 1)
+                sections.setdefault(section, {})[attr] = value
+            else:
+                scalars[key] = value
+        gating_overrides = sections.pop("gating", {})
+        updates = dict(scalars)
+        for section, attrs in sections.items():
+            updates[section] = dataclasses.replace(
+                getattr(base, section), **attrs)
+        updates["gating"] = dataclasses.replace(
+            base.gating, enabled=self.gating, w0=self.w0,
+            contention_manager=self.cm, **gating_overrides,
+        )
+        return dataclasses.replace(base, **updates)
+
+
+def spec_values(spec: ScenarioSpec) -> tuple:
+    return tuple(getattr(spec, f.name)
+                 for f in dataclasses.fields(ScenarioSpec))
+
+
+def expand_per_axis(suite: ScenarioSuite) -> list[ScenarioSpec]:
+    """The reference expansion: one ``with_updates`` per axis, each
+    scenario validated over :class:`PerAxisSpec`'s config."""
+    base = PerAxisSpec(*spec_values(suite.base))
+    targets = [_axis_field(axis) for axis, _values in suite.axes]
+    expanded = []
+    for combo in itertools.product(*(values for _a, values in suite.axes)):
+        spec = base
+        for (field, key), value in zip(targets, combo):
+            spec = spec.with_updates(
+                **{field: value if key is None else {key: value}})
+        expanded.append(spec.validate())
+    return expanded
+
+
+#: axis -> (valid values, faulty values); each axis sets its own target
+AXIS_VALUES: dict[str, tuple[list, list]] = {
+    "workload": (["counter"], ["intruder", "nosuch"]),
+    "scale": (["tiny", "small"], ["huge"]),
+    "threads": ([1, 2, 16], [0, 1025, "4"]),
+    "seed": ([0, 3], [-1]),
+    "gating": ([False, True], [1]),
+    "w0": ([1, 8], [0]),
+    "cm": (["gating-aware", "linear"], ["nosuch"]),
+    "params.work_cycles": ([1, 5], [-1, "5"]),
+    "increments": ([2, 7], []),
+    "system.seed": ([0, 7], [-1]),
+    "system.num_dirs": ([None, 2], [0]),
+    "system.max_cycles": ([None, 10**6], [0]),
+    "system.cache.ways": ([1, 4], [3]),
+    "system.memory.latency": ([100, 400], [5]),
+    "system.directory.latency": ([0, 10], ["10"]),
+    "system.gating.abort_counter_bits": ([1, 8], [0, 65]),
+    "system.gating.or_circuit_cycles": ([None, 3], [-1]),
+    "system.gating.w0": ([], [4]),
+    "system.cache": ([], [1]),
+    "system.cache.nope": ([], [1]),
+}
+
+
+@st.composite
+def drawn_suites(draw) -> ScenarioSuite:
+    faults = draw(st.booleans())
+    names = draw(st.lists(
+        st.sampled_from([name for name, (valid, bad) in AXIS_VALUES.items()
+                         if valid or faults]),
+        unique=True, max_size=4,
+    ))
+    axes = []
+    for name in names:
+        valid, bad = AXIS_VALUES[name]
+        pool = valid + bad if faults else valid
+        axes.append((name, tuple(draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=3)))))
+    base = ScenarioSpec(
+        workload="counter",
+        scale="tiny",
+        threads=draw(st.sampled_from([1, 4, 8])),
+        seed=draw(st.sampled_from([0, 5])),
+        params=draw(st.sampled_from([(), (("work_cycles", 3),)])),
+        gating=draw(st.booleans()),
+        w0=draw(st.sampled_from([2, 8])),
+        cm=draw(st.sampled_from(sorted(available_cms()))),
+        system=draw(systems),
+    )
+    return ScenarioSuite(name="drawn", base=base, axes=tuple(axes))
+
+
+class TestOneStepDerivation:
+    @settings(max_examples=120, deadline=None)
+    @given(suite=drawn_suites())
+    def test_expansion_and_configs_match_the_per_axis_chain(self, suite):
+        try:
+            want = expand_per_axis(suite)
+        except Exception as exc:  # any fault: the same type and message
+            with pytest.raises(Exception) as raised:
+                suite.expand()
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return
+        got = suite.expand()
+        assert all(type(spec) is ScenarioSpec for spec in got)
+        assert [spec_values(s) for s in got] == \
+            [spec_values(s) for s in want]
+        assert [s.system_config() for s in got] == \
+            [s.system_config() for s in want]
+
+    def test_default_config_equals_one_of_fresh_sections(self):
+        assert SystemConfig() == SystemConfig(
+            cache=CacheConfig(), bus=BusConfig(),
+            directory=DirectoryConfig(), memory=MemoryConfig(),
+            commit=CommitConfig(), gating=GatingConfig(),
+        )
+
+    def test_store_reads_return_fresh_counters(self, golden_store):
+        store = ResultStore(golden_store)
+        digest, _label = next(store.labels())
+        counters = store.get(digest).counters
+        assert counters
+        assert all(type(key) is str and type(value) is int
+                   for key, value in counters.items())
+        before = dict(counters)
+        counters[next(iter(counters))] += 1
+        counters["planted"] = 1
+        again = store.get(digest).counters
+        assert again == before
+        assert again is not counters
 
 
 # ----------------------------------------------------------------------
