@@ -8,7 +8,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test check typecheck smoke figures figures-smoke \
+.PHONY: test check typecheck deadcode smoke figures figures-smoke \
 	obs-smoke bench bench-check bench-dir bench-gate bench-paper \
 	bench-pairs clean-cache
 
@@ -16,7 +16,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The static-analysis gate: the repo's own AST rules over the whole
-# tree (store discipline, metric catalog, typed core, replicate packs;
+# tree (store discipline, typed core, the replicate-pack prep cache;
 # see docs/static-analysis.md; tier-1 runs the same rules), then the
 # typed-core/style gates when the external tools are installed (CI
 # always runs them; a bare dev container may not have them).
@@ -36,6 +36,12 @@ typecheck:
 	else \
 		echo "mypy not installed; skipping typed-core gate (CI runs it)"; \
 	fi
+
+# the src/repro functions no entry point enters: the tally, then the
+# list (scripts/deadcode; docs/static-analysis.md, "Finding dead
+# code"); about five minutes on a 2-vCPU VM
+deadcode:
+	bash scripts/deadcode/run.sh
 
 smoke: test
 	bash scripts/smoke.sh

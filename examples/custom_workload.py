@@ -86,7 +86,6 @@ def build_pipeline(num_threads: int, scale: str = "small", seed: int = 0,
         name="pipeline",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=[ThreadProgram(program, f"pipe.t{t}")
                   for t in range(num_threads)],
         initial_memory=dict(layout.image),

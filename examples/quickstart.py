@@ -23,7 +23,7 @@ def main() -> None:
     comparison = compare_gating(spec, config)
 
     print()
-    print(format_energy_report(comparison.energy_report()))
+    print(format_energy_report(comparison))
     print()
     print("Transaction statistics:")
     for label, run in (("ungated", comparison.ungated),

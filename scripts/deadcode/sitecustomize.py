@@ -1,0 +1,32 @@
+"""Record the first entry of every src/repro function, in every process.
+
+Put this directory first on PYTHONPATH and set DEADCODE_OUT to an
+existing directory: each process (forked pool workers included)
+appends ``file:first_line`` records to its own ``<pid>.txt`` there.
+"""
+import os
+import sys
+import threading
+
+_OUT = os.environ.get("DEADCODE_OUT")
+_seen: set = set()
+_log = [None, None]  # [pid, file]
+
+
+def _hook(frame, event, arg):
+    if event != "call":
+        return
+    code = frame.f_code
+    if code in _seen:
+        return
+    _seen.add(code)
+    if "/src/repro/" not in code.co_filename:
+        return
+    if _log[0] != os.getpid():  # first record of this (forked) process
+        _log[:] = [os.getpid(), open(f"{_OUT}/{os.getpid()}.txt", "a", buffering=1)]
+    _log[1].write(f"{code.co_filename}:{code.co_firstlineno}\n")
+
+
+if _OUT:
+    sys.setprofile(_hook)
+    threading.setprofile(_hook)

@@ -83,7 +83,6 @@ __all__ = [
     "PowerModel",
     "PowerModelParams",
     "EnergyBreakdown",
-    "EnergyReport",
     "compute_energy",
     "format_energy_report",
     "tcc_cache_power_curve",
@@ -121,7 +120,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".power.states": ("ProcState",),
     ".power.model": ("PowerModel", "PowerModelParams"),
     ".power.energy": ("EnergyBreakdown", "compute_energy"),
-    ".power.report": ("EnergyReport", "format_energy_report"),
+    ".power.report": ("format_energy_report",),
     ".power.cacti": ("tcc_cache_power_curve", "tcc_total_power_factor"),
     ".harness.runner": ("run_workload", "RunResult"),
     ".harness.compare": ("compare_gating", "GatingComparison"),

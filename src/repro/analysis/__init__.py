@@ -16,7 +16,7 @@ Turns traces and timelines into the artefacts a systems study needs:
   re-deriving rows.
 * :mod:`~repro.analysis.lint` / :mod:`~repro.analysis.rules` — the
   ``repro check`` static-analysis engine: AST rules for the store
-  discipline, metric catalog, typed core and replicate-pack invariants
+  discipline, the typed core and the replicate-pack prep cache
   (imported lazily by the CLI; see docs/static-analysis.md).
 
 Each name below imports its module on first use, so reading a

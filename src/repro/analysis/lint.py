@@ -3,8 +3,8 @@
 Bit-identical results and Eq. 8's precondition are enforced at run
 time by tier-1 (goldens, determinism tests, the gating asserts).  This
 engine checks the rest: store-file access outside the store module,
-unbalanced advisory locks, the metric-name catalog, the typed core
-without a mypy install, and the replicate-pack contracts.
+unbalanced advisory locks, the typed core without a mypy install, and
+the replicate-pack prep-cache contract.
 ``docs/static-analysis.md`` records, per rule, whether tier-1 catches
 its defect.
 

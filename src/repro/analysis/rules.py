@@ -10,9 +10,8 @@ by ``repro check --list-rules``.
 Rule id namespaces:
 
 ====  ==============================================================
-DIG   digest purity (replicate keys and pack-shared caches)
+DIG   digest purity (pack-shared caches)
 STO   result-store access discipline
-OBS   the metric-name catalog in ``metrics.py``
 TYP   typed-core gate (mirrors the ``mypy --strict`` CI packages)
 ====  ==============================================================
 """
@@ -20,7 +19,6 @@ TYP   typed-core gate (mirrors the ``mypy --strict`` CI packages)
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
 from typing import Iterable, Iterator
 
 from .lint import Finding, ModuleContext, Rule, register
@@ -35,10 +33,9 @@ TYPED_PACKAGES = ("exec", "figures", "obs", "scenarios")
 def _call_root_and_attr(func: ast.AST) -> tuple[str | None, str | None]:
     """(``root``, ``attr``) of an ``<root>.<attr>(...)`` call target.
 
-    ``fcntl.flock`` -> ("fcntl", "flock"); ``get_recorder().count`` ->
-    ("get_recorder()", "count"); ``self._stats.counter`` -> ("_stats",
-    "counter") — the *nearest* receiver name, which is what the
-    receiver-hint heuristics match on.
+    ``fcntl.flock`` -> ("fcntl", "flock"); ``path.read_text`` ->
+    ("path", "read_text"); ``self.path.open`` -> ("path", "open") — the
+    *nearest* receiver name.
     """
     if not isinstance(func, ast.Attribute):
         return None, None
@@ -47,8 +44,6 @@ def _call_root_and_attr(func: ast.AST) -> tuple[str | None, str | None]:
         return value.id, func.attr
     if isinstance(value, ast.Attribute):
         return value.attr, func.attr
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-        return value.func.id + "()", func.attr
     return None, func.attr
 
 
@@ -85,54 +80,6 @@ def _string_constants(node: ast.AST) -> Iterator[str]:
 # ----------------------------------------------------------------------
 # DIG — digest purity
 # ----------------------------------------------------------------------
-@register
-class ReplicateSeedSlotsRule(Rule):
-    id = "DIG102"
-    name = "replicate-seed-slots"
-    rationale = (
-        "a replicate key must zero BOTH seed slots (workload seed and "
-        "config.seed); zeroing one co-schedules jobs that are not seed "
-        "replicates and breaks pack bit-identity"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for function in _functions(ctx.tree):
-            zeroed: set[str] = set()
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Assign):
-                    continue
-                for target in node.targets:
-                    slot = self._seed_slot(target)
-                    if slot is not None:
-                        zeroed.add(slot)
-            touched = zeroed & {"workload", "config"}
-            if touched and touched != {"workload", "config"}:
-                missing = ({"workload", "config"} - touched).pop()
-                yield ctx.finding(
-                    self, function,
-                    f"`{function.name}` zeroes the {touched.pop()!r} seed "
-                    f"slot but not the {missing!r} one; replicate keys "
-                    f"must zero both",
-                )
-
-    @staticmethod
-    def _seed_slot(target: ast.AST) -> str | None:
-        """``payload["workload"]["seed"]`` -> "workload" (else None)."""
-        if not isinstance(target, ast.Subscript):
-            return None
-        key = target.slice
-        if not (isinstance(key, ast.Constant) and key.value == "seed"):
-            return None
-        outer = target.value
-        if isinstance(outer, ast.Subscript) and isinstance(
-            outer.slice, ast.Constant
-        ):
-            value = outer.slice.value
-            if value in ("workload", "config"):
-                return str(value)
-        return None
-
-
 #: receiver names that denote pack-shared warm state (the RunReuse
 #: object threaded through execute_pack -> run_workload)
 _REUSE_RECEIVERS = frozenset({"reuse", "_reuse", "run_reuse"})
@@ -239,8 +186,8 @@ class PackSharedCacheRule(Rule):
                 self, node,
                 "seed-dependent value stored in a pack-shared cache "
                 "under a seed-free key: siblings of this pack member "
-                "would replay its seed; cache the seed-invariant part "
-                "and re-stamp the seed on read",
+                "would replay its seed; cache only the seed-invariant "
+                "part",
             )
 
     @staticmethod
@@ -386,150 +333,6 @@ class LockBalanceRule(Rule):
                         ):
                             return True
         return False
-
-
-# ----------------------------------------------------------------------
-# OBS — the metric-name catalog
-# ----------------------------------------------------------------------
-_STATS_RECEIVERS = frozenset({"stats", "_stats", "registry", "_registry"})
-_OBS_RECEIVERS = frozenset({"recorder", "_recorder", "rec", "get_recorder()"})
-_METRIC_METHODS = frozenset({"counter", "count"})
-
-
-def _metric_name_pattern(arg: ast.AST) -> str | None:
-    """The metric-name argument as an fnmatch-able pattern.
-
-    A plain string stays itself; an f-string keeps its literal parts
-    with each interpolation collapsed to ``*`` (``f"{prefix}.fills"``
-    -> ``*.fills``), which is exactly the shape the declarations in
-    :data:`repro.metrics.DECLARED_METRICS` use.
-    """
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value
-    if isinstance(arg, ast.JoinedStr):
-        parts = []
-        for piece in arg.values:
-            if isinstance(piece, ast.Constant):
-                parts.append(str(piece.value))
-            else:
-                parts.append("*")
-        return "".join(parts)
-    return None
-
-
-def _metric_bumps(tree: ast.Module) -> Iterator[tuple[ast.Call, str]]:
-    """Every statically-resolvable metric bump in ``tree``.
-
-    ``counter`` on a stats receiver or ``count`` on an obs receiver,
-    with the first argument as a :func:`_metric_name_pattern`; a
-    dynamic name is not statically checkable and is skipped.
-    """
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        root, attr = _call_root_and_attr(node.func)
-        if attr not in _METRIC_METHODS or root is None:
-            continue
-        if attr == "count":
-            if root not in _OBS_RECEIVERS:
-                continue
-        elif root not in _STATS_RECEIVERS:
-            continue
-        pattern = _metric_name_pattern(node.args[0])
-        if pattern is not None:
-            yield node, pattern
-
-
-@register
-class UndeclaredMetricRule(Rule):
-    id = "OBS301"
-    name = "undeclared-metric"
-    rationale = (
-        "every Counter/obs-counter name bumped in code must be "
-        "declared in metrics.py (DECLARED_METRICS) so reporting, docs "
-        "and dashboards share one canonical catalog"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if not ctx.module:
-            return
-        from ..metrics import DECLARED_METRICS
-
-        for node, pattern in _metric_bumps(ctx.tree):
-            if not any(fnmatch(pattern, decl) or pattern == decl
-                       for decl in DECLARED_METRICS):
-                yield ctx.finding(
-                    self, node,
-                    f"metric name {pattern!r} is not declared in "
-                    f"repro/metrics.py DECLARED_METRICS; declare it (with "
-                    f"its semantics) before bumping it",
-                )
-
-
-@register
-class DeadMetricDeclarationRule(Rule):
-    id = "OBS304"
-    name = "dead-metric-declaration"
-    rationale = (
-        "OBS301's inverse: a DECLARED_METRICS entry no call site bumps "
-        "is a stale catalog line — docs and dashboards advertise a "
-        "metric that never appears in any run"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        # Project-level rule: runs once, on the catalog module itself,
-        # and scans its sibling package sources for bump sites.
-        if ctx.module != ("metrics",):
-            return
-        declarations = self._declaration_nodes(ctx.tree)
-        if not declarations:
-            return
-        bumped = {pattern for _node, pattern in _metric_bumps(ctx.tree)}
-        package_root = ctx.path.parent
-        if package_root.is_dir():
-            for sibling in sorted(package_root.rglob("*.py")):
-                if sibling == ctx.path:
-                    continue
-                if "__pycache__" in sibling.parts:
-                    continue
-                try:
-                    tree = ast.parse(sibling.read_text(encoding="utf-8"))
-                except (OSError, SyntaxError):
-                    continue  # unreadable siblings are PARSE findings
-                bumped.update(pattern for _node, pattern in _metric_bumps(tree))
-        for decl, node in declarations:
-            if not any(fnmatch(pattern, decl) or pattern == decl
-                       for pattern in bumped):
-                yield ctx.finding(
-                    self, node,
-                    f"declared metric {decl!r} is bumped by no call site "
-                    f"in the package; remove the declaration or wire the "
-                    f"metric",
-                )
-
-    @staticmethod
-    def _declaration_nodes(
-        tree: ast.Module,
-    ) -> list[tuple[str, ast.Constant]]:
-        """The string constants inside the DECLARED_METRICS literal."""
-        for node in tree.body:
-            target: ast.AST | None = None
-            if isinstance(node, ast.AnnAssign):
-                target = node.target
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            if not (isinstance(target, ast.Name)
-                    and target.id == "DECLARED_METRICS"
-                    and node.value is not None):
-                continue
-            return [
-                (constant.value, constant)
-                for constant in ast.walk(node.value)
-                if isinstance(constant, ast.Constant)
-                and isinstance(constant.value, str)
-            ]
-        return []
-
 
 
 # ----------------------------------------------------------------------

@@ -60,7 +60,7 @@ from typing import Sequence
 
 from .cm.registry import available_cms
 from .config import GatingConfig, SystemConfig
-from .errors import ExecutionError, ReproError, SimulationError
+from .errors import ExecutionError, HarnessError, ReproError, SimulationError
 from .exec.executor import BatchExecutionError, Executor
 from .exec.progress import ConsoleProgress
 from .exec.store import ResultStore
@@ -386,6 +386,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     trace = TraceRecorder(kinds=("tx", "gate"))
     config = _config(args, gating_enabled=not args.no_gating)
+    if args.csv_timelines:
+        try:  # an unwritable path fails before the simulation
+            open(args.csv_timelines, "a").close()
+        except OSError as exc:
+            raise HarnessError(f"cannot write --csv-timelines: {exc}") from exc
     result = run_workload(
         workload(args.workload, scale=args.scale, seed=args.seed),
         config,
@@ -413,7 +418,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _config(args),
         executor=_executor(args),
     )
-    print(format_energy_report(comparison.energy_report()))
+    print(format_energy_report(comparison))
     print()
     print(comparison.summary())
     return 0

@@ -255,10 +255,10 @@ class Executor:
         with observability enabled; adds real overhead, so it is strictly
         opt-in.
     packs:
-        Group pool-path jobs that differ only in their seeds into
-        :class:`~repro.exec.jobs.ReplicatePack` dispatch units — one
-        warmed worker process serves a whole seed family instead of one
-        pool round-trip per job.  Results, store records and digests
+        Group pool-path jobs that differ only in their seeds (one
+        :func:`~repro.exec.jobs.replicate_key`) into one dispatch unit,
+        a replicate pack — one warmed worker process serves a whole
+        seed family instead of one pool round-trip per job.  Results, store records and digests
         are bit-identical either way (each member still runs the plain
         ``execute_job`` path).  ``None`` (default) resolves from the
         ``REPRO_NO_PACKS`` environment switch; the serial path never

@@ -30,13 +30,12 @@ Replicate packs
 Seed replicates of one scenario — jobs identical except for the seed
 fields — are the common bulk shape of statistical runs.
 :func:`replicate_key` is the grouping digest (the job payload with
-both seed slots zeroed) and :class:`ReplicatePack` +
-:func:`execute_pack` are the worker-side shape: all members of a seed
-family execute sequentially inside ONE worker process (warm
-interpreter, warm import graph, one pool round-trip), while each
-member still produces its own independently digest-keyed
-:class:`ExecResult` — the store, dedup and planning layers never see
-packs at all.
+both seed slots zeroed) and :func:`execute_pack` is the worker-side
+shape: all members of a seed family execute sequentially inside ONE
+worker process (warm interpreter, warm import graph, one pool
+round-trip), while each member still produces its own independently
+digest-keyed :class:`ExecResult` — the store, dedup and planning
+layers never see packs at all.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ __all__ = [
     "ExecResult",
     "execute_job",
     "replicate_key",
-    "ReplicatePack",
     "PackMemberOutcome",
     "PackStats",
     "execute_pack",
@@ -213,26 +211,6 @@ def replicate_key(job: RunJob) -> str:
     payload["workload"]["seed"] = 0
     payload["config"]["seed"] = 0
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class ReplicatePack:
-    """All pending seed replicates of one spec, as one dispatch unit."""
-
-    members: tuple[RunJob, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("a replicate pack needs at least one member")
-
-    @cached_property
-    def key(self) -> str:
-        """The shared :func:`replicate_key` of every member."""
-        return replicate_key(self.members[0])
-
-    def label(self) -> str:
-        first = self.members[0]
-        return f"{first.label()} pack of {len(self.members)} seed(s)"
 
 
 @dataclass(frozen=True)

@@ -240,16 +240,6 @@ class ResultStore:
             get_recorder().count("store.invalidations")
         return present
 
-    def clear(self) -> int:
-        """Drop every entry and truncate the log. Returns entries removed."""
-        removed = len(self._index)
-        self._index.clear()
-        self._skipped = 0  # the skipped records are gone with the file
-        with self._locked(exclusive=True):
-            if self.path.exists():
-                self.path.write_text("")
-        return removed
-
     def compact(self) -> None:
         """Rewrite the log down to only live records (drops tombstones).
 

@@ -332,6 +332,12 @@ class FigureBuilder:
         recorder = get_recorder()
         with recorder.span("figures.build") as span:
             planned = self._plan_pass(names)
+            try:  # an unusable out_dir fails before anything is simulated
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise FigureError(
+                    f"cannot create the artifact directory: {exc}"
+                ) from exc
 
             # union of residual misses across every suite, deduped by digest
             misses, total_jobs = self._collect_misses(planned.plans)
@@ -451,7 +457,6 @@ class FigureBuilder:
             data=data,
             job_digests=job_digests,
         )
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         render_json(payload, path)
         if csv:
             render_csv(payload, path.with_suffix(".csv"))

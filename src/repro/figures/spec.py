@@ -132,9 +132,6 @@ class FigureSpec:
             return self.suite(params)
         return self.suite
 
-    def label(self) -> str:
-        return f"{self.name} ({self.kind}): {self.title}"
-
 
 def figure_digest(
     spec: FigureSpec,

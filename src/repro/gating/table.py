@@ -92,7 +92,3 @@ class GatingTable:
 
     def __iter__(self):
         return iter(self._entries)
-
-    def off_procs(self) -> list[int]:
-        """Processors this directory currently believes are gated."""
-        return [e.proc for e in self._entries if e.off]

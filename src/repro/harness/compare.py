@@ -25,7 +25,6 @@ from ..exec.executor import Executor
 from ..exec.jobs import ExecResult, RunJob
 from ..power.energy import average_power_reduction, energy_reduction
 from ..power.model import PowerModel
-from ..power.report import EnergyReport
 from ..workloads.registry import WorkloadSpec
 
 if TYPE_CHECKING:
@@ -67,10 +66,6 @@ class GatingComparison:
     def power_reduction(self) -> float:
         """Eq. (7) / Fig. 6: (Eug/Eg)·(N2/N1)."""
         return average_power_reduction(self.ungated.energy, self.gated.energy)
-
-    def energy_report(self) -> EnergyReport:
-        label = f"{self.workload} × {self.num_procs} procs"
-        return EnergyReport(label, self.ungated.energy, self.gated.energy)
 
     def summary(self) -> str:
         return (

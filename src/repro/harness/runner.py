@@ -38,7 +38,7 @@ class RunResult(TxMetricsMixin):
     """Everything measured in one run.
 
     Counter-derived metrics (``commits``, ``aborts``, ``abort_rate``,
-    ``wasted_cycles``, ``summary``) come from
+    ``wasted_cycles``) come from
     :class:`~repro.metrics.TxMetricsMixin`, shared with the condensed
     :class:`~repro.exec.jobs.ExecResult` so both views always agree.
     """
@@ -73,8 +73,8 @@ class RunReuse:
 
     PACK-SHARING CONTRACT: everything cached here must be independent
     of the seed slots and immutable after preparation (cache keys
-    include every seed-relevant input; cached instances are re-stamped,
-    never mutated).  ``repro check``'s DIG103 rule polices new caches
+    include every seed-relevant input; cached instances are never
+    mutated).  ``repro check``'s DIG103 rule polices new caches
     against this contract.
 
     Reuse counters (``machine_resets``, ``prep_hits``) feed the
@@ -118,10 +118,10 @@ def _resolve_instance(
     if isinstance(source, WorkloadSpec):
         if reuse is not None and workload_seed_invariant(source.name):
             # Seed-invariant build: share one construction across the
-            # pack.  The key carries every non-seed build input; the
-            # cached instance is re-stamped with the member's seed, not
-            # mutated (instances are documented reusable — programs are
-            # pure generator factories and the image is copied out).
+            # pack.  The key carries every non-seed build input; an
+            # instance holds no seed and is never mutated (instances are
+            # documented reusable — programs are pure generator
+            # factories and the image is copied out).
             key = (source.name, source.scale, source.overrides,
                    config.num_procs)
             instance = reuse._prep.get(key)
@@ -129,8 +129,6 @@ def _resolve_instance(
                 reuse._prep[key] = instance = source.build(config.num_procs)
             else:
                 reuse.prep_hits += 1
-            if instance.seed != source.seed:
-                instance = replace(instance, seed=source.seed)
             return instance
         return source.build(config.num_procs)
     raise HarnessError(f"cannot interpret workload source {source!r}")

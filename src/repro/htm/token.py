@@ -38,7 +38,6 @@ class TokenVendor:
 
     def __init__(self, engine: Engine, stats: StatsRegistry):
         self._engine = engine
-        self._stats = stats
         self._next_tid = 1
         self._live: set[int] = set()
         # min-heap of (tid, callback, args) waiting for their barrier
@@ -57,12 +56,6 @@ class TokenVendor:
         self._live.add(tid)
         self._c_tids_issued.value += 1
         return tid
-
-    def min_live(self) -> int | None:
-        return min(self._live) if self._live else None
-
-    def is_live(self, tid: int) -> bool:
-        return tid in self._live
 
     # ------------------------------------------------------------------
     def wait_for_turn(

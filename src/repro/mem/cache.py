@@ -44,7 +44,7 @@ cache (512 sets in the Table II geometry) allocates no per-set dict.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from ..config import CacheConfig
 from ..sim.stats import StatsRegistry
@@ -73,10 +73,6 @@ class LineView(NamedTuple):
     partial: bool
     last_use: int
 
-    @property
-    def speculative(self) -> bool:
-        return self.spec_read or self.spec_written
-
 
 class L1Cache:
     """Set-associative, LRU, write-allocate (into the store buffer)."""
@@ -84,26 +80,21 @@ class L1Cache:
     def __init__(self, config: CacheConfig, proc_id: int, stats: StatsRegistry):
         self._config = config
         self._proc_id = proc_id
-        self._stats = stats
         self._set_mask = config.num_sets - 1
         self._ways = config.ways
         # set index -> {line id -> packed state}; _EMPTY_SET until the
         # set's first fill
         self._sets: list[Mapping[int, int]] = [_EMPTY_SET] * config.num_sets
         self._use_clock = 0
-        self._prefix = f"proc{proc_id}.cache"
         # Counter handles bound once; the access paths must not build
         # per-access dotted-name strings (see repro.sim.stats).
-        self._c_evictions = stats.counter(f"{self._prefix}.evictions")
-        self._c_spec_evictions = stats.counter(f"{self._prefix}.spec_evictions")
-        self._c_fills = stats.counter(f"{self._prefix}.fills")
-        self._c_invalidations = stats.counter(f"{self._prefix}.invalidations")
+        prefix = f"proc{proc_id}.cache"
+        self._c_evictions = stats.counter(f"{prefix}.evictions")
+        self._c_spec_evictions = stats.counter(f"{prefix}.spec_evictions")
+        self._c_fills = stats.counter(f"{prefix}.fills")
+        self._c_invalidations = stats.counter(f"{prefix}.invalidations")
 
     # ------------------------------------------------------------------
-    def set_index(self, line: int) -> int:
-        """Set holding ``line`` (low-order line-number bits)."""
-        return line & self._set_mask
-
     def lookup(self, line: int) -> LineView | None:
         """Decode the resident line (without touching LRU state)."""
         state = self._sets[line & self._set_mask].get(line)
@@ -283,17 +274,7 @@ class L1Cache:
             else:
                 set_[line] = state & -4
 
-    def speculative_lines(self) -> Iterator[int]:
-        for set_ in self._sets:
-            for line, state in set_.items():
-                if state & 3:
-                    yield line
-
     # ------------------------------------------------------------------
-    def resident_lines(self) -> Iterator[int]:
-        for set_ in self._sets:
-            yield from set_.keys()
-
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 

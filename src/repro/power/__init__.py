@@ -29,7 +29,6 @@ __all__ = [
     "CactiCacheModel",
     "tcc_cache_power_curve",
     "tcc_total_power_factor",
-    "EnergyReport",
     "format_energy_report",
 ]
 
@@ -43,5 +42,5 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                 "compute_energy"),
     ".cacti": ("CactiCacheModel", "tcc_cache_power_curve",
                "tcc_total_power_factor"),
-    ".report": ("EnergyReport", "format_energy_report"),
+    ".report": ("format_energy_report",),
 })

@@ -92,9 +92,6 @@ class EnergyBreakdown:
         denom = self.parallel_time * self.num_procs
         return self.total / denom if denom else 0.0
 
-    def state_cycles(self, state: ProcState) -> int:
-        return self.by_state.get(state, (0, 0.0))[0]
-
 
 @dataclass(frozen=True)
 class IntervalBreakdown:

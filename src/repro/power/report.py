@@ -1,49 +1,25 @@
 """Human-readable energy reports.
 
-Formats one run's :class:`~repro.power.energy.EnergyBreakdown`, or a
-gated/ungated pair with the Eq. (6)/(7) reduction factors, as fixed-
-width text tables.
+Formats a gated/ungated pair — each run's
+:class:`~repro.power.energy.EnergyBreakdown` plus the speed-up and the
+Eq. (6)/(7) reduction factors of its
+:class:`~repro.harness.compare.GatingComparison` — as fixed-width text
+tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .energy import (
-    EnergyBreakdown,
-    average_power_reduction,
-    energy_reduction,
-)
+from .energy import EnergyBreakdown
 from .states import ProcState
 
-__all__ = ["EnergyReport", "format_energy_report"]
+if TYPE_CHECKING:
+    from ..harness.compare import GatingComparison
+
+__all__ = ["format_energy_report"]
 
 _STATE_ORDER = [ProcState.RUN, ProcState.MISS, ProcState.COMMIT, ProcState.GATED]
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Paired gated/ungated accounting for one workload configuration."""
-
-    label: str
-    ungated: EnergyBreakdown
-    gated: EnergyBreakdown
-
-    @property
-    def speedup(self) -> float:
-        """N1 / N2 (> 1: clock gating made the run faster)."""
-        n2 = self.gated.parallel_time
-        return self.ungated.parallel_time / n2 if n2 else float("inf")
-
-    @property
-    def energy_reduction(self) -> float:
-        """Eq. (6)."""
-        return energy_reduction(self.ungated, self.gated)
-
-    @property
-    def power_reduction(self) -> float:
-        """Eq. (7)."""
-        return average_power_reduction(self.ungated, self.gated)
 
 
 def _breakdown_lines(tag: str, b: EnergyBreakdown) -> list[str]:
@@ -64,18 +40,22 @@ def _breakdown_lines(tag: str, b: EnergyBreakdown) -> list[str]:
     return lines
 
 
-def format_energy_report(report: EnergyReport) -> str:
-    """Render a paired report as fixed-width text."""
-    lines = [f"Energy report — {report.label}"]
-    lines += _breakdown_lines("without clock gating", report.ungated)
-    lines += _breakdown_lines("with clock gating   ", report.gated)
+def format_energy_report(comparison: GatingComparison) -> str:
+    """Render a gated/ungated pair as fixed-width text."""
+    # an empty gated window reads as an infinite speed-up
+    speedup = comparison.speedup if comparison.n2 else float("inf")
+    lines = [
+        f"Energy report — {comparison.workload} × {comparison.num_procs} procs"
+    ]
+    lines += _breakdown_lines("without clock gating", comparison.ungated.energy)
+    lines += _breakdown_lines("with clock gating   ", comparison.gated.energy)
     lines.append(
-        f"  speed-up (N1/N2)          = {report.speedup:.4f}x"
+        f"  speed-up (N1/N2)          = {speedup:.4f}x"
     )
     lines.append(
-        f"  energy reduction (Eq. 6)  = {report.energy_reduction:.4f}x"
+        f"  energy reduction (Eq. 6)  = {comparison.energy_reduction:.4f}x"
     )
     lines.append(
-        f"  avg-power reduction (Eq.7)= {report.power_reduction:.4f}x"
+        f"  avg-power reduction (Eq.7)= {comparison.power_reduction:.4f}x"
     )
     return "\n".join(lines)

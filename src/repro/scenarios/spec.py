@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Mapping
@@ -316,17 +315,6 @@ class ScenarioSpec:
             cm=data.get("cm", "gating-aware"),
             system=_sorted_items(data.get("system")),
         ).validate()
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise WorkloadError(f"invalid scenario JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     # ------------------------------------------------------------------
     # derivation

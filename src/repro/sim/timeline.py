@@ -88,10 +88,6 @@ class StateTimeline(Generic[S]):
         self._times.append(time)
         self._states.append(state)
 
-    @property
-    def current_state(self) -> S:
-        return self._states[-1]
-
     def finalize(self, end: int) -> None:
         """Close the timeline at cycle ``end`` (idempotent)."""
         if self._finalized_end is not None:

@@ -128,7 +128,6 @@ class WorkloadInstance:
     name: str
     scale: Scale
     num_threads: int
-    seed: int
     programs: list[ThreadProgram]
     initial_memory: dict[int, int]
     #: free-form build metadata (sizes, expected counts, ...)
@@ -150,9 +149,3 @@ class WorkloadInstance:
         """Run every workload validator against the final memory image."""
         for validator in self.validators:
             validator(memory)
-
-    def describe(self) -> str:
-        parts = [f"{self.name} (scale={self.scale}, threads={self.num_threads})"]
-        for key, value in sorted(self.params.items()):
-            parts.append(f"  {key} = {value}")
-        return "\n".join(parts)

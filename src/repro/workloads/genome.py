@@ -164,7 +164,6 @@ def build_genome(
         name="genome",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=programs,
         initial_memory=dict(layout.image),
         params={

@@ -167,7 +167,6 @@ def build_intruder(
         name="intruder",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=programs,
         initial_memory=dict(layout.image),
         params={

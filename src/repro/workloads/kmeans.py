@@ -204,7 +204,6 @@ def build_kmeans(
         name="kmeans",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=programs,
         initial_memory=dict(layout.image),
         params={

@@ -162,7 +162,6 @@ def build_labyrinth(
         name="labyrinth",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=programs,
         initial_memory=dict(layout.image),
         params={

@@ -88,7 +88,6 @@ def build_counter(
         name="counter",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=[ThreadProgram(program, f"counter.t{t}")
                   for t in range(num_threads)],
         initial_memory=dict(layout.image),
@@ -153,7 +152,6 @@ def build_bank(
         name="bank",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=[ThreadProgram(program, f"bank.t{t}")
                   for t in range(num_threads)],
         initial_memory=dict(layout.image),
@@ -205,7 +203,6 @@ def build_array_walk(
         name="array_walk",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=[ThreadProgram(program, f"walk.t{t}")
                   for t in range(num_threads)],
         initial_memory=dict(layout.image),
@@ -264,7 +261,6 @@ def build_llist(
         name="llist",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=[ThreadProgram(program, f"llist.t{t}")
                   for t in range(num_threads)],
         initial_memory=dict(layout.image),

@@ -134,12 +134,11 @@ def register_workload(
     override keys are still rejected by name.
 
     ``seed_invariant`` declares that the builder's output does not
-    depend on ``seed`` beyond stamping ``WorkloadInstance.seed`` — no
-    build-time RNG draw and no program closure capturing the seed.  The
-    replicate-pack prep cache shares one build across a whole seed
-    family for such workloads (re-stamped per member), so a wrong
-    ``True`` here silently collapses seeds; leave it ``False`` unless
-    the builder provably never reads ``seed``.
+    depend on ``seed`` — no build-time RNG draw and no program closure
+    capturing the seed.  The replicate-pack prep cache shares one build
+    across a whole seed family for such workloads, so a wrong ``True``
+    here silently collapses seeds; leave it ``False`` unless the
+    builder provably never reads ``seed``.
     """
     if not name:
         raise WorkloadError("workload name must be non-empty")
@@ -195,10 +194,10 @@ def _builder(name: str) -> Builder:
 
 # The built-in workloads: name -> (module defining build_<name>, schema,
 # seed_invariant).  seed_invariant=True only for builders that provably
-# never read `seed`: counter and array_walk touch it solely to stamp the
-# instance (their programs are deterministic in (threads, scale) alone).
-# Every other builder draws build-time RNG or closes over the seed at
-# run time.
+# never read `seed`: counter and array_walk accept it and ignore it
+# (their programs are deterministic in (threads, scale) alone).  Every
+# other builder draws build-time RNG or closes over the seed at run
+# time.
 for _name, _module, _schema, _seedless in (
     ("genome", "genome", GENOME_SCHEMA, False),
     ("yada", "yada", YADA_SCHEMA, False),

@@ -83,18 +83,6 @@ class TSortedList:
         yield Store(prev_addr, node)
         return node
 
-    def contains(self, key: int):
-        """Generator: True if ``key`` is in the list."""
-        current = yield Load(self.head_addr)
-        while current != 0:
-            current_key = yield Load(current)
-            if current_key == key:
-                return True
-            if current_key > key:
-                return False
-            current = yield Load(current + 2 * WORD_BYTES)
-        return False
-
     # ------------------------------------------------------------------
     def final_keys(self, memory: dict[int, int]) -> list[int]:
         """Decode the committed list contents from a memory snapshot."""

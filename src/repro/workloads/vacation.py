@@ -221,7 +221,6 @@ def build_vacation(
         name="vacation",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=programs,
         initial_memory=dict(layout.image),
         params={

@@ -198,7 +198,6 @@ def build_yada(
         name="yada",
         scale=scale,
         num_threads=num_threads,
-        seed=seed,
         programs=programs,
         initial_memory=dict(layout.image),
         params={

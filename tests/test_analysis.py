@@ -232,8 +232,7 @@ def _rule_ids(findings):
 
 #: every registered rule, in id order (docs/static-analysis.md, "Why
 #: each rule stays, or went")
-KEPT_RULES = ["DIG102", "DIG103", "OBS301", "OBS304", "STO201", "STO202",
-              "TYP501"]
+KEPT_RULES = ["DIG103", "STO201", "STO202", "TYP501"]
 
 #: one STO201 finding, at line 2 (plus a TYP501 one inside the typed core)
 BAD_STORE_READ = "def f(d):\n    return open(d + '/results.jsonl').read()\n"
@@ -330,29 +329,6 @@ class TestLintEngine:
 
 
 class TestDigestAndStoreRules:
-    def test_dig102_flags_half_zeroed_replicate_key(self):
-        findings, _ = _check(
-            """\
-            def replicate_key(payload: dict) -> dict:
-                payload["workload"]["seed"] = 0
-                return payload
-            """,
-            module="exec/example.py",
-        )
-        assert _rule_ids(findings) == ["DIG102"]
-
-    def test_dig102_allows_both_slots_zeroed(self):
-        findings, _ = _check(
-            """\
-            def replicate_key(payload: dict) -> dict:
-                payload["workload"]["seed"] = 0
-                payload["config"]["seed"] = 0
-                return payload
-            """,
-            module="exec/example.py",
-        )
-        assert findings == []
-
     def test_dig103_flags_seed_dependent_cache_value(self):
         findings, _ = _check(
             """\
@@ -479,97 +455,6 @@ class TestDigestAndStoreRules:
         )
         assert findings == []
 
-
-class TestObsAndGatingRules:
-    def test_obs301_flags_undeclared_metric_name(self):
-        findings, _ = _check(
-            """\
-            def wire(stats):
-                return stats.counter("tx.bogus_metric")
-            """,
-            module="htm/example.py",
-        )
-        assert _rule_ids(findings) == ["OBS301"]
-
-    def test_obs301_allows_declared_and_prefixed_names(self):
-        findings, _ = _check(
-            """\
-            def wire(stats, prefix):
-                a = stats.counter("tx.commits")
-                b = stats.counter(f"{prefix}.fills")
-                c = stats.counter("gating.gated")
-                return a, b, c
-            """,
-            module="htm/example.py",
-        )
-        assert findings == []
-
-    def _metrics_fixture(self, tmp_path, declared, wire_source):
-        """A synthetic package: metrics.py catalog + one bump site."""
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        entries = "".join(f"    {name!r},\n" for name in declared)
-        (pkg / "metrics.py").write_text(
-            "DECLARED_METRICS = frozenset({\n" + entries + "})\n"
-        )
-        (pkg / "wire.py").write_text(textwrap.dedent(wire_source))
-        return pkg / "metrics.py"
-
-    def test_obs304_flags_dead_declaration(self, tmp_path):
-        path = self._metrics_fixture(
-            tmp_path,
-            ["tx.commits", "tx.ghost_metric"],
-            """\
-            def wire(stats):
-                return stats.counter("tx.commits")
-            """,
-        )
-        findings, _, errors = check_source(
-            path.read_text(), path, registered_rules()
-        )
-        assert not errors
-        assert _rule_ids(findings) == ["OBS304"]
-        assert "tx.ghost_metric" in findings[0].message
-        assert findings[0].line == 3  # anchored at the declaration entry
-
-    def test_obs304_matches_fstring_prefix_bumps(self, tmp_path):
-        path = self._metrics_fixture(
-            tmp_path,
-            ["*.fills", "gating.gated"],
-            """\
-            def wire(stats, prefix):
-                a = stats.counter(f"{prefix}.fills")
-                b = stats.counter("gating.gated")
-                return a, b
-            """,
-        )
-        findings, _, errors = check_source(
-            path.read_text(), path, registered_rules()
-        )
-        assert not errors
-        assert findings == []
-
-    def test_obs304_counts_obs_recorder_bumps(self, tmp_path):
-        path = self._metrics_fixture(
-            tmp_path,
-            ["store.puts"],
-            """\
-            def put(recorder):
-                recorder.count("store.puts")
-            """,
-        )
-        findings, _, errors = check_source(
-            path.read_text(), path, registered_rules()
-        )
-        assert not errors
-        assert findings == []
-
-    def test_obs304_only_runs_on_the_catalog_module(self):
-        findings, _ = _check(
-            'DECLARED_METRICS = frozenset({"tx.ghost_metric"})\n',
-            module="htm/example.py",
-        )
-        assert findings == []
 
 class TestTypedCoreRule:
     def test_typ501_flags_unannotated_def_in_typed_core(self):

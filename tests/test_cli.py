@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -78,6 +82,17 @@ class TestCommands:
             "--cm", "momentum",
         )
         assert "Run report" in out
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("run", "counter", "--scale", "tiny", "--procs", "2",
+          "--check-serial"), "cli_run_counter.txt"),
+        (("compare", "counter", "--scale", "tiny", "--procs", "2"),
+         "cli_compare_counter.txt"),
+    ], ids=["run", "compare"])
+    def test_single_run_stdout_matches_golden(self, capsys, argv, golden):
+        """The whole report, byte for byte, as committed in tests/data."""
+        expected = (DATA / golden).read_text(encoding="utf-8")
+        assert run_cli(capsys, *argv) == expected
 
 
 class TestExecFlags:
@@ -289,6 +304,32 @@ class TestErrorBoundary:
     def test_bad_input_is_one_line_and_exit_2(
         self, capsys, tmp_path, argv, message
     ):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["figures", "build", "--scale", "tiny", "--grid", "2",
+          "--cache-dir", "{tmp}/cache", "--out-dir", "{tmp}/plain/figs"],
+         "cannot create the artifact directory"),
+        (["run", "counter", "--scale", "tiny", "--procs", "2",
+          "--csv-timelines", "{tmp}/plain/t.csv"],
+         "cannot write --csv-timelines"),
+    ], ids=["figures-out-dir", "csv-timelines"])
+    def test_unwritable_output_fails_before_simulating(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        # a path under a regular file cannot be created, even by root
+        (tmp_path / "plain").write_text("")
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before checking the output path")
+
+        monkeypatch.setattr("repro.harness.runner.run_workload", simulate)
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -62,7 +62,7 @@ class TestGatingEntry:
     def test_table_off_procs(self):
         table = GatingTable(4)
         table.entry(2).off = True
-        assert table.off_procs() == [2]
+        assert [entry.proc for entry in table if entry.off] == [2]
 
 
 def run_programs(program_fns, num_procs=None, w0=8, seed=0, trace=None, **cfg_kw):
@@ -178,7 +178,7 @@ class TestGatingScenarios:
     def test_all_entries_on_at_end(self):
         machine, _ = run_programs([contended_counter(10), contended_counter(10)])
         for unit in machine.gating_units:
-            assert unit.table.off_procs() == []
+            assert not any(entry.off for entry in unit.table)
         for proc in machine.procs:
             assert not proc.gated
 

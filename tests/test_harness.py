@@ -67,7 +67,10 @@ class TestRunResult:
         assert result.energy.total > 0
 
     def test_summary_text(self, result):
-        text = result.summary()
+        # a run's text summary is its report (`repro run` prints it)
+        from repro.analysis.runreport import run_report
+
+        text = run_report(result)
         assert "counter" in text
         assert "gated" in text
 
@@ -160,7 +163,7 @@ class TestCompareGating:
         assert comparison.ungated.counters.get("gating.gated", 0) == 0
 
     def test_energy_report_renders(self, comparison):
-        text = format_energy_report(comparison.energy_report())
+        text = format_energy_report(comparison)
         assert "with clock gating" in text
         assert "Eq. 6" in text
 

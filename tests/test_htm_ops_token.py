@@ -42,12 +42,22 @@ class TestTokenVendor:
         assert [vendor.issue(0), vendor.issue(1), vendor.issue(0)] == [1, 2, 3]
 
     def test_min_live(self):
-        _, vendor = make_vendor()
-        assert vendor.min_live() is None
+        # the turn belongs to the smallest live TID: t2 waits until t1
+        # retires, and t3, waiting after t2 retired, gets it at once
+        engine, vendor = make_vendor()
         t1, t2 = vendor.issue(0), vendor.issue(1)
-        assert vendor.min_live() == t1
+        fired: list[int] = []
+        vendor.wait_for_turn(t2, lambda: fired.append(t2))
+        engine.run()
+        assert fired == []
         vendor.finish(t1)
-        assert vendor.min_live() == t2
+        engine.run()
+        assert fired == [t2]
+        t3 = vendor.issue(0)
+        vendor.finish(t2)
+        vendor.wait_for_turn(t3, lambda: fired.append(t3))
+        engine.run()
+        assert fired == [t2, t3]
 
     def test_wait_fires_immediately_for_min(self):
         engine, vendor = make_vendor()
@@ -105,8 +115,11 @@ class TestTokenVendor:
             vendor.finish(t1)
 
     def test_is_live(self):
-        _, vendor = make_vendor()
+        # an issued TID may wait for its turn; a retired one may not
+        engine, vendor = make_vendor()
         t1 = vendor.issue(0)
-        assert vendor.is_live(t1)
+        vendor.wait_for_turn(t1, lambda: None)
+        engine.run()
         vendor.finish(t1)
-        assert not vendor.is_live(t1)
+        with pytest.raises(ProtocolError, match="not live"):
+            vendor.wait_for_turn(t1, lambda: None)

@@ -146,7 +146,7 @@ class TestHighContentionSavings:
         assert intruder16.gated.aborts < intruder16.ungated.aborts
 
     def test_gated_state_time_is_significant(self, intruder16):
-        gated_cycles = intruder16.gated.energy.state_cycles(ProcState.GATED)
+        gated_cycles = intruder16.gated.energy.by_state[ProcState.GATED][0]
         total = (
             intruder16.gated.parallel_time * intruder16.gated.config.num_procs
         )

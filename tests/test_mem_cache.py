@@ -11,19 +11,25 @@ from repro.mem.cache import _EMPTY_SET, L1Cache
 from repro.sim.stats import StatsRegistry
 
 
-def make_cache(size=1024, line=64, ways=2):
-    """Default test cache: 1 KB / 64 B / 2-way = 8 sets."""
+def make_cache(size=1024, line=64, ways=2, stats=None):
+    """Default test cache: 1 KB / 64 B / 2-way = 8 sets.  Pass
+    ``stats`` to read its counters."""
     return L1Cache(CacheConfig(size_bytes=size, line_bytes=line, ways=ways), 0,
-                   StatsRegistry())
+                   StatsRegistry() if stats is None else stats)
+
+
+def _speculative(view):
+    return view.spec_read or view.spec_written
 
 
 class TestGeometryAndLookup:
     def test_set_index_wraps(self):
-        cache = make_cache()  # 8 sets
-        assert cache.set_index(0) == 0
-        assert cache.set_index(7) == 7
-        assert cache.set_index(8) == 0
-        assert cache.set_index(17) == 1
+        cache = make_cache()  # 8 sets: a line's low three bits pick its set
+        for line in (0, 7, 8, 17):
+            cache.fill(line)
+        assert [sorted(set_) for set_ in cache._sets] == [
+            [0, 8], [17], [], [], [], [], [], [7]
+        ]
 
     def test_miss_then_hit(self):
         cache = make_cache()
@@ -68,14 +74,14 @@ class TestReplacement:
         assert victim == 8  # the non-speculative line goes first
 
     def test_speculative_eviction_as_last_resort(self):
-        cache = make_cache()
+        stats = StatsRegistry()
+        cache = make_cache(stats=stats)
         cache.fill(0)
         cache.fill(8)
         cache.mark_spec_read(0)
         cache.mark_spec_written(8)
         victim = cache.fill(16)
         assert victim in (0, 8)  # allowed: conflict detection survives
-        stats = cache._stats  # noqa: SLF001 - test introspection
         assert stats.counters()["proc0.cache.spec_evictions"] == 1
 
 
@@ -87,7 +93,6 @@ class TestSpeculativeBits:
         cache.mark_spec_read(3)
         entry = cache.lookup(3)
         assert entry.spec_read and not entry.spec_written
-        assert entry.speculative
 
     def test_fill_with_spec_read_matches_fill_then_mark(self):
         # A transactional load's fill installs the line with its SR bit;
@@ -133,8 +138,8 @@ class TestSpeculativeBits:
         cache.mark_spec_written(2)
         cache.clear_speculative([1, 2], commit=True)
         assert cache.contains(1) and cache.contains(2)
-        assert not cache.lookup(1).speculative
-        assert not cache.lookup(2).speculative
+        assert not _speculative(cache.lookup(1))
+        assert not _speculative(cache.lookup(2))
 
     def test_clear_on_abort_drops_written_lines(self):
         cache = make_cache()
@@ -145,19 +150,11 @@ class TestSpeculativeBits:
         cache.clear_speculative([1, 2], commit=False)
         assert cache.contains(1)          # read data still mirrors memory
         assert not cache.contains(2)      # written data was never real
-        assert not cache.lookup(1).speculative
+        assert not _speculative(cache.lookup(1))
 
     def test_clear_tolerates_absent_lines(self):
         cache = make_cache()
         cache.clear_speculative([1, 2, 3], commit=False)
-
-    def test_speculative_lines_iterator(self):
-        cache = make_cache()
-        for line in (1, 2, 3):
-            cache.fill(line)
-        cache.mark_spec_read(1)
-        cache.mark_spec_written(3)
-        assert sorted(cache.speculative_lines()) == [1, 3]
 
 
 class TestInvalidation:
@@ -172,14 +169,15 @@ class TestInvalidation:
         assert not cache.invalidate(4)
 
     def test_invalidate_lines_counts_resident_lines(self):
-        cache = make_cache()
+        stats = StatsRegistry()
+        cache = make_cache(stats=stats)
         for line in (1, 2, 9):
             cache.fill(line)
         assert cache.invalidate_lines((1, 3, 9, 1, 17)) == 2  # 3, 17 absent
-        assert cache._stats.counters()["proc0.cache.invalidations"] == 2
-        assert sorted(cache.resident_lines()) == [2]
+        assert stats.counters()["proc0.cache.invalidations"] == 2
+        assert [line for line in (1, 2, 9) if cache.contains(line)] == [2]
         assert cache.invalidate_lines(()) == 0
-        assert cache._stats.counters()["proc0.cache.invalidations"] == 2
+        assert stats.counters()["proc0.cache.invalidations"] == 2
 
 
 class TestLazySets:
@@ -340,18 +338,18 @@ def _run_ref(ref, op):
     return ref.invalidate_lines(_lines(line, bits))
 
 
-def _check_same(cache, ref):
+def _check_same(cache, stats, ref):
     """Residency, flags, LRU order and counters agree; no filled set is
     tracked by the collector."""
     got = {}
-    for line in cache.resident_lines():
+    for line in (line for set_ in cache._sets for line in set_):
         view = cache.lookup(line)
         got[line] = (view.spec_read, view.spec_written, view.partial)
     assert got == ref.state()
     for index, set_ in enumerate(cache._sets):
         assert sorted(set_, key=lambda l: cache.lookup(l).last_use) == ref.order[index]
         assert set_ is _EMPTY_SET or not gc.is_tracked(set_)
-    counters = cache._stats.counters()
+    counters = stats.counters()
     for name, count in ref.counts.items():
         assert counters.get(f"proc0.cache.{name}", 0) == count, name
 
@@ -388,11 +386,12 @@ _CLEAN_OPS = st.binary(min_size=20, max_size=120).map(
 def test_cache_matches_reference_model(ops):
     """Every result agrees with a straightforward reference LRU, and so
     do flags, LRU order and counters at the end."""
-    cache = make_cache(size=512, line=64, ways=2)  # 4 sets
+    stats = StatsRegistry()
+    cache = make_cache(size=512, line=64, ways=2, stats=stats)  # 4 sets
     ref = _RefCache(sets=4, ways=2)
     for op in ops:
         assert _run(cache, op) == _run_ref(ref, op), op
-    _check_same(cache, ref)
+    _check_same(cache, stats, ref)
 
 
 @given(_CLEAN_OPS, _CACHE_OPS)

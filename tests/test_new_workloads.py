@@ -8,6 +8,8 @@ acceptance surface for the three new STAMP-style kernels.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.config import SystemConfig
@@ -88,7 +90,7 @@ class TestScenarioRoundTrip:
     @pytest.mark.parametrize("name", NEW_APPS)
     def test_spec_json_digest_unchanged(self, name):
         spec = scenario(name, scale="tiny", threads=4, seed=7)
-        restored = ScenarioSpec.from_json(spec.to_json())
+        restored = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored.digest == spec.digest
         assert restored.to_job().digest == spec.to_job().digest
 

@@ -162,7 +162,7 @@ class TestComputeEnergy:
         breakdown = compute_energy(tls, (0, 50), MODEL, gated_run=False)
         assert breakdown.total == pytest.approx(breakdown.interval_total)
         assert breakdown.parallel_time == 50
-        assert breakdown.state_cycles(M) == 10
+        assert breakdown.by_state[M][0] == 10
 
     def test_average_power(self):
         tls = [timeline([(50, G)], 100)]  # 50 RUN + 50 GATED

@@ -41,14 +41,15 @@ class TestScenarioSpec:
             params={"relations": 8, "query_fraction": 0.25},
             system={"memory.latency": 50, "cache.ways": 4},
         )
-        restored = ScenarioSpec.from_json(spec.to_json())
+        restored = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
         assert restored.digest == spec.digest
 
     @pytest.mark.parametrize("name", STAMP_APPS)
     def test_every_stamp_app_round_trips(self, name):
         spec = scenario(name, scale="tiny", threads=4, seed=9)
-        restored = ScenarioSpec.from_json(spec.to_json(indent=2))
+        text = json.dumps(spec.to_dict(), indent=2)
+        restored = ScenarioSpec.from_dict(json.loads(text))
         assert restored.digest == spec.digest
 
     def test_system_overrides_applied(self):
@@ -174,10 +175,13 @@ class TestScenarioSpec:
             ScenarioSpec.from_dict(data)
 
     def test_from_json_rejects_garbage(self):
-        with pytest.raises(WorkloadError, match="invalid scenario JSON"):
-            ScenarioSpec.from_json("{nope")
+        # scenario JSON arrives as a suite document's base
+        with pytest.raises(WorkloadError, match="invalid suite JSON"):
+            ScenarioSuite.from_json('{"base": {nope')
+        with pytest.raises(WorkloadError, match="expects an object"):
+            ScenarioSuite.from_json('{"base": [1, 2]}')
         with pytest.raises(WorkloadError, match="must be an object"):
-            ScenarioSpec.from_json("[1,2]")
+            ScenarioSpec.from_dict([1, 2])
 
     def test_lowering_matches_manual_job(self):
         from repro.exec.jobs import RunJob
@@ -458,7 +462,7 @@ class TestSpecJson:
     """The docs/scenarios.md contract: plain JSON in, identical spec out."""
 
     def test_minimal_document(self):
-        spec = ScenarioSpec.from_json('{"workload": "counter"}')
+        spec = ScenarioSpec.from_dict(json.loads('{"workload": "counter"}'))
         assert spec.scale == "small" and spec.threads == 4
         assert spec.gating is True and spec.cm == "gating-aware"
 
@@ -474,7 +478,7 @@ class TestSpecJson:
             "cm": "momentum",
             "system": {"directory.latency": 12},
         })
-        spec = ScenarioSpec.from_json(text)
+        spec = ScenarioSpec.from_dict(json.loads(text))
         assert spec.workload == "labyrinth"
         assert dict(spec.params) == {"paths_per_thread": 2}
         assert spec.system_config().directory.latency == 12

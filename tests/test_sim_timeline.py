@@ -77,10 +77,11 @@ class TestRecording:
             tl.finalize(5)
 
     def test_current_state(self):
+        # the latest recorded state holds from its change onwards
         tl = StateTimeline("A")
-        assert tl.current_state == "A"
+        assert tl.state_at(0) == "A"
         tl.set_state(2, "B")
-        assert tl.current_state == "B"
+        assert tl.state_at(2) == tl.state_at(100) == "B"
 
 
 class TestQueries:

@@ -119,7 +119,7 @@ class TestStoreContract:
                        "result": {}})
         store = ResultStore(tmp_path)
         assert store.stats().skipped_records == 1
-        assert store.clear() == 1
+        assert store.prune(older_than_seconds=0).expired == 1
         assert store.stats().skipped_records == 0
         reloaded = ResultStore(tmp_path)
         assert len(reloaded) == 0
@@ -203,7 +203,6 @@ class TestOpen:
         assert not store.path.exists()
         assert len(store) == 0
         store.prune()
-        store.clear()
         store.close()
         assert not store.path.exists()
 

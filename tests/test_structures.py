@@ -223,14 +223,6 @@ class TestSortedList:
             run_functional(lst.insert(key, 0), memory)
         assert lst.final_keys(memory) == [7, 7, 7]
 
-    def test_contains(self):
-        lst, memory = self.build()
-        run_functional(lst.insert(10, 1), memory)
-        run_functional(lst.insert(30, 3), memory)
-        assert run_functional(lst.contains(10), memory) is True
-        assert run_functional(lst.contains(20), memory) is False
-        assert run_functional(lst.contains(31), memory) is False
-
     def test_pool_exhaustion(self):
         layout = fresh()
         pool = TNodePool(layout, 2)
