@@ -17,7 +17,8 @@ runs first tends to win.
 
 For every end-to-end metric ``BENCHMARK.json`` declares, the report
 gives each side's median and quartiles, how many pairs the change won
-(ties count for neither side) and every pair's values.  ``--claim
+(ties count for neither side) and every pair's values; each
+``peak_rss_mb`` value carries its run's ``attempted`` op count.  ``--claim
 METRIC`` adds the verdict a perf claim needs: the change wins at least
 nine tenths of the pairs, and its median is better than the parent's
 by more than the distance between the parent's quartiles.  A run that
@@ -88,6 +89,20 @@ def value(result: dict[str, Any], metric: str) -> float | None:
 
 def shown(number: float | None) -> str:
     return "-" if number is None else f"{number:.4g}"
+
+
+#: a pool run's parent-process peak grows with the op sets it completes,
+#: so this metric's per-pair values carry each run's attempted op count
+WITH_ATTEMPTED = "peak_rss_mb"
+
+
+def pair_cell(result: dict[str, Any], metric: str) -> str:
+    """One run's value of *metric* in the per-pair listing."""
+    text = shown(value(result, metric))
+    if metric == WITH_ATTEMPTED:
+        attempted = result.get("attempted")
+        text += f" ({'-' if attempted is None else attempted} ops)"
+    return text
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -177,7 +192,7 @@ def report(workload: str, pairs: list[Pair],
                      f"{outcome.wins} of {outcome.pairs}")
     for metric in metrics:
         lines.append(f"  {metric} per pair (parent / change): " + ", ".join(
-            f"{shown(value(p, metric))} / {shown(value(c, metric))}"
+            f"{pair_cell(p, metric)} / {pair_cell(c, metric)}"
             for p, c in pairs))
     return lines
 

@@ -41,35 +41,6 @@ rm -f suite_cold.err suite_warm.err
 rm -rf "$CACHE_DIR"
 echo "smoke OK: suite cached end-to-end, zero re-executions"
 
-echo "== smoke: replicate packs vs per-process (store digest identity) =="
-# A seed family (same spec, four seeds) through the pool executor with
-# replicate packing on and off: the two result stores must hold exactly
-# the same digest-keyed records.
-PACK_SUITE=$(mktemp /tmp/smoke_packs_XXXX.json)
-cat > "$PACK_SUITE" <<'JSON'
-{
-  "name": "smoke-packs",
-  "description": "seed replicates for the pack identity check",
-  "base": {"workload": "counter", "scale": "tiny", "threads": 2},
-  "axes": [["seed", [1, 2, 3, 4]]]
-}
-JSON
-PACKS_ON_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-packs-on
-PACKS_OFF_DIR=${SMOKE_CACHE_DIR:-.smoke-cache}-packs-off
-rm -rf "$PACKS_ON_DIR" "$PACKS_OFF_DIR"
-python -m repro suite run --file "$PACK_SUITE" --jobs 2 \
-  --cache-dir "$PACKS_ON_DIR" >/dev/null
-python -m repro suite run --file "$PACK_SUITE" --jobs 2 --no-packs \
-  --cache-dir "$PACKS_OFF_DIR" >/dev/null
-on_digests=$(python -m repro exec-status --cache-dir "$PACKS_ON_DIR" --digests)
-off_digests=$(python -m repro exec-status --cache-dir "$PACKS_OFF_DIR" --digests)
-[ -n "$on_digests" ] || { echo "smoke FAILED: pack run stored nothing"; exit 1; }
-[ "$on_digests" = "$off_digests" ] || {
-  echo "smoke FAILED: pack-on and pack-off stores diverge"; exit 1; }
-rm -f "$PACK_SUITE"
-rm -rf "$PACKS_ON_DIR" "$PACKS_OFF_DIR"
-echo "smoke OK: replicate packs store digest-identical results"
-
 echo "== smoke: incremental figure pipeline =="
 bash "$(dirname "$0")/smoke_figures.sh"
 

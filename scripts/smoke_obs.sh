@@ -75,37 +75,8 @@ grep -q "throughput" "$ROOT/show.out"
 python -m repro obs tail --obs-dir "$OBS_DIR" -n 5 > "$ROOT/tail.out"
 grep -q "span" "$ROOT/tail.out"
 
-echo "== obs smoke: pack reuse counters reach the run manifest =="
-# A seed family routes through execute_pack; its manifest must carry
-# the pack warm-state counters (PR 10): members served by
-# Machine.reset and by the shared prep cache.
-PACK_SUITE="$ROOT/pack-suite.json"
-cat > "$PACK_SUITE" <<'JSON'
-{
-  "name": "obs-smoke-packs",
-  "description": "seed replicates for the pack counter check",
-  "base": {"workload": "counter", "scale": "tiny", "threads": 2},
-  "axes": [["seed", [1, 2, 3, 4]]]
-}
-JSON
-python -m repro suite run --file "$PACK_SUITE" --jobs 2 \
-  --cache-dir "$ROOT/cache-pack" --obs-dir "$ROOT/obs-pack" >/dev/null
-python - "$ROOT/obs-pack" <<'EOF'
-import json
-import sys
-from pathlib import Path
-
-(manifest_path,) = Path(sys.argv[1]).glob("run-*.manifest.json")
-counters = json.loads(manifest_path.read_text())["counters"]
-resets = counters.get("pack.reset_reuses", 0)
-prep = counters.get("pack.shared_prep_hits", 0)
-assert resets > 0, f"no reset reuse recorded: {counters}"
-assert prep > 0, f"no shared prep hit recorded: {counters}"
-print(f"pack counters OK: reset_reuses={resets} shared_prep_hits={prep}")
-EOF
-
 if [ -n "${OBS_SMOKE_KEEP:-}" ]; then
-  rm -rf "$ROOT/cache-on" "$ROOT/cache-off" "$ROOT/cache-pack"
+  rm -rf "$ROOT/cache-on" "$ROOT/cache-off"
   echo "keeping $OBS_DIR for artifact upload (OBS_SMOKE_KEEP set)"
 else
   rm -rf "$ROOT"

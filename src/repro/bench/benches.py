@@ -30,9 +30,9 @@ Benchmarks
     batched flush-service loop the PR 7 rewrite targets, measured in
     lines committed per second.
 ``bench_replicates``
-    Seed replicates of one spec through the pool executor — the
-    replicate-pack dispatch path (one warmed process serving a whole
-    seed family instead of one round-trip per job).
+    Seed replicates of one spec through the pool executor: one
+    dispatch per job, each result pickled back and landed as it
+    finishes.  The pack warm path is ``bench_replicates_marginal``.
 ``bench_replicates_marginal``
     The pack warm path in isolation: one in-process ``execute_pack``
     over a seed family, reporting the *marginal*-seed cost (members

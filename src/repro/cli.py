@@ -26,14 +26,13 @@ Commands
 
 Execution control (``compare``, ``suite run``)
 ----------------------------------------------
-``--jobs N``       fan simulation runs across N worker processes
-                   (``0`` = one per usable CPU; default 1 = serial)
+``--jobs N``       fan simulation runs across N worker processes, one
+                   job per dispatch, each landing in the cache and on
+                   ``--progress`` as it finishes (``0`` = one per
+                   usable CPU; default 1 = serial, in this process)
 ``--cache-dir P``  content-addressed result cache: re-running an
                    unchanged comparison or suite performs zero simulations
 ``--no-cache``     ignore ``--cache-dir`` for this invocation
-``--no-packs``     disable replicate packing on the pool path (also
-                   ``REPRO_NO_PACKS=1``); results are bit-identical
-                   with or without packs
 ``--progress``     per-job status lines + batch speed-up on stderr
 ``--obs-dir D``    structured tracing: spans/events + a run manifest
                    under D (``REPRO_OBS=1`` enables it by environment)
@@ -98,10 +97,6 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
                         help="content-addressed result cache directory")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir for this invocation")
-    parser.add_argument("--no-packs", action="store_true",
-                        help="disable replicate packing on the pool path "
-                             "(one dispatch per job; results are identical "
-                             "either way; REPRO_NO_PACKS=1 by environment)")
     parser.add_argument("--progress", action="store_true",
                         help="per-job status and batch speed-up on stderr")
     _add_obs(parser)
@@ -133,8 +128,7 @@ def _executor(args: argparse.Namespace) -> Executor:
         store = ResultStore(args.cache_dir)
     progress = ConsoleProgress() if args.progress else None
     return Executor(jobs=args.jobs, store=store, progress=progress,
-                    profile=getattr(args, "profile", False),
-                    packs=False if getattr(args, "no_packs", False) else None)
+                    profile=getattr(args, "profile", False))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,19 +10,21 @@ submission order, through three stages:
    unique digests are answered from disk when possible; fresh results
    are written back, so re-running an unchanged figure or sweep is pure
    cache hits.
-3. **Execute** — remaining jobs run either inline (``jobs=1``, the
-   serial backend) or fanned across a
+3. **Execute** — each remaining job is one unit of work, timed and
+   caught by :func:`~repro.exec.jobs.run_job`: called inline
+   (``jobs=1``, the serial backend) or submitted on its own to a
    :class:`concurrent.futures.ProcessPoolExecutor`.  Each worker wires
    its own deterministic engine from the pickled job, so the parallel
    path produces bit-identical numbers to the serial path, and result
-   ordering never depends on completion order.  On the pool path, jobs
-   that differ only in their seeds are grouped into *replicate packs*
-   (:mod:`repro.exec.jobs`): one warmed worker process runs the whole
-   seed family back to back instead of paying one dispatch round-trip
-   per job.  Packing never changes results — every member still runs
-   the plain ``execute_job`` path and lands under its own digest — and
-   can be disabled with ``packs=False`` / ``--no-packs`` /
-   ``REPRO_NO_PACKS=1``.
+   ordering never depends on completion order.
+
+Both backends land every outcome through one method, as it finishes:
+a result is written through to the store and reported to the progress
+listener and the obs log at once, so an interrupted or failing batch
+keeps everything that finished.  A failure stops the serial backend
+after the failing job; the pool cancels the jobs that have not started,
+lands every outcome that still arrives, and the batch then raises one
+:class:`BatchExecutionError` naming every failure.
 
 Every ``run`` leaves a :class:`BatchReport` on
 :attr:`Executor.last_report` with per-batch totals and the measured
@@ -33,9 +35,9 @@ every executed job lands as a ``job`` span carrying its digest, worker
 pid, duration, and the simulator's transaction/gating counters; cache
 hits are ``job.cache_hit`` events and failures are ``job.failed``
 events with the full worker traceback.  Spans are recorded in the
-*parent* process as results land (workers never write the event log on
-the pool path), and the run manifest is rewritten after every batch —
-so a killed run still documents everything that finished.  All of it
+*parent* process as each job lands (workers never write the event log
+on the pool path), and the run manifest is rewritten after every batch
+— so a killed run still documents everything that finished.  All of it
 no-ops through :class:`~repro.obs.NullRecorder` when observability is
 off, leaving result bytes untouched.
 """
@@ -45,39 +47,20 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import traceback as _tb
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 from ..errors import ExecutionError
 from ..obs import get_recorder
 from ..workloads.registry import load_builders
-from .jobs import (
-    ExecResult,
-    PackMemberOutcome,
-    PackStats,
-    RunJob,
-    execute_job,
-    execute_pack,
-    replicate_key,
-)
+from .jobs import ExecResult, JobOutcome, RunJob, execute_job, run_job
 from .progress import ProgressListener
 from .store import ResultStore
 
 __all__ = [
     "Executor", "BatchReport", "BatchExecutionError", "JobFailure", "usable_cpus",
 ]
-
-#: environment switch disabling replicate packing (``--no-packs`` on the
-#: CLI); any non-empty value other than ``0``/``false``/``no`` disables
-NO_PACKS_ENV = "REPRO_NO_PACKS"
-
-#: a pack smaller than this is not worth a grouped dispatch
-MIN_PACK_SIZE = 2
-
-#: never split a pack below this size when balancing across workers
-MIN_PACK_SPLIT = 4
 
 
 #: cgroup v2 CPU quota file: ``"<quota> <period>"`` or ``"max <period>"``
@@ -105,49 +88,20 @@ def usable_cpus() -> int:
     return max(1, cpus)
 
 
-def packs_enabled_from_env() -> bool:
-    """Replicate packing default: on unless ``REPRO_NO_PACKS`` is set."""
-    value = os.environ.get(NO_PACKS_ENV, "").strip().lower()
-    return value in ("", "0", "false", "no")
-
 #: sim counter namespaces surfaced into job spans — the abort/retry and
 #: clock-gating activity that explains *why* a grid point behaved as it
 #: did (everything else in ``counters`` is derivable from the result)
 SPAN_COUNTER_PREFIXES = ("tx.", "gating.")
 
 
-def _timed_execute(
-    job: RunJob, profile: bool = False
-) -> tuple[ExecResult, float, int, list[tuple[str, int, float, float]] | None]:
-    """Pool entry point: run one job, measuring its own wall clock.
+def _run(job: RunJob, profile: bool) -> JobOutcome:
+    """One unit of dispatch: one job, inline or in a pool worker.
 
-    Returns ``(result, seconds, worker pid, profile rows | None)``; the
-    pid and optional cProfile rows feed the parent-side job span and
-    manifest.
+    ``execute_job`` is read from this module at call time, so a probe
+    that replaces ``repro.exec.executor.execute_job`` before the pool
+    forks times every simulation, serial or pooled.
     """
-    started = time.perf_counter()
-    if profile:
-        from ..obs.profile import profile_call
-
-        result, rows = profile_call(execute_job, job)
-    else:
-        result, rows = execute_job(job), None
-    return result, time.perf_counter() - started, os.getpid(), rows
-
-
-def _timed_execute_pack(
-    jobs: list[RunJob], profile: bool = False
-) -> tuple[list[PackMemberOutcome], PackStats, float, int]:
-    """Pool entry point for a replicate pack: one dispatch, N jobs.
-
-    Returns ``(per-member outcomes, pack amortization stats, pack wall
-    seconds, worker pid)``; member failures are already folded into
-    their outcomes (see :func:`repro.exec.jobs.execute_pack`), so this
-    call only raises on infrastructure-level breakage.
-    """
-    started = time.perf_counter()
-    outcomes, stats = execute_pack(jobs, profile)
-    return outcomes, stats, time.perf_counter() - started, os.getpid()
+    return run_job(execute_job, job, profile=profile)
 
 
 def _span_counters(result: ExecResult) -> dict[str, float]:
@@ -233,6 +187,18 @@ class BatchReport:
         )
 
 
+@dataclass
+class _Landing:
+    """What one batch's landed outcomes have added up to so far."""
+
+    results: dict[str, ExecResult]
+    recorder: Any
+    pending: int
+    done: int = 0
+    run_seconds: float = 0.0
+    failures: list[JobFailure] = field(default_factory=list)
+
+
 class Executor:
     """Serial or process-pool job execution with dedup and caching.
 
@@ -254,15 +220,6 @@ class Executor:
         spots into the observability run manifest.  Meaningful only
         with observability enabled; adds real overhead, so it is strictly
         opt-in.
-    packs:
-        Group pool-path jobs that differ only in their seeds (one
-        :func:`~repro.exec.jobs.replicate_key`) into one dispatch unit,
-        a replicate pack — one warmed worker process serves a whole
-        seed family instead of one pool round-trip per job.  Results, store records and digests
-        are bit-identical either way (each member still runs the plain
-        ``execute_job`` path).  ``None`` (default) resolves from the
-        ``REPRO_NO_PACKS`` environment switch; the serial path never
-        packs (there is nothing to amortize in-process).
     """
 
     def __init__(
@@ -271,7 +228,6 @@ class Executor:
         store: ResultStore | str | Path | None = None,
         progress: ProgressListener | None = None,
         profile: bool = False,
-        packs: bool | None = None,
     ) -> None:
         if jobs < 0:
             raise ExecutionError(f"worker count cannot be negative: {jobs}")
@@ -281,7 +237,6 @@ class Executor:
         self.store = store
         self.progress = progress if progress is not None else ProgressListener()
         self.profile = profile
-        self.packs = packs_enabled_from_env() if packs is None else packs
         self.last_report: BatchReport | None = None
 
     # ------------------------------------------------------------------
@@ -326,35 +281,30 @@ class Executor:
             for digest, job in unique.items()
             if digest not in results
         ]
-        workers = min(self.jobs, len(pending)) if pending else 0
+        workers = min(self.jobs, len(pending))
         self.progress.batch_started(
             len(batch), len(unique), cache_hits, max(workers, 1)
         )
 
-        run_seconds = 0.0
-        failed = 0
+        landing = _Landing(results, recorder, len(pending))
         try:
-            if pending:
-                if workers <= 1:
-                    run_seconds = self._run_serial(pending, results, recorder)
-                else:
-                    run_seconds = self._run_pool(
-                        pending, results, workers, recorder
-                    )
-        except BatchExecutionError as exc:
-            failed = len(exc.failures)
-            raise
+            if workers == 1:
+                self._run_serial(pending, landing)
+            elif workers > 1:
+                self._run_pool(pending, landing, workers)
+            if landing.failures:
+                raise self._batch_error(landing.failures, recorder)
         finally:
-            executed = len(results) - cache_hits
+            failed = len(landing.failures)
             report = BatchReport(
                 total=len(batch),
                 unique=len(unique),
                 deduplicated=len(batch) - len(unique),
                 cache_hits=cache_hits,
-                executed=executed if failed else len(pending),
+                executed=len(results) - cache_hits,
                 workers=max(workers, 1),
                 wall_seconds=time.perf_counter() - started,
-                run_seconds=run_seconds,
+                run_seconds=landing.run_seconds,
                 failed=failed,
             )
             self.last_report = report
@@ -377,31 +327,41 @@ class Executor:
         return out
 
     # ------------------------------------------------------------------
-    def _record(
-        self,
-        digest: str,
-        job: RunJob,
-        result: ExecResult,
-        results: dict[str, ExecResult],
-        recorder: Any,
-        seconds: float,
-        pid: int,
-        profile_rows: list[tuple[str, int, float, float]] | None,
+    def _land(
+        self, landing: _Landing, digest: str, job: RunJob, outcome: JobOutcome
     ) -> None:
-        """Land one finished result — write-through to the store so
-        completed work survives even if a later job in the batch fails."""
-        results[digest] = result
+        """Land one job's outcome, from either backend, as it finishes.
+
+        A result is written through to the store at once, so finished
+        work survives a later failure, and reaches the progress
+        listener, the obs job span and the profile merge; a failure
+        joins the batch's failures.
+        """
+        result = outcome.result
+        if result is None:
+            landing.failures.append(
+                JobFailure(
+                    digest=digest,
+                    label=job.label(),
+                    workload=job.spec.name,
+                    error=outcome.error or "",
+                    traceback=outcome.traceback or "",
+                )
+            )
+            return
+        landing.results[digest] = result
         if self.store is not None:
             self.store.put(digest, result, job=job)
-        recorder.note_job_seconds(seconds)
+        recorder = landing.recorder
+        recorder.note_job_seconds(outcome.seconds)
         if recorder.enabled:
             recorder.complete_span(
                 "job",
-                seconds,
+                outcome.seconds,
                 digest=digest,
                 label=job.label(),
                 workload=job.spec.name,
-                worker_pid=pid,
+                worker_pid=outcome.pid,
                 cached=False,
                 counters=_span_counters(result),
             )
@@ -415,16 +375,18 @@ class Executor:
             )
             if flushes:
                 recorder.count("dir.flush_batches", flushes)
-        if profile_rows is not None:
-            recorder.add_profile(profile_rows)
+        if outcome.profile_rows is not None:
+            recorder.add_profile(outcome.profile_rows)
+        landing.run_seconds += outcome.seconds
+        landing.done += 1
+        self.progress.job_finished(
+            landing.done, landing.pending, job, outcome.seconds
+        )
 
-    def _fail(
-        self,
-        failures: list[JobFailure],
-        recorder: Any,
+    def _batch_error(
+        self, failures: list[JobFailure], recorder: Any
     ) -> BatchExecutionError:
-        """Record failure events and build the batch error (not raised
-        here so callers keep their own ``raise ... from exc`` chain)."""
+        """Record failure events and build the batch error."""
         for failure in failures:
             recorder.event(
                 "job.failed",
@@ -447,137 +409,28 @@ class Executor:
         return BatchExecutionError(message, failures)
 
     def _run_serial(
-        self,
-        pending: list[tuple[str, RunJob]],
-        results: dict[str, ExecResult],
-        recorder: Any,
-    ) -> float:
-        run_seconds = 0.0
-        for done, (digest, job) in enumerate(pending, start=1):
-            try:
-                result, seconds, pid, rows = _timed_execute(
-                    job, self.profile
-                )
-            except Exception as exc:
-                failure = JobFailure(
-                    digest=digest,
-                    label=job.label(),
-                    workload=job.spec.name,
-                    error=str(exc),
-                    traceback="".join(_tb.format_exception(exc)),
-                )
-                raise self._fail([failure], recorder) from exc
-            self._record(
-                digest, job, result, results, recorder, seconds, pid, rows
-            )
-            run_seconds += seconds
-            self.progress.job_finished(done, len(pending), job, seconds)
-        return run_seconds
-
-    def _dispatch_units(
-        self, pending: list[tuple[str, RunJob]], workers: int
-    ) -> list[list[tuple[str, RunJob]]]:
-        """Group pending jobs into pool dispatch units.
-
-        With packing on, jobs sharing a :func:`replicate_key` (same
-        spec, different seeds) form one unit; everything else stays a
-        singleton.  Oversized packs are split while fewer units than
-        workers exist, so a batch that is one big seed family still
-        fans across the whole pool.  Grouping is deterministic in
-        submission order — it only changes *where* jobs run, never what
-        any of them computes.
-        """
-        if not self.packs:
-            return [[entry] for entry in pending]
-        groups: dict[str, list[tuple[str, RunJob]]] = {}
-        order: list[str] = []
+        self, pending: list[tuple[str, RunJob]], landing: _Landing
+    ) -> None:
+        """Run each job inline, stopping after the first failure."""
         for digest, job in pending:
-            key = replicate_key(job)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((digest, job))
-        units = [groups[key] for key in order]
-        # keep every worker busy: halve the largest splittable pack
-        # until there are enough units (or nothing left worth splitting)
-        while len(units) < workers:
-            largest = max(units, key=len)
-            if len(largest) < MIN_PACK_SPLIT:
-                break
-            at = units.index(largest)
-            half = len(largest) // 2
-            units[at:at + 1] = [largest[:half], largest[half:]]
-        return units
-
-    def _land_pack(
-        self,
-        unit: list[tuple[str, RunJob]],
-        outcomes: list[PackMemberOutcome],
-        pack_stats: PackStats,
-        pack_seconds: float,
-        pid: int,
-        results: dict[str, ExecResult],
-        recorder: Any,
-        failures: list[JobFailure],
-        progress_state: list[int],
-        pending_total: int,
-    ) -> float:
-        """Land every member of one finished pack; returns run seconds."""
-        run_seconds = 0.0
-        for (digest, job), outcome in zip(unit, outcomes):
-            if outcome.result is None:
-                failures.append(
-                    JobFailure(
-                        digest=digest,
-                        label=job.label(),
-                        workload=job.spec.name,
-                        error=outcome.error or "unknown pack member failure",
-                        traceback=outcome.traceback or "",
-                    )
-                )
-                continue
-            self._record(
-                digest, job, outcome.result, results, recorder,
-                outcome.seconds, pid, outcome.profile_rows,
-            )
-            run_seconds += outcome.seconds
-            progress_state[0] += 1
-            self.progress.job_finished(
-                progress_state[0], pending_total, job, outcome.seconds
-            )
-        if recorder.enabled:
-            recorder.complete_span(
-                "pack",
-                pack_seconds,
-                replicates=len(unit),
-                label=unit[0][1].label(),
-                workload=unit[0][1].spec.name,
-                worker_pid=pid,
-                failed=sum(1 for o in outcomes if o.result is None),
-                reset_reuses=pack_stats.reset_reuses,
-                shared_prep_hits=pack_stats.shared_prep_hits,
-            )
-            # run-level amortization tallies: how many pack members
-            # were served by a machine reset / a shared workload build
-            # instead of a from-scratch rebuild
-            if pack_stats.reset_reuses:
-                recorder.count("pack.reset_reuses", pack_stats.reset_reuses)
-            if pack_stats.shared_prep_hits:
-                recorder.count(
-                    "pack.shared_prep_hits", pack_stats.shared_prep_hits
-                )
-        return run_seconds
+            self._land(landing, digest, job, _run(job, self.profile))
+            if landing.failures:
+                return
 
     def _run_pool(
         self,
         pending: list[tuple[str, RunJob]],
-        results: dict[str, ExecResult],
+        landing: _Landing,
         workers: int,
-        recorder: Any,
-    ) -> float:
+    ) -> None:
+        """Submit each job to a process pool and land each as it ends.
+
+        After the first failure, the jobs that have not started are
+        cancelled and every outcome that still arrives lands.
+        """
         # The pool machinery loads only here: serial and warm runs
         # never start a pool.
-        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         # Load the simulator and the batch's workload builders here,
         # once: forked workers inherit them instead of each importing
@@ -586,76 +439,22 @@ class Executor:
 
         load_builders(job.spec.name for _digest, job in pending)
 
-        run_seconds = 0.0
-        progress_state = [0]  # mutable done-counter shared with pack landing
-        units = self._dispatch_units(pending, workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for unit in units:
-                if len(unit) >= MIN_PACK_SIZE:
-                    future = pool.submit(
-                        _timed_execute_pack,
-                        [job for _digest, job in unit],
-                        self.profile,
-                    )
-                else:
-                    future = pool.submit(
-                        _timed_execute, unit[0][1], self.profile
-                    )
-                futures[future] = unit
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(
-                    remaining, return_when=FIRST_EXCEPTION
-                )
-                # land every success in this wave first — the store
-                # write-through must not lose completed work to a
-                # sibling's failure
-                failures: list[JobFailure] = []
-                first_exc: Exception | None = None
-                for future in finished:
-                    unit = futures[future]
+            futures = {
+                pool.submit(_run, job, self.profile): (digest, job)
+                for digest, job in pending
+            }
+            while futures:
+                for future in wait(futures, return_when=FIRST_COMPLETED).done:
+                    digest, job = futures.pop(future)
                     try:
-                        payload = future.result()
+                        outcome = future.result()
                     except Exception as exc:
-                        # infrastructure failure (e.g. a broken pool):
-                        # every job in the unit went down with it
-                        if first_exc is None:
-                            first_exc = exc
-                        for digest, job in unit:
-                            failures.append(
-                                JobFailure(
-                                    digest=digest,
-                                    label=job.label(),
-                                    workload=job.spec.name,
-                                    error=str(exc),
-                                    traceback="".join(
-                                        _tb.format_exception(exc)
-                                    ),
-                                )
-                            )
-                        continue
-                    if len(unit) >= MIN_PACK_SIZE:
-                        outcomes, pack_stats, pack_seconds, pid = payload
-                        run_seconds += self._land_pack(
-                            unit, outcomes, pack_stats, pack_seconds, pid,
-                            results, recorder, failures, progress_state,
-                            len(pending),
-                        )
-                    else:
-                        digest, job = unit[0]
-                        result, seconds, pid, rows = payload
-                        self._record(
-                            digest, job, result, results, recorder, seconds,
-                            pid, rows,
-                        )
-                        run_seconds += seconds
-                        progress_state[0] += 1
-                        self.progress.job_finished(
-                            progress_state[0], len(pending), job, seconds
-                        )
-                if failures:
-                    for other in remaining:
-                        other.cancel()
-                    raise self._fail(failures, recorder) from first_exc
-        return run_seconds
+                        # the pool broke, or the outcome could not
+                        # cross the process boundary
+                        outcome = JobOutcome.failed(exc)
+                    self._land(landing, digest, job, outcome)
+                if landing.failures:
+                    for future in list(futures):
+                        if future.cancel():
+                            del futures[future]

@@ -25,27 +25,33 @@ sweep point.
 and memory snapshot, so it pickles cheaply across workers and
 round-trips exactly through JSON (see :mod:`repro.exec.serialize`).
 
+:func:`run_job` runs one job and returns a :class:`JobOutcome` holding
+the result or the caught failure, with its time and process: the unit
+the executor dispatches, inline or to a process pool.
+
 Replicate packs
 ---------------
-Seed replicates of one scenario — jobs identical except for the seed
-fields — are the common bulk shape of statistical runs.
-:func:`replicate_key` is the grouping digest (the job payload with
-both seed slots zeroed) and :func:`execute_pack` is the worker-side
-shape: all members of a seed family execute sequentially inside ONE
-worker process (warm interpreter, warm import graph, one pool
-round-trip), while each member still produces its own independently
-digest-keyed :class:`ExecResult` — the store, dedup and planning
-layers never see packs at all.
+:func:`replicate_key` groups seed replicates of one scenario (the job
+payload with both seed slots zeroed), and :func:`execute_pack` runs
+such a family back to back in one process, sharing a machine rebuilt
+by :meth:`~repro.htm.machine.Machine.reset` and the seed-invariant
+workload builds.  The executor does not dispatch packs; they exist
+for ``paperbench``'s traced ``seeds-pool`` replay, which splits build,
+reset and simulation time through them.  Each member runs
+:func:`run_job` and lands under its own digest, so pack results equal
+the executor's bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..cm.registry import policy_class
 from ..config import SystemConfig
@@ -63,8 +69,9 @@ __all__ = [
     "RunJob",
     "ExecResult",
     "execute_job",
+    "JobOutcome",
+    "run_job",
     "replicate_key",
-    "PackMemberOutcome",
     "PackStats",
     "execute_pack",
 ]
@@ -161,6 +168,18 @@ class ExecResult(TxMetricsMixin):
         """The paper's N (N1 ungated, N2 gated)."""
         return self.parallel_end - self.parallel_start
 
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """Unpickle with interned counter names.
+
+        Pool results cross the process boundary one pickle each; with
+        the names interned, every landed result shares one copy of its
+        ~300 counter names instead of carrying its own.
+        """
+        state["counters"] = {
+            sys.intern(name): value for name, value in state["counters"].items()
+        }
+        self.__dict__.update(state)
+
     @classmethod
     def from_run_result(
         cls, result: "RunResult", power: PowerModel
@@ -194,6 +213,65 @@ def execute_job(job: RunJob, reuse: "RunReuse | None" = None) -> ExecResult:
     return ExecResult.from_run_result(result, job.power)
 
 
+@dataclass(frozen=True)
+class JobOutcome:
+    """One job's result, or its failure, from :func:`run_job`.
+
+    Exactly one of ``result`` and ``error`` is set.  ``seconds`` and
+    ``pid`` say how long the job ran and in which process;
+    ``profile_rows`` are its cProfile hot spots when asked for.
+    """
+
+    result: ExecResult | None
+    seconds: float
+    pid: int
+    error: str | None = None
+    traceback: str | None = None
+    profile_rows: list[tuple[str, int, float, float]] | None = None
+
+    @classmethod
+    def failed(cls, exc: BaseException, seconds: float = 0.0) -> "JobOutcome":
+        """The outcome of a job that raised ``exc``."""
+        return cls(
+            result=None,
+            seconds=seconds,
+            pid=os.getpid(),
+            error=str(exc),
+            traceback="".join(traceback.format_exception(exc)),
+        )
+
+
+def run_job(
+    execute: Callable[..., ExecResult],
+    job: RunJob,
+    *args: Any,
+    profile: bool = False,
+) -> JobOutcome:
+    """Run ``execute(job, *args)``, timing it and catching its failure.
+
+    The executor's unit of work, inline or in a pool worker, and each
+    member of :func:`execute_pack`.  ``execute`` is :func:`execute_job`,
+    which each caller reads from its own module at call time, so a
+    probe that replaces that name times every simulation.
+    """
+    started = time.perf_counter()
+    try:
+        if profile:
+            from ..obs.profile import profile_call
+
+            result, rows = profile_call(execute, job, *args)
+        else:
+            result, rows = execute(job, *args), None
+    except Exception as exc:
+        return JobOutcome.failed(exc, time.perf_counter() - started)
+    return JobOutcome(
+        result=result,
+        seconds=time.perf_counter() - started,
+        pid=os.getpid(),
+        profile_rows=rows,
+    )
+
+
 # ----------------------------------------------------------------------
 # replicate packs
 # ----------------------------------------------------------------------
@@ -214,24 +292,8 @@ def replicate_key(job: RunJob) -> str:
 
 
 @dataclass(frozen=True)
-class PackMemberOutcome:
-    """One member's result (or failure) from a pack execution.
-
-    Exactly one of ``result`` and ``error`` is set; a member failure
-    never discards its siblings' finished work — the executor lands
-    every success in the pack before surfacing the failures.
-    """
-
-    result: ExecResult | None
-    seconds: float
-    error: str | None = None
-    traceback: str | None = None
-    profile_rows: list[tuple[str, int, float, float]] | None = None
-
-
-@dataclass(frozen=True)
 class PackStats:
-    """Amortization tallies of one pack execution (obs counters)."""
+    """Amortization tallies of one pack execution."""
 
     #: members served by :meth:`Machine.reset` instead of a rebuild
     reset_reuses: int = 0
@@ -240,55 +302,28 @@ class PackStats:
 
 
 def execute_pack(
-    jobs: Sequence[RunJob], profile: bool = False
-) -> tuple[list[PackMemberOutcome], PackStats]:
-    """Worker entry point: run a seed family sequentially in one process.
+    jobs: Sequence[RunJob],
+) -> tuple[list[JobOutcome], PackStats]:
+    """Run a seed family back to back in this process.
 
-    Each member runs through the exact same :func:`execute_job` path a
-    standalone dispatch uses — same seeds travelling inside the job —
-    so pack results are bit-identical to per-process results by
-    construction.  The pack amortizes process/dispatch overhead plus,
-    via a shared :class:`~repro.harness.runner.RunReuse`, the per-seed
-    constant factor: seed-invariant workload preparation is cached
-    across the family, and each member's machine is rebuilt in place
-    by :meth:`repro.htm.machine.Machine.reset`.
-    Per-member exceptions are caught so one bad seed cannot take down
-    the rest of the family; a failure also drops the cached machine
-    (it may be mid-run), so the next member rebuilds from scratch.  The
-    machine is closed when the pack ends, so a pool worker carries no
-    dead machine between packs.
+    Each member runs through :func:`run_job` with one shared
+    :class:`~repro.harness.runner.RunReuse`: seed-invariant workload
+    builds are cached across the family, and each member's machine is
+    rebuilt in place by :meth:`repro.htm.machine.Machine.reset`.  The
+    seeds travel inside the jobs, so results are bit-identical to the
+    executor's.  A member's failure lands in its outcome and drops the
+    cached machine (it may be mid-run), so the next member rebuilds
+    from scratch; the machine is closed when the pack ends.
     """
     from ..harness.runner import RunReuse  # lazy: loads the simulator
 
     reuse = RunReuse()
-    outcomes: list[PackMemberOutcome] = []
+    outcomes: list[JobOutcome] = []
     for job in jobs:
-        started = time.perf_counter()
-        try:
-            if profile:
-                from ..obs.profile import profile_call
-
-                result, rows = profile_call(execute_job, job, reuse)
-            else:
-                result, rows = execute_job(job, reuse), None
-        except Exception as exc:
+        outcome = run_job(execute_job, job, reuse)
+        if outcome.result is None:
             reuse.discard_machine()
-            outcomes.append(
-                PackMemberOutcome(
-                    result=None,
-                    seconds=time.perf_counter() - started,
-                    error=str(exc),
-                    traceback="".join(traceback.format_exception(exc)),
-                )
-            )
-        else:
-            outcomes.append(
-                PackMemberOutcome(
-                    result=result,
-                    seconds=time.perf_counter() - started,
-                    profile_rows=rows,
-                )
-            )
+        outcomes.append(outcome)
     reuse.discard_machine()
     stats = PackStats(
         reset_reuses=reuse.machine_resets, shared_prep_hits=reuse.prep_hits

@@ -77,8 +77,9 @@ class RunReuse:
     mutated).  ``repro check``'s DIG103 rule polices new caches
     against this contract.
 
-    Reuse counters (``machine_resets``, ``prep_hits``) feed the
-    ``pack.reset_reuses`` / ``pack.shared_prep_hits`` obs metrics.
+    Reuse counters (``machine_resets``, ``prep_hits``) become the
+    pack's :class:`~repro.exec.jobs.PackStats`, which ``paperbench``'s
+    traced replay reports.
     """
 
     def __init__(self) -> None:

@@ -108,3 +108,15 @@ class TestVerdict:
             "figures-warm", runs, {"ops_per_s": "higher"}))
         assert "FAILED pair 0 change: exit 1: Traceback" in report
         assert "10 / -" in report
+
+    def test_peak_rss_pairs_show_each_runs_attempted_ops(self):
+        parent = {**result(52.1, "peak_rss_mb"), "attempted": 1512}
+        change = {**result(52.5, "peak_rss_mb"), "attempted": 2016}
+        crashed = {"correct": False, "failed": None, "metrics": {}}
+        report = bench_pairs.report(
+            "seeds-pool", [(parent, change), (parent, crashed)],
+            {"peak_rss_mb": "lower", "ops_per_s": "higher"})
+        assert ("  peak_rss_mb per pair (parent / change): "
+                "52.1 (1512 ops) / 52.5 (2016 ops), "
+                "52.1 (1512 ops) / - (- ops)") in report
+        assert "  ops_per_s per pair (parent / change): - / -, - / -" in report

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import time
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ExecutionError
 from repro.exec import executor as executor_module
-from repro.exec.executor import Executor, usable_cpus
+from repro.exec.executor import BatchExecutionError, Executor, usable_cpus
 from repro.exec.jobs import SCHEMA_VERSION, ExecResult, RunJob, execute_job
 from repro.exec.progress import ConsoleProgress, ProgressListener
 from repro.exec.serialize import (
@@ -95,6 +97,17 @@ class TestSerialization:
         assert via_json == result
         assert via_json.energy.total == result.energy.total
 
+    def test_unpickled_results_share_counter_names(self):
+        """Results unpickled one at a time (the pool's landings) share
+        one copy of each counter name."""
+        result = execute_job(tiny_job())
+        first = pickle.loads(pickle.dumps(result))
+        second = pickle.loads(pickle.dumps(result))
+        assert first == second == result and first.counters
+        assert all(
+            a is b for a, b in zip(first.counters, second.counters)
+        )
+
     def test_exec_result_mirrors_run_result(self):
         job = tiny_job()
         direct = run_workload(job.spec, job.config, power_model=job.power)
@@ -153,6 +166,64 @@ class TestExecutor:
         bad = RunJob(workload("no-such-workload", scale="tiny"), TINY)
         with pytest.raises(ExecutionError, match="no-such-workload"):
             Executor(jobs=2).run([bad, tiny_job()])
+
+    @staticmethod
+    def probe(monkeypatch, wrapper) -> None:
+        """Route the executor's ``execute_job`` calls through
+        ``wrapper(original, job)``, patched before the pool forks, as
+        paperbench's seeds-pool probe does."""
+        original = executor_module.execute_job
+        monkeypatch.setattr(executor_module, "execute_job",
+                            lambda job: wrapper(original, job))
+
+    def test_pool_lands_each_result_as_it_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        """A finished job reaches the store and the progress listener
+        while its sibling still runs: the sibling waits for that."""
+        landed = tmp_path / "landed"
+        blocked = tiny_job("intruder")
+
+        def wrapper(original, job):
+            if job.digest == blocked.digest:
+                deadline = time.monotonic() + 20
+                while not landed.exists():
+                    if time.monotonic() > deadline:
+                        raise TimeoutError("no sibling landed meanwhile")
+                    time.sleep(0.01)
+            return original(job)
+
+        class Marker(ProgressListener):
+            def job_finished(self, done, pending, job, seconds):
+                landed.touch()
+
+        self.probe(monkeypatch, wrapper)
+        store = ResultStore(tmp_path / "store")
+        Executor(jobs=2, store=store, progress=Marker()).run(
+            [blocked, tiny_job()]
+        )
+        assert blocked.digest in store and tiny_job().digest in store
+
+    def test_sibling_finishing_after_a_failure_lands(
+        self, tmp_path, monkeypatch
+    ):
+        """A job still running when a sibling fails lands in the store;
+        the batch then raises once, naming the failure."""
+        good = tiny_job()
+        bad = RunJob(workload("no-such-workload", scale="tiny"), TINY)
+
+        def wrapper(original, job):
+            if job.digest == good.digest:
+                time.sleep(0.5)  # finish well after the bad job failed
+            return original(job)
+
+        self.probe(monkeypatch, wrapper)
+        store = ResultStore(tmp_path)
+        with pytest.raises(BatchExecutionError) as excinfo:
+            Executor(jobs=2, store=store).run([good, bad])
+        assert [f.digest for f in excinfo.value.failures] == [bad.digest]
+        assert good.digest in store
+        assert bad.digest not in store
 
     def test_negative_worker_count_rejected(self):
         with pytest.raises(ExecutionError):
@@ -409,50 +480,18 @@ class TestReplicatePacks:
         assert all(replicate_key(job) not in family for job in strangers)
 
     def test_pack_results_match_per_process_bit_for_bit(self):
-        jobs = self.seed_family() + [tiny_job("intruder")]
-        packed = Executor(jobs=2, packs=True).run(jobs)
-        unpacked = Executor(jobs=2, packs=False).run(jobs)
-        serial = Executor(jobs=1).run(jobs)
-        assert [result_to_dict(r) for r in packed] == [
-            result_to_dict(r) for r in unpacked
-        ] == [result_to_dict(r) for r in serial]
+        """A pack's members (machine reset, shared prep) compute exactly
+        what the executor computes, serial or pooled: paperbench's traced
+        seeds-pool replay is checked against the pins through this."""
+        from repro.exec.jobs import execute_pack
 
-    def test_pack_and_per_process_stores_are_identical(self, tmp_path):
-        """The store never sees packs: same digests, same records."""
         jobs = self.seed_family()
-
-        def normalized(directory):
-            store = ResultStore(directory)
-            records = {}
-            for digest, _label in store.labels():
-                records[digest] = result_to_dict(store.get(digest))
-            store.close()
-            return records
-
-        Executor(jobs=2, packs=True,
-                 store=ResultStore(tmp_path / "on")).run(jobs)
-        Executor(jobs=2, packs=False,
-                 store=ResultStore(tmp_path / "off")).run(jobs)
-        on, off = normalized(tmp_path / "on"), normalized(tmp_path / "off")
-        assert sorted(on) == sorted(off)
-        assert on == off
-
-    def test_pack_member_failure_spares_siblings(self, tmp_path, monkeypatch):
-        """One bad seed fails its job; the rest of the pack still lands."""
-        import repro.exec.executor as executor_mod
-
-        # Force everything into one pack so the bad job shares a unit
-        # with the good ones.
-        monkeypatch.setattr(
-            executor_mod, "replicate_key", lambda job: "one-family"
-        )
-        good = self.seed_family(2)
-        bad = RunJob(workload("no-such-workload", scale="tiny"), TINY)
-        store = ResultStore(tmp_path)
-        with pytest.raises(ExecutionError, match="no-such-workload"):
-            Executor(jobs=2, packs=True, store=store).run(good + [bad])
-        assert all(job.digest in store for job in good)
-        assert bad.digest not in store
+        outcomes, stats = execute_pack(jobs)
+        assert stats.reset_reuses and stats.shared_prep_hits
+        packed = [result_to_dict(outcome.result) for outcome in outcomes]
+        assert packed == [
+            result_to_dict(r) for r in Executor(jobs=1).run(jobs)
+        ] == [result_to_dict(r) for r in Executor(jobs=2).run(jobs)]
 
     def test_execute_pack_isolates_member_exceptions(self):
         from repro.exec.jobs import execute_pack
@@ -467,29 +506,46 @@ class TestReplicatePacks:
         # member built fresh after it — nothing was reset-reused
         assert stats.reset_reuses == 0
 
-    def test_dispatch_units_split_to_fill_workers(self):
-        jobs = self.seed_family(8)
-        pending = [(job.digest, job) for job in jobs]
-        exe = Executor(jobs=4, packs=True)
-        units = exe._dispatch_units(pending, workers=4)
-        assert [len(unit) for unit in units] == [2, 2, 2, 2]
-        # flattened order covers exactly the pending jobs
-        flat = [digest for unit in units for digest, _job in unit]
-        assert sorted(flat) == sorted(digest for digest, _job in pending)
-        # packs off: one singleton per job, in submission order
-        exe_off = Executor(jobs=4, packs=False)
-        assert [len(u) for u in exe_off._dispatch_units(pending, 4)] == [1] * 8
 
-    def test_no_packs_environment_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PACKS", "1")
-        assert Executor().packs is False
-        monkeypatch.setenv("REPRO_NO_PACKS", "0")
-        assert Executor().packs is True
-        monkeypatch.delenv("REPRO_NO_PACKS")
-        assert Executor().packs is True
-        # an explicit argument always wins over the environment
-        monkeypatch.setenv("REPRO_NO_PACKS", "1")
-        assert Executor(packs=True).packs is True
+class TestExecutionShape:
+    """Where and how jobs run never changes what the store holds."""
+
+    GRID = [tiny_job(seed=seed) for seed in (1, 2)] + [
+        tiny_job("intruder"),
+        tiny_job("intruder", gated=False),
+    ]
+
+    @staticmethod
+    def records(directory) -> dict[str, dict]:
+        store = ResultStore(directory)
+        records = {
+            digest: result_to_dict(store.get(digest))
+            for digest, _label in store.labels()
+        }
+        store.close()
+        return records
+
+    def test_stores_identical_across_workers_and_obs(self, tmp_path):
+        from repro import obs
+
+        stores = {}
+        for jobs in (1, 2):
+            for observed in (False, True):
+                directory = tmp_path / f"store-{jobs}-{observed}"
+                if observed:
+                    recorder = obs.configure(
+                        tmp_path / f"obs-{jobs}", export_env=False
+                    )
+                try:
+                    Executor(jobs=jobs, store=directory).run(self.GRID)
+                finally:
+                    obs.reset()
+                if observed:
+                    assert recorder.counters()["store.puts"] == len(self.GRID)
+                stores[jobs, observed] = self.records(directory)
+        first = stores[1, False]
+        assert sorted(first) == sorted(job.digest for job in self.GRID)
+        assert all(records == first for records in stores.values())
 
 
 class TestSweepIntegration:

@@ -384,40 +384,19 @@ class TestExecutorObservability:
         manifest = load_manifest(tmp_path / "obs", rec.run_id)
         assert manifest["counters"]["dir.flush_batches"] == expected
 
-    def test_pack_spans_carry_replicate_attrs(self, tmp_path):
-        """A pooled seed family lands one pack span per dispatch unit."""
+    def test_pool_jobs_land_one_span_each_from_their_worker(self, tmp_path):
         rec = obs.configure(tmp_path / "obs", export_env=False)
         family = [tiny_job(seed=seed) for seed in range(1, 5)]
-        exe = Executor(
-            jobs=2, store=ResultStore(tmp_path / "store"), packs=True
-        )
-        exe.run(family)
+        Executor(jobs=2, store=ResultStore(tmp_path / "store")).run(family)
         rec.close()
 
         records = list(load_events(tmp_path / "obs", rec.run_id))
-        packs = [r for r in records if r["name"] == "pack"]
-        assert packs, "pooled seed family should dispatch as pack(s)"
-        assert sum(p["attrs"]["replicates"] for p in packs) == len(family)
-        for pack in packs:
-            attrs = pack["attrs"]
-            assert attrs["replicates"] >= 2
-            assert attrs["workload"] == "counter"
-            assert attrs["failed"] == 0
-            assert attrs["worker_pid"] != os.getpid()  # ran in a worker
-        # every member still gets its own job span
         jobs = [r for r in records if r["name"] == "job"]
-        assert len(jobs) == len(family)
-
-    def test_no_packs_run_has_no_pack_spans(self, tmp_path):
-        rec = obs.configure(tmp_path / "obs", export_env=False)
-        family = [tiny_job(seed=seed) for seed in range(1, 5)]
-        Executor(
-            jobs=2, store=ResultStore(tmp_path / "store"), packs=False
-        ).run(family)
-        rec.close()
-        records = list(load_events(tmp_path / "obs", rec.run_id))
-        assert [r for r in records if r["name"] == "pack"] == []
-        assert len([r for r in records if r["name"] == "job"]) == len(family)
+        assert sorted(j["attrs"]["digest"] for j in jobs) == sorted(
+            job.digest for job in family
+        )
+        assert all(j["attrs"]["worker_pid"] != os.getpid() for j in jobs)
+        assert not [r for r in records if r["name"] == "pack"]
 
 
 # ----------------------------------------------------------------------
