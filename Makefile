@@ -15,13 +15,11 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The static-analysis gate: the repo's own AST rules over the whole
-# tree (store discipline, typed core, the replicate-pack prep cache;
-# see docs/static-analysis.md; tier-1 runs the same rules), then the
-# typed-core/style gates when the external tools are installed (CI
-# always runs them; a bare dev container may not have them).
+# The typed-core and style gates, when the external tools are
+# installed (CI always runs them; a bare dev container may not have
+# them).  The repo's own source rules are tier-1 tests
+# (tests/test_source_rules.py; see docs/static-analysis.md).
 check:
-	$(PYTHON) -m repro check src tests scripts
 	$(MAKE) typecheck
 	@if $(PYTHON) -c "import ruff" >/dev/null 2>&1 || command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests scripts; \

@@ -35,5 +35,4 @@ repro exec-status --cache-dir "$W/cache" --digests
 repro exec-status --cache-dir "$W/cache" --prune
 for sub in list show summary tail; do repro obs "$sub" --obs-dir "$W/obs"; done
 repro bench --check
-repro check --json src tests scripts
 for example in examples/*.py; do (cd "$W" && TMPDIR="$W" python "$OLDPWD/$example"); done

@@ -14,10 +14,6 @@ Turns traces and timelines into the artefacts a systems study needs:
   from figure-pipeline artifacts (``figures/<name>.json``), consuming
   the shared :mod:`repro.figures.extract` outputs instead of
   re-deriving rows.
-* :mod:`~repro.analysis.lint` / :mod:`~repro.analysis.rules` — the
-  ``repro check`` static-analysis engine: AST rules for the store
-  discipline, the typed core and the replicate-pack prep cache
-  (imported lazily by the CLI; see docs/static-analysis.md).
 
 Each name below imports its module on first use, so reading a
 figure artifact (``figreport``, behind ``figures build --show``) loads

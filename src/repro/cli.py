@@ -351,24 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_otail.add_argument("-n", "--lines", type=int, default=20, metavar="N",
                          help="records to show (default 20)")
 
-    p_check = sub.add_parser(
-        "check", help="the repository's own lint rules over the source "
-                      "tree (see docs/static-analysis.md)"
-    )
-    p_check.add_argument(
-        "paths", nargs="*", default=["src", "tests", "scripts"],
-        metavar="PATH", help="files/directories to check "
-                             "(default: src tests scripts)")
-    p_check.add_argument("--json", action="store_true",
-                         help="emit the machine-readable JSON report")
-    p_check.add_argument("--select", default=None, metavar="IDS",
-                         help="comma-separated rule ids/names to run "
-                              "(default: all)")
-    p_check.add_argument("--ignore", default=None, metavar="IDS",
-                         help="comma-separated rule ids/names to skip")
-    p_check.add_argument("--list-rules", action="store_true",
-                         help="print the registered rule catalog and exit")
-
     sub.add_parser("list", help="available workloads and policies")
     return parser
 
@@ -878,25 +860,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from .analysis.lint import (
-        list_rules_text, render_json, render_text, run_check,
-    )
-
-    if args.list_rules:
-        print(list_rules_text())
-        return 0
-    split = (lambda raw: [token.strip() for token in raw.split(",")
-                          if token.strip()])
-    report = run_check(
-        args.paths,
-        select=split(args.select) if args.select else None,
-        ignore=split(args.ignore) if args.ignore else None,
-    )
-    print(render_json(report) if args.json else render_text(report))
-    return report.exit_code
-
-
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("workloads:")
     for name in available_workloads():
@@ -919,7 +882,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "exec-status": _cmd_exec_status,
     "obs": _cmd_obs,
-    "check": _cmd_check,
     "list": _cmd_list,
 }
 

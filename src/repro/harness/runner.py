@@ -74,8 +74,12 @@ class RunReuse:
     PACK-SHARING CONTRACT: everything cached here must be independent
     of the seed slots and immutable after preparation (cache keys
     include every seed-relevant input; cached instances are never
-    mutated).  ``repro check``'s DIG103 rule polices new caches
-    against this contract.
+    mutated).  Tier-1 holds the prep cache to it: caching a
+    seed-dependent build fails ``tests/test_machine_reset.py``'s
+    ``test_reset_matches_rebuild`` and
+    ``test_seed_dependent_workload_never_prep_cached``, and changing a
+    cached instance fails ``tests/test_exec.py``'s
+    ``test_pack_results_match_per_process_bit_for_bit``.
 
     Reuse counters (``machine_resets``, ``prep_hits``) become the
     pack's :class:`~repro.exec.jobs.PackStats`, which ``paperbench``'s

@@ -189,346 +189,3 @@ class TestRunReport:
         assert "ungated" in text
         assert "conflicts:" in text
 
-
-# ======================================================================
-# the `repro check` lint engine (repro.analysis.lint / .rules)
-# ======================================================================
-import json
-import textwrap
-from pathlib import Path
-
-from repro.analysis.lint import (
-    check_source,
-    registered_rules,
-    render_json,
-    run_check,
-)
-
-
-def _check(source, module="sim/example.py", select=None):
-    """Run the registered rules over one in-memory module.
-
-    ``module`` is the virtual location below ``src/repro/`` (or any
-    non-package path like ``tests/foo.py``), which is what the
-    package-scoped rules key on.
-    """
-    if "/" in module and not module.startswith(("tests/", "scripts/")):
-        path = Path("src/repro") / module
-    else:
-        path = Path(module)
-    rules = registered_rules()
-    if select:
-        rules = [r for r in rules if r.id in select or r.name in select]
-    findings, suppressed, errors = check_source(
-        textwrap.dedent(source), path, rules
-    )
-    assert not errors, errors
-    return findings, suppressed
-
-
-def _rule_ids(findings):
-    return [f.rule for f in findings]
-
-
-#: every registered rule, in id order (docs/static-analysis.md, "Why
-#: each rule stays, or went")
-KEPT_RULES = ["DIG103", "STO201", "STO202", "TYP501"]
-
-#: one STO201 finding, at line 2 (plus a TYP501 one inside the typed core)
-BAD_STORE_READ = "def f(d):\n    return open(d + '/results.jsonl').read()\n"
-
-
-class TestLintEngine:
-    def test_registry_has_first_class_rule_set(self):
-        assert [rule.id for rule in registered_rules()] == KEPT_RULES
-        for rule in registered_rules():
-            assert rule.name and rule.rationale
-
-    def test_trailing_suppression(self):
-        findings, suppressed = _check(
-            """\
-            def peek():
-                return open("results.jsonl").read()  # repro: allow[STO201]
-            """
-        )
-        assert findings == []
-        assert suppressed == 1
-
-    def test_comment_block_suppression_above(self):
-        findings, suppressed = _check(
-            """\
-            def peek():
-                # justified: example fixture
-                # repro: allow[store-access]
-                return open("results.jsonl").read()
-            """
-        )
-        assert findings == []
-        assert suppressed == 1
-
-    def test_star_suppression_and_unknown_id(self):
-        findings, suppressed = _check(
-            """\
-            def peek():
-                return open("results.jsonl").read()  # repro: allow[*]
-
-            x = 1  # repro: allow[NOPE999]
-            """
-        )
-        assert suppressed == 1
-        assert _rule_ids(findings) == ["SUPP"]
-        assert "NOPE999" in findings[0].message
-
-    def test_suppression_in_docstring_is_inert(self):
-        findings, _ = _check(
-            '''\
-            def doc():
-                """Mentions # repro: allow[NOPE999] in prose only."""
-                return 1
-            '''
-        )
-        assert findings == []
-
-    def test_parse_error_is_reported_not_raised(self):
-        findings, suppressed, errors = check_source(
-            "def broken(:\n", Path("src/repro/sim/x.py"), registered_rules()
-        )
-        assert findings == [] and suppressed == 0
-        assert [e.rule for e in errors] == ["PARSE"]
-
-    def test_run_check_walks_dirs_and_json_round_trips(self, tmp_path):
-        pkg = tmp_path / "src" / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        (pkg / "bad.py").write_text(BAD_STORE_READ)
-        (tmp_path / "src" / "repro" / "sim" / "__pycache__").mkdir()
-        (pkg / "__pycache__" / "skip.py").write_text(BAD_STORE_READ)
-        report = run_check([tmp_path / "src"])
-        assert report.files_checked == 1
-        assert report.exit_code == 1
-        assert report.by_rule() == {"STO201": 1}
-        payload = json.loads(render_json(report))
-        assert payload["schema"] == 1
-        assert payload["exit_code"] == 1
-        assert payload["by_rule"] == {"STO201": 1}
-        assert payload["findings"][0]["rule"] == "STO201"
-        assert payload["findings"][0]["line"] == 2
-
-    def test_select_and_ignore(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "exec"
-        bad.mkdir(parents=True)
-        (bad / "two.py").write_text(BAD_STORE_READ)
-        assert run_check([tmp_path], select=["STO201"]).by_rule() == {
-            "STO201": 1
-        }
-        assert run_check([tmp_path], select=["store-access"]).by_rule() == {
-            "STO201": 1
-        }
-        assert run_check([tmp_path], ignore=["STO201"]).by_rule() == {
-            "TYP501": 1
-        }
-
-
-class TestDigestAndStoreRules:
-    def test_dig103_flags_seed_dependent_cache_value(self):
-        findings, _ = _check(
-            """\
-            def resolve(reuse, spec, config):
-                key = (spec.name, spec.scale)
-                reuse._prep[key] = spec.build(config.seed)
-                return reuse._prep[key]
-            """,
-            module="harness/example.py",
-        )
-        assert _rule_ids(findings) == ["DIG103"]
-        assert "seed-dependent" in findings[0].message
-
-    def test_dig103_allows_seed_keyed_cache(self):
-        findings, _ = _check(
-            """\
-            def resolve(reuse, spec, config):
-                key = (spec.name, spec.seed)
-                reuse._prep[key] = spec.build(config.seed)
-                return reuse._prep[key]
-            """,
-            module="harness/example.py",
-        )
-        assert findings == []
-
-    def test_dig103_flags_mutation_of_cached_value(self):
-        findings, _ = _check(
-            """\
-            def merge(reuse, key, extra):
-                cached = reuse._prep.get(key)
-                cached.update(extra)
-                return cached
-            """,
-            module="harness/example.py",
-        )
-        assert _rule_ids(findings) == ["DIG103"]
-        assert "immutable after prep" in findings[0].message
-
-    def test_dig103_flags_attribute_write_on_cached_value(self):
-        findings, _ = _check(
-            """\
-            def stamp(reuse, key, seed):
-                cached = reuse._prep[key]
-                cached.seed = seed
-                return cached
-            """,
-            module="harness/example.py",
-        )
-        assert _rule_ids(findings) == ["DIG103"]
-
-    def test_dig103_allows_restamp_pattern(self):
-        """The sanctioned shape: seed-free key, replace() on read."""
-        findings, _ = _check(
-            """\
-            from dataclasses import replace
-
-            def resolve(reuse, source, config):
-                key = (source.name, source.scale)
-                instance = reuse._prep.get(key)
-                if instance is None:
-                    reuse._prep[key] = instance = source.build(config.num_procs)
-                if instance.seed != source.seed:
-                    instance = replace(instance, seed=source.seed)
-                return instance
-            """,
-            module="harness/example.py",
-        )
-        assert findings == []
-
-    def test_dig103_covers_self_caches_in_reuse_classes(self):
-        findings, _ = _check(
-            """\
-            class RunReuse:
-                def put(self, key, spec, config):
-                    self._prep[key] = spec.build(config.seed)
-            """,
-            module="harness/example.py",
-        )
-        assert _rule_ids(findings) == ["DIG103"]
-
-    STORE_READ = """\
-        from pathlib import Path
-
-        def peek(d: Path) -> str:
-            with open(d / "results.jsonl") as fh:
-                fh.read()
-            return (d / "results.jsonl").read_text()
-        """
-
-    def test_sto201_flags_direct_store_access(self):
-        findings, _ = _check(self.STORE_READ, module="figures/example.py")
-        assert _rule_ids(findings) == ["STO201", "STO201"]
-
-    def test_sto201_exempts_store_module(self):
-        findings, _ = _check(self.STORE_READ, module="exec/store.py")
-        assert findings == []
-
-    def test_sto202_flags_unbalanced_flock(self):
-        findings, _ = _check(
-            """\
-            import fcntl
-
-            def locked(fh: object) -> None:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                fh.write("x")
-            """,
-            module="exec/example.py",
-        )
-        assert _rule_ids(findings) == ["STO202"]
-
-    def test_sto202_allows_try_finally_release(self):
-        findings, _ = _check(
-            """\
-            import fcntl
-
-            def locked(fh: object) -> None:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                try:
-                    fh.write("x")
-                finally:
-                    fcntl.flock(fh, fcntl.LOCK_UN)
-            """,
-            module="exec/example.py",
-        )
-        assert findings == []
-
-
-class TestTypedCoreRule:
-    def test_typ501_flags_unannotated_def_in_typed_core(self):
-        findings, _ = _check(
-            "def f(x):\n    return x\n", module="exec/example.py"
-        )
-        assert _rule_ids(findings) == ["TYP501"]
-        assert "x" in findings[0].message and "return" in findings[0].message
-
-    def test_typ501_skips_self_and_core_packages(self):
-        findings, _ = _check(
-            """\
-            class C:
-                def method(self, x: int) -> int:
-                    return x
-            """,
-            module="exec/example.py",
-        )
-        assert findings == []
-        findings, _ = _check(
-            "def f(x):\n    return x\n", module="sim/example.py"
-        )
-        assert findings == []
-
-
-class TestCheckCli:
-    def test_cli_json_round_trip(self, tmp_path, capsys):
-        from repro.cli import main
-
-        pkg = tmp_path / "src" / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        (pkg / "bad.py").write_text(BAD_STORE_READ)
-        exit_code = main(["check", "--json", str(tmp_path / "src")])
-        payload = json.loads(capsys.readouterr().out)
-        assert exit_code == 1
-        assert payload["by_rule"] == {"STO201": 1}
-        assert payload["schema"] == 1
-
-    def test_cli_list_rules(self, capsys):
-        from repro.cli import main
-
-        assert main(["check", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        listed = [line.split()[0] for line in out.splitlines()
-                  if not line.startswith(" ")]
-        assert listed == KEPT_RULES
-        assert "store-access" in out
-
-    def test_cli_unknown_rule_is_an_error(self, tmp_path, capsys):
-        """A typo in --select/--ignore must not switch the gate off."""
-        from repro.cli import main
-
-        for option in ("--select", "--ignore"):
-            assert main(["check", option, "STO201,NOPE999",
-                         str(tmp_path)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("repro: error:")
-            assert "NOPE999" in err
-            assert all(rule_id in err for rule_id in KEPT_RULES)
-
-    def test_cli_missing_path_is_an_error(self, tmp_path, capsys):
-        """A path that does not exist is not a tree with 0 findings."""
-        from repro.cli import main
-
-        assert main(["check", str(tmp_path / "nonexistent_dir")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error:")
-        assert "nonexistent_dir" in err
-
-    def test_tree_is_clean_at_head(self):
-        """The meta-gate: `repro check` over the real tree reports zero."""
-        root = Path(__file__).resolve().parents[1]
-        report = run_check(
-            [root / "src", root / "tests", root / "scripts"]
-        )
-        assert report.parse_errors == []
-        assert report.findings == [], render_json(report)

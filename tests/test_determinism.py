@@ -187,8 +187,9 @@ def test_smoke_suite_store_jsonl_byte_identical(tmp_path):
     for name in ("a", "b"):
         store = ResultStore(tmp_path / name)
         _run_smoke_suite(store=store)
-        # repro: allow[STO201] — byte-level determinism check must read
-        # the raw store file, bypassing the store's parsed view
+        # a raw read on purpose (RAW_STORE_READERS in
+        # tests/test_source_rules.py): the byte-level check must bypass
+        # the store's parsed view
         lines = (tmp_path / name / "results.jsonl").read_text().splitlines()
         records = []
         for line in lines:

@@ -57,8 +57,8 @@ class TestStoreContract:
         # each record is one compact JSON line on disk
         (record,) = reloaded.records()
         line = json.dumps(record, separators=(",", ":"))
-        # repro: allow[STO201] — asserts the on-disk JSONL bytes,
-        # which only a raw read can see
+        # a raw read on purpose (RAW_STORE_READERS in
+        # tests/test_source_rules.py): only it sees the on-disk bytes
         assert (tmp_path / "results.jsonl").read_text() == line + "\n"
 
     def test_last_write_wins(self, tmp_path, seeded_results):
