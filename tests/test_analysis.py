@@ -1,9 +1,12 @@
-"""Analysis subpackage: conflict statistics, gating episodes, exports."""
+"""Analysis subpackage: conflict statistics, gating episodes, exports;
+and the source rules of tests/test_source_rules.py."""
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
+import textwrap
 
 import pytest
 
@@ -15,6 +18,15 @@ from repro.config import SystemConfig
 from repro.harness.runner import run_workload, workload
 from repro.power.states import ProcState
 from repro.sim.trace import TraceRecorder
+
+from .test_source_rules import (
+    CHECKS,
+    STORE_MODULE,
+    lock_balance,
+    source_trees,
+    store_access,
+    untyped_def,
+)
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +201,75 @@ class TestRunReport:
         assert "ungated" in text
         assert "conflicts:" in text
 
+
+# ======================================================================
+# the source rules (tests/test_source_rules.py)
+# ======================================================================
+def _rule_ids(check, relpath, source):
+    """The rule id of each finding ``check`` reports for ``source``
+    placed at ``relpath``."""
+    findings = check(relpath, ast.parse(textwrap.dedent(source)))
+    return [finding.split()[1] for finding in findings]
+
+
+class TestDigestAndStoreRules:
+    STORE_READ = """\
+        from pathlib import Path
+
+        def peek(d: Path) -> str:
+            with open(d / "results.jsonl") as fh:
+                fh.read()
+            return (d / "results.jsonl").read_text()
+        """
+
+    def test_sto201_flags_direct_store_access(self):
+        assert _rule_ids(store_access, "src/repro/cli.py",
+                         self.STORE_READ) == ["STO201", "STO201"]
+
+    def test_sto201_exempts_store_module(self):
+        assert _rule_ids(store_access, STORE_MODULE, self.STORE_READ) == []
+
+    def test_sto202_flags_unbalanced_flock(self):
+        """The release after ``yield`` is skipped when the body raises."""
+        assert _rule_ids(lock_balance, STORE_MODULE, """\
+            def locked(fh):
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                yield
+                fcntl.flock(fh, fcntl.LOCK_UN)
+            """) == ["STO202"]
+
+    def test_sto202_allows_try_finally_release(self):
+        assert _rule_ids(lock_balance, STORE_MODULE, """\
+            def locked(fh):
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                try:
+                    yield
+                finally:
+                    fcntl.flock(fh, fcntl.LOCK_UN)
+            """) == []
+
+
+class TestTypedCoreRule:
+    def test_typ501_flags_unannotated_def_in_typed_core(self):
+        findings = untyped_def(STORE_MODULE, ast.parse(
+            "def _line(record):\n    return record\n"))
+        assert [finding.split()[1] for finding in findings] == ["TYP501"]
+        assert "record, return" in findings[0]
+
+    def test_typ501_skips_self_and_core_packages(self):
+        assert _rule_ids(untyped_def, STORE_MODULE, """\
+            class C:
+                def line(self, x: int) -> int:
+                    return x
+            """) == []
+        assert _rule_ids(untyped_def, "src/repro/sim/engine.py",
+                         "def f(x):\n    return x\n") == []
+
+
+class TestCheckCli:
+    def test_tree_is_clean_at_head(self):
+        """Every source rule over src, tests and scripts, each file
+        parsed once; a finding names its rule, file and line."""
+        trees = source_trees()
+        assert [finding for relpath, tree in trees.items()
+                for check in CHECKS for finding in check(relpath, tree)] == []

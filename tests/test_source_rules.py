@@ -1,8 +1,10 @@
 """Source rules that no run can observe, over src, tests and scripts.
 
-Each check maps one parsed file to its findings.  A check stays only
-while its planted defect fails no other tier-1 test
-(docs/static-analysis.md, "Adding a source rule").
+Each check maps one parsed file to its findings.  tests/test_analysis.py
+runs them: ``TestCheckCli`` over the whole tree, ``TestDigestAndStoreRules``
+and ``TestTypedCoreRule`` on snippets.  A check stays only while its
+planted defect fails no other tier-1 test (docs/static-analysis.md,
+"Adding a source rule").
 """
 
 import ast
@@ -110,41 +112,15 @@ def untyped_def(relpath: str, tree: ast.AST) -> list[str]:
 CHECKS = [store_access, lock_balance, untyped_def]
 
 
-@pytest.fixture(scope="module")
-def trees():
+def source_trees() -> dict[str, ast.AST]:
     """Every .py file under src, tests and scripts, parsed once."""
     return {path.relative_to(ROOT).as_posix(): ast.parse(path.read_text("utf-8"))
             for top in ("src", "tests", "scripts")
             for path in sorted((ROOT / top).rglob("*.py"))}
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
-def test_tree_is_clean(check, trees):
-    assert [f for relpath, tree in trees.items() for f in check(relpath, tree)] == []
-
-
-READ_LOG = "def peek(d):\n    return (d / 'results.jsonl').read_text()\n"
-LOCKED = "def f(fh):\n    fcntl.flock(fh, fcntl.LOCK_EX)\n"
-#: (check, file and snippet it must flag once, file and snippet it must pass)
-BITES = [
-    (store_access, "src/repro/cli.py", READ_LOG, STORE_MODULE, READ_LOG),
-    (lock_balance,
-     STORE_MODULE, LOCKED + "    yield\n    fcntl.flock(fh, fcntl.LOCK_UN)\n",
-     STORE_MODULE, LOCKED + "    try:\n        yield\n"
-                            "    finally:\n        fcntl.flock(fh, fcntl.LOCK_UN)\n"),
-    (untyped_def, STORE_MODULE, "def _line(record):\n    return record\n",
-     STORE_MODULE, "class C:\n    def line(self, x: int) -> int:\n        return x\n"),
-]
-
-
-@pytest.mark.parametrize("check,bad_path,bad,good_path,good", BITES,
-                         ids=[bite[0].__name__ for bite in BITES])
-def test_check_bites(check, bad_path, bad, good_path, good):
-    assert len(check(bad_path, ast.parse(bad))) == 1
-    assert check(good_path, ast.parse(good)) == []
-
-
 @pytest.mark.parametrize("relpath,function", sorted(RAW_STORE_READERS))
-def test_raw_store_reader_is_live(relpath, function, trees):
+def test_raw_store_reader_is_live(relpath, function):
     """An allowlisted function still exists and still reads the log raw."""
-    assert function in {name for name, _ in raw_store_reads(trees[relpath])}
+    tree = ast.parse((ROOT / relpath).read_text("utf-8"))
+    assert function in {name for name, _ in raw_store_reads(tree)}
