@@ -7,13 +7,15 @@ Usage (from the repository root)::
         --pairs 10 --seconds 20 --seed 0 --claim ops_per_s
     make bench-pairs BASE=HEAD~1 WORKLOAD=figures-warm CLAIM=ops_per_s
 
-The parent is the git ref ``--base``, extracted with ``git archive``
-into a temporary directory that is removed at the end; the change is
-the working tree.  Every run is this tree's ``paperbench/run.py``
-started from one side's root, so both sides run the same benchmark
-code on their own ``src/``.  Pair *i* runs the parent first when *i*
-is even and the change first when it is odd, because the side that
-runs first tends to win.
+The parent is the git ref ``--base``, extracted with ``git archive``;
+the change is the working tree as git sees it (tracked and untracked
+files, ignored ones left out), copied file by file.  Each side runs
+from its own temporary directory, removed at the end, so the two
+differ only in their files.  Every run is this tree's
+``paperbench/run.py`` started from one side's root, so both sides run
+the same benchmark code on their own ``src/``.  Pair *i* runs the
+parent first when *i* is even and the change first when it is odd,
+because the side that runs first tends to win.
 
 For every end-to-end metric ``BENCHMARK.json`` declares, the report
 gives each side's median and quartiles, how many pairs the change won
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +63,24 @@ def extract(ref: str, into: Path) -> Path:
         capture_output=True, check=True,
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def copy_worktree(root: Path, into: Path) -> Path:
+    """The files of *root*'s working tree that git lists — tracked or
+    untracked, not ignored — and that exist on disk, copied into *into*."""
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        capture_output=True, check=True,
+    ).stdout
+    for name in os.fsdecode(listed).split("\0"):
+        source = root / name
+        if not name or not source.is_file():  # deleted, yet still tracked
+            continue
+        target = into / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
     return into
 
 
@@ -223,13 +245,17 @@ def main(argv: list[str] | None = None) -> int:
     metrics = {m["name"]: m["better"] for m in declared()["end_to_end"]}
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        sides = [Path(scratch) / side for side in SIDES]
+        for side in sides:
+            side.mkdir()
         try:
-            roots = (extract(args.base, Path(scratch)), ROOT)
+            parent = extract(args.base, sides[0])
         except subprocess.CalledProcessError as exc:
             detail = (exc.stderr or b"").decode().strip()
             print(f"bench_pairs: cannot extract {args.base!r}: {detail}",
                   file=sys.stderr)
             return 2
+        roots = (parent, copy_worktree(ROOT, sides[1]))
         for workload in args.workload:
             pairs: list[Pair] = []
             for index in range(args.pairs):
@@ -243,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{shown(value(results[1], 'ops_per_s'))}",
                       file=sys.stderr, flush=True)
             print(f"seed {args.seed}, {args.seconds:g} s per run, parent "
-                  f"{args.base}, change: the working tree")
+                  f"{args.base}, change: a copy of the working tree")
             print("\n".join(report(workload, pairs, metrics)))
             ok &= not any(run_failed(r) for pair in pairs for r in pair)
             if args.claim:

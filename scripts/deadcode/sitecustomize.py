@@ -3,6 +3,11 @@
 Put this directory first on PYTHONPATH and set DEADCODE_OUT to an
 existing directory: each process (forked pool workers included)
 appends ``file:first_line`` records to its own ``<pid>.txt`` there.
+
+``cProfile.Profile.disable()`` clears the process's profile hook, so
+it is wrapped to put the hook back; otherwise nothing entered after
+the first profiled job (``--profile``, a traced benchmark run) would
+be recorded.
 """
 import os
 import sys
@@ -27,6 +32,19 @@ def _hook(frame, event, arg):
     _log[1].write(f"{code.co_filename}:{code.co_firstlineno}\n")
 
 
+def _rehook_after_cprofile():
+    import cProfile
+
+    disable = cProfile.Profile.disable
+
+    def disable_and_rehook(self):
+        disable(self)
+        sys.setprofile(_hook)
+
+    cProfile.Profile.disable = disable_and_rehook
+
+
 if _OUT:
     sys.setprofile(_hook)
     threading.setprofile(_hook)
+    _rehook_after_cprofile()

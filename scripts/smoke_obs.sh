@@ -2,8 +2,10 @@
 # Observability smoke: run one suite with observability ON and once
 # with it OFF.  The result store must be digest-identical either way
 # (obs never touches result bytes), the run manifest must account for
-# every executed job, and every `repro obs` surface must work against
-# the recorded run.  Run from the repo root (or via `make obs-smoke`).
+# every executed job, the process that started the run must be its only
+# writer although pool workers ran the jobs, and every `repro obs`
+# surface must work against the recorded run.  Run from the repo root
+# (or via `make obs-smoke`).
 # Set OBS_SMOKE_KEEP=1 to keep the obs directory (CI uploads it).
 set -euo pipefail
 
@@ -31,7 +33,7 @@ python -m repro exec-status --cache-dir "$ROOT/cache-off" --digests \
   > "$ROOT/digests-off"
 diff "$ROOT/digests-on" "$ROOT/digests-off"
 
-echo "== obs smoke: manifest accounts for every executed job =="
+echo "== obs smoke: manifest accounts for every executed job, one writer =="
 python - "$OBS_DIR" <<'EOF'
 import json
 import sys
@@ -39,6 +41,9 @@ from pathlib import Path
 
 obs_dir = Path(sys.argv[1])
 (manifest_path,) = obs_dir.glob("run-*.manifest.json")
+run = manifest_path.name[len("run-"):-len(".manifest.json")]
+files = sorted(path.name for path in obs_dir.iterdir())
+assert files == [f"run-{run}.jsonl", f"run-{run}.manifest.json"], files
 manifest = json.loads(manifest_path.read_text())
 metrics = manifest["metrics"]
 assert manifest["finished"], "manifest was not finalized"
@@ -50,8 +55,15 @@ assert by_name.get("batch", 0) == metrics["batches"], by_name
 records = [json.loads(line)
            for line in log_path.read_text().splitlines() if line]
 assert records, "event log is empty"
-print(f"manifest OK: {metrics['jobs_executed']} job span(s), "
-      f"{len(records)} event-log record(s)")
+writer = int(run.rsplit("-p", 1)[1])
+pids = {record["pid"] for record in records}
+assert pids == {writer}, f"records from pids {pids}, run started by {writer}"
+workers = {record["attrs"]["worker_pid"] for record in records
+           if record["name"] == "job"}
+assert workers and writer not in workers, workers
+print(f"manifest OK: {metrics['jobs_executed']} job span(s) from "
+      f"{len(workers)} worker(s), {len(records)} event-log record(s), "
+      f"all written by pid {writer}")
 EOF
 
 echo "== obs smoke: obs CLI surfaces =="

@@ -57,6 +57,7 @@ import dataclasses
 import sys
 from typing import Sequence
 
+from . import obs
 from .cm.registry import available_cms
 from .config import GatingConfig, SystemConfig
 from .errors import ExecutionError, HarnessError, ReproError, SimulationError
@@ -734,9 +735,7 @@ def _cmd_exec_status(args: argparse.Namespace) -> int:
 
 
 def _obs_directory(args: argparse.Namespace) -> str:
-    from .obs import obs_dir_from_env
-
-    return args.obs_dir if args.obs_dir else obs_dir_from_env()
+    return args.obs_dir if args.obs_dir else obs.obs_dir_from_env()
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -889,35 +888,23 @@ _COMMANDS = {
 FAILURES_SHOWN = 5
 
 
-def _obs_setup(args: argparse.Namespace, argv: Sequence[str] | None):
-    """Activate observability for this invocation when asked to.
+def _obs_setup(args: argparse.Namespace,
+               argv: Sequence[str] | None) -> obs.ObsRecorder | None:
+    """Start this invocation's observability run, when one is asked for.
 
-    Returns ``(recorder, mode)`` where mode is ``"flag"`` (activated by
-    ``--obs-dir``/``--profile`` — environment exports are cleaned up
-    afterwards), ``"env"`` (``REPRO_OBS=1`` — the environment is left
-    alone so sibling invocations keep recording), or ``None`` (off).
-    The ``obs`` command itself never records a run about reading runs.
+    ``--obs-dir DIR`` records into DIR; ``REPRO_OBS=1`` or a bare
+    ``--profile`` records into ``$REPRO_OBS_DIR`` (default ``obs/``).
+    The ``obs`` command never records a run about reading runs.
     """
-    import os as _os
-
-    from . import obs
-
     if args.command == "obs":
-        return obs.get_recorder(), None
+        return None
+    directory = getattr(args, "obs_dir", None)
+    if not directory:
+        if not (obs.obs_enabled_from_env() or getattr(args, "profile", False)):
+            return None
+        directory = obs.obs_dir_from_env()
     recorded_argv = ["repro", *argv] if argv is not None else None
-    if getattr(args, "obs_dir", None):
-        return obs.configure(args.obs_dir, argv=recorded_argv), "flag"
-    if obs.obs_enabled_from_env():
-        run_id = _os.environ.get("REPRO_OBS_RUN", "").strip() or None
-        return obs.configure(
-            obs.obs_dir_from_env(), run_id=run_id, argv=recorded_argv
-        ), "env"
-    if getattr(args, "profile", False):
-        # --profile without a destination: default observability dir
-        return obs.configure(
-            obs.obs_dir_from_env(), argv=recorded_argv
-        ), "flag"
-    return obs.get_recorder(), None
+    return obs.configure(directory, argv=recorded_argv)
 
 
 def _print_failures(exc: BatchExecutionError) -> None:
@@ -935,7 +922,7 @@ def _print_failures(exc: BatchExecutionError) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    recorder, obs_mode = _obs_setup(args, argv)
+    recorder = _obs_setup(args, argv)
     try:
         return _COMMANDS[args.command](args)
     except BatchExecutionError as exc:
@@ -947,15 +934,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if obs_mode is not None:
-            from . import obs
-
+        if recorder is not None:
             recorder.close()
-            if recorder.enabled and recorder.manifest_path.exists():
+            if recorder.manifest_path.exists():
                 print(f"obs: run manifest {recorder.manifest_path}",
                       file=sys.stderr)
-            if obs_mode == "flag":
-                obs.disable()
             obs.reset()
 
 

@@ -138,7 +138,9 @@ class MemoryConfig:
     ``port_occupancy`` models the single read/write port as a pipelined
     resource: a new access may begin every ``port_occupancy`` cycles
     while each access still takes ``latency`` cycles end-to-end.  Set
-    ``port_occupancy = latency`` for a fully blocking port.
+    ``port_occupancy = latency`` for a fully blocking port.  ``ports``
+    must stay 1: no other count is modelled, and the field is part of
+    every job's digest.
     """
 
     size_bytes: int = 1 << 30
@@ -149,7 +151,10 @@ class MemoryConfig:
     def __post_init__(self) -> None:
         _require(self.size_bytes > 0, "memory size must be positive")
         _require(self.latency >= 0, "memory latency must be non-negative")
-        _require(self.ports >= 1, "memory needs at least one port")
+        _require(
+            self.ports == 1,
+            "memory has one read/write port (Table II); ports must be 1",
+        )
         _require(self.port_occupancy >= 1, "port occupancy must be >= 1")
         _require(
             self.port_occupancy <= max(1, self.latency),
@@ -300,7 +305,6 @@ class SystemConfig:
             (
                 "Main Memory",
                 f"{self.memory.size_bytes >> 30}GB, {self.memory.latency} cycle "
-                f"latency, {'Single' if self.memory.ports == 1 else self.memory.ports} "
-                "Read/Write Port",
+                "latency, Single Read/Write Port",
             ),
         ]

@@ -18,7 +18,6 @@ identical program streams — only the gating switch differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..config import SystemConfig
 from ..exec.executor import Executor
@@ -26,9 +25,6 @@ from ..exec.jobs import ExecResult, RunJob
 from ..power.energy import average_power_reduction, energy_reduction
 from ..power.model import PowerModel
 from ..workloads.registry import WorkloadSpec
-
-if TYPE_CHECKING:
-    from .runner import RunResult
 
 __all__ = ["GatingComparison", "compare_gating"]
 
@@ -39,8 +35,8 @@ class GatingComparison:
 
     workload: str
     num_procs: int
-    ungated: RunResult | ExecResult
-    gated: RunResult | ExecResult
+    ungated: ExecResult
+    gated: ExecResult
 
     @property
     def n1(self) -> int:

@@ -11,16 +11,14 @@ artifacts.
 
 Enable it one of three ways:
 
-* CLI flag: ``repro --obs-dir obs <command>``;
+* CLI flag: ``repro <command> --obs-dir obs``;
 * environment: ``REPRO_OBS=1`` (directory from ``REPRO_OBS_DIR``,
-  default ``obs``) — this is how child worker *processes* inherit
-  observability, since the recorder itself cannot cross a fork/spawn;
+  default ``obs``);
 * programmatically: :func:`configure`.
 
-Worker processes that should append to the *parent's* run pass the run
-id through ``REPRO_OBS_RUN`` (set automatically by :func:`configure`
-when ``export_env=True``); same-run appends are whole-line atomic via
-an advisory file lock.
+The process that starts a run is its only writer.  Pool workers never
+record: the executor lands each job's span, counters and profile rows
+in the parent from the job's outcome.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ __all__ = [
 
 _ENV_ENABLE = "REPRO_OBS"
 _ENV_DIR = "REPRO_OBS_DIR"
-_ENV_RUN = "REPRO_OBS_RUN"
 _DEFAULT_DIR = "obs"
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
@@ -66,41 +63,24 @@ def obs_dir_from_env() -> str:
 def get_recorder() -> NullRecorder:
     """The process-wide recorder (NullRecorder while obs is off).
 
-    First call reads the environment, so worker processes spawned with
-    ``REPRO_OBS=1`` / ``REPRO_OBS_RUN=<id>`` lazily attach themselves
-    to the parent's run the first time any instrumented code runs.
+    The first call reads ``REPRO_OBS``: a process with it set starts
+    its own run the first time any instrumented code runs.
     """
     global _recorder
     if _recorder is None:
-        if obs_enabled_from_env():
-            _recorder = ObsRecorder(
-                obs_dir_from_env(),
-                run_id=os.environ.get(_ENV_RUN, "").strip() or None,
-            )
-        else:
-            _recorder = _NULL
+        _recorder = (ObsRecorder(obs_dir_from_env())
+                     if obs_enabled_from_env() else _NULL)
     return _recorder
 
 
-def configure(directory: str | Path, run_id: str | None = None,
-              argv: list[str] | None = None,
-              export_env: bool = True) -> ObsRecorder:
-    """Enable observability for this process (and, by env, its children).
-
-    ``export_env=True`` sets ``REPRO_OBS``/``REPRO_OBS_DIR``/
-    ``REPRO_OBS_RUN`` so pool workers and other child processes join
-    the same run.
-    """
+def configure(directory: str | Path,
+              argv: list[str] | None = None) -> ObsRecorder:
+    """Start a new run in *directory*, written by this process."""
     global _recorder
     if isinstance(_recorder, ObsRecorder):
         _recorder.close()
-    recorder = ObsRecorder(directory, run_id=run_id, argv=argv)
-    _recorder = recorder
-    if export_env:
-        os.environ[_ENV_ENABLE] = "1"
-        os.environ[_ENV_DIR] = str(recorder.directory)
-        os.environ[_ENV_RUN] = recorder.run_id
-    return recorder
+    _recorder = ObsRecorder(directory, argv=argv)
+    return _recorder
 
 
 def disable() -> None:
@@ -109,8 +89,6 @@ def disable() -> None:
     if isinstance(_recorder, ObsRecorder):
         _recorder.close()
     _recorder = _NULL
-    for key in (_ENV_ENABLE, _ENV_DIR, _ENV_RUN):
-        os.environ.pop(key, None)
 
 
 def reset() -> None:

@@ -2,14 +2,13 @@
 
 One :class:`ObsRecorder` owns one *run*: a ``run-<id>.jsonl`` event log
 plus a ``run-<id>.manifest.json`` summary inside an observability
-directory.  Everything is designed to stay off the execution hot path:
+directory.  The process that starts a run is its only writer: pool
+workers hand each job's timing and profile rows back in its
+``JobOutcome``, and the parent records them as the job lands.
+Everything is designed to stay off the execution hot path:
 
-* records are buffered in memory and written in one locked append per
+* records are buffered in memory and written in one append per
   :meth:`flush` (one ``fsync`` per executor batch, not per record);
-* the append takes the same advisory ``fcntl`` lock idiom as the
-  result store's ``results.jsonl`` log, so worker processes attached
-  to the *same* run id (via ``ObsRecorder(dir, run_id=...)``)
-  interleave whole lines, never torn ones;
 * counters are plain in-memory accumulators snapshotted into the
   manifest — nothing in the simulator's inner loop ever emits a record.
 
@@ -21,8 +20,7 @@ Record schema (one JSON object per line)::
      "dur_s": <span duration>, "status": "ok" | "error",   # spans only
      "attrs": {...}}
 
-Span ids are ``<pid>-<sequence>`` so ids stay unique even when several
-processes share one run file; ``parent`` nests spans (and attaches
+Span ids are ``<pid>-<sequence>``; ``parent`` nests spans (and attaches
 events to the enclosing span), giving the event stream a tree per
 batch.  The :class:`NullRecorder` twin no-ops every method, which is
 what every instrumented call site sees while observability is off.
@@ -39,11 +37,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-try:  # POSIX only; without it same-run multi-process appends may tear
-    import fcntl
-except ImportError:  # pragma: no cover - exercised only on Windows
-    fcntl = None  # type: ignore[assignment]
-
 __all__ = ["OBS_SCHEMA_VERSION", "Span", "ObsRecorder", "NullRecorder",
            "new_run_id"]
 
@@ -58,7 +51,7 @@ MAX_FAILURE_DETAIL = 20
 
 
 def new_run_id() -> str:
-    """A sortable, collision-safe run id: wall clock + milliseconds + pid."""
+    """A sortable run id: wall clock to the millisecond, then the pid."""
     now = time.time()
     stamp = time.strftime("%Y%m%d-%H%M%S", time.localtime(now))
     return f"{stamp}-{int((now % 1.0) * 1000):03d}-p{os.getpid()}"
@@ -103,7 +96,6 @@ class NullRecorder:
         yield _NULL_SPAN
 
     def complete_span(self, name: str, seconds: float,
-                      parent: str | None = None, status: str = "ok",
                       **attrs: Any) -> None:
         pass
 
@@ -132,7 +124,7 @@ class NullRecorder:
     def add_profile(self, rows: Any) -> None:
         pass
 
-    def flush(self, fsync: bool = True) -> None:
+    def flush(self) -> None:
         pass
 
     def write_manifest(self, finished: bool = False) -> None:
@@ -146,17 +138,13 @@ _NULL_SPAN = Span(name="", id="", parent=None, attrs={}, ts=0.0)
 
 
 class ObsRecorder(NullRecorder):
-    """Buffered, multi-process-safe JSONL recorder for one run.
+    """Buffered JSONL recorder for one run, written by one process.
 
     Parameters
     ----------
     directory:
         The observability directory (created if missing); every run in
         it is one ``run-<id>.jsonl`` + ``run-<id>.manifest.json`` pair.
-    run_id:
-        Attach to an existing run instead of starting a new one —
-        worker processes pass the parent's id and append to
-        the *same* event log (whole-line atomic via the advisory lock).
     argv:
         The command line recorded in the manifest (default
         ``sys.argv``).
@@ -164,22 +152,15 @@ class ObsRecorder(NullRecorder):
 
     enabled = True
 
-    def __init__(self, directory: str | Path, run_id: str | None = None,
-                 argv: list[str] | None = None,
-                 flush_every: int = FLUSH_EVERY) -> None:
+    def __init__(self, directory: str | Path,
+                 argv: list[str] | None = None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: the process that *started* the run owns its manifest; attached
-        #: processes (run_id given) only append events — their in-memory
-        #: aggregates cover just their own slice and must not clobber it
-        self.owner = run_id is None
-        self.run_id = run_id if run_id else new_run_id()
+        self.run_id = new_run_id()
         self.path = self.directory / f"run-{self.run_id}.jsonl"
         self.manifest_path = self.directory / f"run-{self.run_id}.manifest.json"
-        self._lock_path = self.directory / f"run-{self.run_id}.jsonl.lock"
         self.argv = list(argv if argv is not None else sys.argv)
         self.started = time.time()
-        self._flush_every = max(1, flush_every)
         self._mutex = threading.Lock()
         self._buffer: list[str] = []
         self._seq = 0
@@ -211,7 +192,7 @@ class ObsRecorder(NullRecorder):
                           default=str)
         with self._mutex:
             self._buffer.append(line)
-            if len(self._buffer) >= self._flush_every:
+            if len(self._buffer) >= FLUSH_EVERY:
                 # intermediate flush: bounded memory, but no fsync —
                 # durability is paid once per batch, in flush()
                 self._flush_locked(fsync=False)
@@ -261,19 +242,18 @@ class ObsRecorder(NullRecorder):
             self._write_span(span, time.perf_counter() - t0, status)
 
     def complete_span(self, name: str, seconds: float,
-                      parent: str | None = None, status: str = "ok",
                       **attrs: Any) -> None:
-        """Record an already-measured span (e.g. a job timed in a worker)."""
+        """Record an already-measured span (e.g. a job timed in a worker)
+        under the open span."""
         with self._mutex:
             span = Span(
                 name=name, id=self._next_id(),
-                parent=parent if parent is not None
-                else (self._stack[-1] if self._stack else None),
+                parent=self._stack[-1] if self._stack else None,
                 attrs=attrs, ts=time.time() - seconds,
             )
             self._span_count += 1
             self._bump(name)
-        self._write_span(span, seconds, status)
+        self._write_span(span, seconds, "ok")
 
     def _write_span(self, span: Span, seconds: float, status: str) -> None:
         self._emit({
@@ -334,23 +314,10 @@ class ObsRecorder(NullRecorder):
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    @contextmanager
-    def _file_locked(self) -> Iterator[None]:
-        """Advisory inter-process lock for same-run appends."""
-        if fcntl is None:  # pragma: no cover - Windows fallback
-            yield
-            return
-        with open(self._lock_path, "ab") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
-
-    def flush(self, fsync: bool = True) -> None:
-        """Append every buffered record in one locked write."""
+    def flush(self) -> None:
+        """Append every buffered record in one fsynced write."""
         with self._mutex:
-            self._flush_locked(fsync=fsync)
+            self._flush_locked(fsync=True)
 
     def _flush_locked(self, fsync: bool) -> None:
         # caller holds self._mutex
@@ -363,12 +330,11 @@ class ObsRecorder(NullRecorder):
             return
         data = "\n".join(self._buffer) + "\n"
         self._buffer.clear()
-        with self._file_locked():
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(data)
-                fh.flush()
-                if fsync:
-                    os.fsync(fh.fileno())
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write(data)
+            fh.flush()
+            if fsync:
+                os.fsync(fh.fileno())
 
     def write_manifest(self, finished: bool = False) -> None:
         """Flush the event log and (re)write the run manifest atomically.
@@ -379,8 +345,8 @@ class ObsRecorder(NullRecorder):
         """
         from .manifest import build_manifest
 
-        self.flush(fsync=True)
-        if not self.owner or not self.directory.exists():
+        self.flush()
+        if not self.directory.exists():
             return
         payload = build_manifest(self, finished=finished)
         tmp = self.manifest_path.with_suffix(".json.tmp")

@@ -1,4 +1,5 @@
-"""The gain verdict of ``scripts/bench_pairs.py`` on synthetic results.
+"""The gain verdict of ``scripts/bench_pairs.py`` on synthetic results,
+and the copy of the change it runs from.
 
 No benchmark runs here: each pair is two hand-made closing JSON lines
 of ``paperbench/run.py``.
@@ -7,6 +8,7 @@ of ``paperbench/run.py``.
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -120,3 +122,36 @@ class TestVerdict:
                 "52.1 (1512 ops) / 52.5 (2016 ops), "
                 "52.1 (1512 ops) / - (- ops)") in report
         assert "  ops_per_s per pair (parent / change): - / -, - / -" in report
+
+
+def git(repo, *args):
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=bench", "-c",
+         "user.email=bench@example.invalid", "-c", "commit.gpgsign=false",
+         *args],
+        check=True, capture_output=True,
+    )
+
+
+class TestCopyWorktree:
+    def test_copies_what_git_lists_and_what_exists(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "src").mkdir(parents=True)
+        (repo / ".gitignore").write_text("ignored.txt\n")
+        (repo / "src" / "tracked.py").write_text("old\n")
+        (repo / "gone.txt").write_text("deleted later\n")
+        git(repo, "init", "-q")
+        git(repo, "add", "-A")
+        git(repo, "commit", "-q", "-m", "base")
+        (repo / "src" / "tracked.py").write_text("edited\n")
+        (repo / "src" / "untracked.py").write_text("new\n")
+        (repo / "ignored.txt").write_text("build output\n")
+        (repo / "gone.txt").unlink()
+
+        into = tmp_path / "change"
+        into.mkdir()
+        assert bench_pairs.copy_worktree(repo, into) == into
+        copied = sorted(str(p.relative_to(into)) for p in into.rglob("*")
+                        if p.is_file())
+        assert copied == [".gitignore", "src/tracked.py", "src/untracked.py"]
+        assert (into / "src" / "tracked.py").read_text() == "edited\n"

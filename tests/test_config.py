@@ -88,8 +88,10 @@ class TestMemoryConfig:
             MemoryConfig(latency=5, port_occupancy=10)
 
     def test_rejects_zero_ports(self):
-        with pytest.raises(ConfigError):
-            MemoryConfig(ports=0)
+        # the model has the one port of Table II; no other count is read
+        for ports in (0, 2):
+            with pytest.raises(ConfigError):
+                MemoryConfig(ports=ports)
 
 
 class TestGatingConfig:

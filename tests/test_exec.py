@@ -533,9 +533,7 @@ class TestExecutionShape:
             for observed in (False, True):
                 directory = tmp_path / f"store-{jobs}-{observed}"
                 if observed:
-                    recorder = obs.configure(
-                        tmp_path / f"obs-{jobs}", export_env=False
-                    )
+                    recorder = obs.configure(tmp_path / f"obs-{jobs}")
                 try:
                     Executor(jobs=jobs, store=directory).run(self.GRID)
                 finally:

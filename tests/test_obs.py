@@ -17,6 +17,7 @@ from repro.exec.store import ResultStore
 from repro.harness.runner import workload
 from repro.obs import ObsRecorder, new_run_id
 from repro.obs.manifest import percentile
+from repro.obs.recorder import FLUSH_EVERY
 from repro.obs.summary import (
     list_runs,
     load_events,
@@ -28,19 +29,15 @@ from repro.obs.summary import (
 
 TINY = SystemConfig(num_procs=2, seed=1)
 
-_OBS_ENV = ("REPRO_OBS", "REPRO_OBS_DIR", "REPRO_OBS_RUN")
-
 
 @pytest.fixture(autouse=True)
 def obs_isolation(monkeypatch):
     """Every test starts (and ends) with observability fully off."""
-    for key in _OBS_ENV:
+    for key in ("REPRO_OBS", "REPRO_OBS_DIR"):
         monkeypatch.delenv(key, raising=False)
     obs.reset()
     yield
     obs.reset()
-    for key in _OBS_ENV:
-        os.environ.pop(key, None)
 
 
 def tiny_job(name: str = "counter", *, gated: bool = True, w0: int = 8,
@@ -94,12 +91,15 @@ class TestRecorder:
         (record,) = list(load_events(tmp_path / "obs", rec.run_id))
         assert record["status"] == "error"
 
-    def test_complete_span_honours_explicit_parent(self, tmp_path):
+    def test_complete_span_nests_under_the_open_span(self, tmp_path):
         rec = ObsRecorder(tmp_path / "obs")
-        rec.complete_span("job", 0.25, parent="7-42", digest="d" * 64)
+        with rec.span("batch") as batch:
+            rec.complete_span("job", 0.25, digest="d" * 64)
         rec.close()
-        (record,) = list(load_events(tmp_path / "obs", rec.run_id))
-        assert record["parent"] == "7-42"
+        record = next(r for r in load_events(tmp_path / "obs", rec.run_id)
+                      if r["name"] == "job")
+        assert record["parent"] == batch.id
+        assert record["status"] == "ok"
         assert record["dur_s"] == 0.25
         assert record["attrs"]["digest"] == "d" * 64
 
@@ -137,20 +137,16 @@ class TestRecorder:
         after = (tmp_path / "obs" / f"run-{rec.run_id}.manifest.json").stat()
         assert stamp.st_mtime_ns == after.st_mtime_ns
 
-    def test_attached_recorder_never_writes_the_manifest(self, tmp_path):
-        owner = ObsRecorder(tmp_path / "obs")
-        child = ObsRecorder(tmp_path / "obs", run_id=owner.run_id)
-        assert owner.owner and not child.owner
-        child.event("from-child")
-        child.close()
-        assert not owner.manifest_path.exists()
-        owner.close()
-        manifest = load_manifest(tmp_path / "obs", owner.run_id)
-        # the child's slice is in the shared event log, not the manifest
-        assert manifest["record_counts"]["events"] == 0
-        names = [r["name"] for r in load_events(tmp_path / "obs",
-                                                owner.run_id)]
-        assert "from-child" in names
+    def test_a_full_buffer_is_appended_before_the_batch_flush(self, tmp_path):
+        rec = ObsRecorder(tmp_path / "obs")
+        for i in range(FLUSH_EVERY + 3):
+            rec.event("tick", i=i)
+        # memory stays bounded: the full buffer went out without flush()
+        assert len(rec.path.read_text().splitlines()) == FLUSH_EVERY
+        rec.close()
+        ticks = [r["attrs"]["i"] for r in load_events(tmp_path / "obs",
+                                                      rec.run_id)]
+        assert ticks == list(range(FLUSH_EVERY + 3))
 
     def test_deleted_directory_is_not_resurrected(self, tmp_path):
         rec = ObsRecorder(tmp_path / "obs")
@@ -221,52 +217,11 @@ class TestSummaryHelpers:
 
 
 # ----------------------------------------------------------------------
-# multi-process hammer: same-run appends never tear
-# ----------------------------------------------------------------------
-def _hammer_obs(directory: str, run_id: str, worker: int, n: int) -> None:
-    """Child-process entry point: append *n* records to a shared run."""
-    rec = ObsRecorder(directory, run_id=run_id, flush_every=4)
-    for i in range(n):
-        rec.event("hammer", worker=worker, i=i,
-                  pad="x" * 200)  # long lines make torn writes loud
-    rec.complete_span("hammer.span", 0.001, worker=worker)
-    rec.close()
-
-
-class TestMultiprocessAppends:
-    def test_shared_run_log_has_no_torn_lines(self, tmp_path):
-        from concurrent.futures import ProcessPoolExecutor
-
-        owner = ObsRecorder(tmp_path / "obs")
-        workers, per_worker = 4, 25
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_hammer_obs, str(tmp_path / "obs"),
-                            owner.run_id, w, per_worker)
-                for w in range(workers)
-            ]
-            for future in futures:
-                future.result()
-        owner.event("parent-alive")
-        owner.close()
-
-        # every raw line must parse — a torn append would not
-        lines = owner.path.read_text().splitlines()
-        records = [json.loads(line) for line in lines if line]
-        assert len(records) == workers * (per_worker + 1) + 1
-        events = [r for r in records if r["name"] == "hammer"]
-        assert len(events) == workers * per_worker
-        seen = {(r["attrs"]["worker"], r["attrs"]["i"]) for r in events}
-        assert len(seen) == workers * per_worker
-        assert {r["run"] for r in records} == {owner.run_id}
-
-
-# ----------------------------------------------------------------------
 # executor integration
 # ----------------------------------------------------------------------
 class TestExecutorObservability:
     def test_job_spans_counters_and_manifest_metrics(self, tmp_path):
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         exe = Executor(store=ResultStore(tmp_path / "store"))
         exe.run([tiny_job(), tiny_job(gated=False)])
         report = exe.last_report
@@ -300,7 +255,7 @@ class TestExecutorObservability:
                        for name in attrs["counters"])
 
     def test_cache_hits_become_events_and_hit_rate(self, tmp_path):
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         jobs = [tiny_job(), tiny_job(gated=False)]
         Executor(store=ResultStore(tmp_path / "store")).run(jobs)
         exe = Executor(store=ResultStore(tmp_path / "store"))
@@ -320,7 +275,7 @@ class TestExecutorObservability:
         )
 
     def test_failures_surface_with_traceback_and_digest(self, tmp_path):
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         good, bad = tiny_job(), bad_job()
         with pytest.raises(BatchExecutionError) as excinfo:
             Executor(store=ResultStore(tmp_path / "store")).run([good, bad])
@@ -347,7 +302,7 @@ class TestExecutorObservability:
         assert batch["status"] == "error"
 
     def test_profile_rows_merge_into_manifest(self, tmp_path):
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         Executor(store=ResultStore(tmp_path / "s"), profile=True).run(
             [tiny_job()]
         )
@@ -369,7 +324,7 @@ class TestExecutorObservability:
         self, tmp_path
     ):
         """Every executed job's dirN.flushes land in dir.flush_batches."""
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         exe = Executor(store=ResultStore(tmp_path / "store"))
         results = exe.run([tiny_job(), tiny_job(gated=False)])
         rec.close()
@@ -385,7 +340,7 @@ class TestExecutorObservability:
         assert manifest["counters"]["dir.flush_batches"] == expected
 
     def test_pool_jobs_land_one_span_each_from_their_worker(self, tmp_path):
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         family = [tiny_job(seed=seed) for seed in range(1, 5)]
         Executor(jobs=2, store=ResultStore(tmp_path / "store")).run(family)
         rec.close()
@@ -396,6 +351,8 @@ class TestExecutorObservability:
             job.digest for job in family
         )
         assert all(j["attrs"]["worker_pid"] != os.getpid() for j in jobs)
+        # the workers ran the jobs; this process wrote every record
+        assert {r["pid"] for r in records} == {os.getpid()}
         assert not [r for r in records if r["name"] == "pack"]
 
 
@@ -413,7 +370,7 @@ class TestByteIdentity:
                               out_dir=tmp_path / "f-off", params=params)
         plain.build()
 
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         observed = FigureBuilder(store=tmp_path / "s-on",
                                  out_dir=tmp_path / "f-on", params=params)
         observed.build()
@@ -436,7 +393,7 @@ class TestByteIdentity:
     def test_store_digests_identical_with_obs_on(self, tmp_path):
         jobs = [tiny_job(), tiny_job(gated=False), tiny_job(w0=4)]
         Executor(store=ResultStore(tmp_path / "s-off")).run(jobs)
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         Executor(store=ResultStore(tmp_path / "s-on")).run(jobs)
         rec.close()
         off = ResultStore(tmp_path / "s-off")
@@ -472,7 +429,7 @@ class TestObsCli:
         code, _out, err = self._suite_run(capsys, tmp_path)
         assert code == 0
         assert "obs: run manifest" in err
-        # flag mode cleans its env exports back up
+        # a run exports nothing to the environment
         assert "REPRO_OBS" not in os.environ
 
         obs_dir = str(tmp_path / "obs")
@@ -579,6 +536,40 @@ class TestObsCli:
         before = list_runs(obs_dir)
         assert self.run(capsys, "obs", "list", "--json")[0] == 0
         assert list_runs(obs_dir) == before
+
+    def test_obs_command_creates_no_obs_directory(self, capsys, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "none"))
+        code, _out, err = self.run(capsys, "obs", "list")
+        assert code == 1
+        assert "no observability runs" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_env_mode_pool_run_is_its_own_only_writer(self, capsys, tmp_path,
+                                                      monkeypatch):
+        """A stale run id left in the environment by an older shell is
+        ignored: the run gets its own id and a finished manifest, and
+        the pool's workers add no file to the obs directory."""
+        obs_dir = tmp_path / "obs"
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(obs_dir))
+        monkeypatch.setenv("REPRO_OBS_RUN", "19990101-000000-000-p1")
+        code, _out, _err = self.run(
+            capsys, "suite", "run", "--suite", "smoke", "--scale", "tiny",
+            "--cache-dir", str(tmp_path / "cache"), "--jobs", "2",
+        )
+        assert code == 0
+        (run,) = list_runs(obs_dir)
+        assert run.endswith(f"-p{os.getpid()}")
+        assert sorted(p.name for p in obs_dir.iterdir()) == [
+            f"run-{run}.jsonl", f"run-{run}.manifest.json",
+        ]
+        manifest = load_manifest(obs_dir, run)
+        assert manifest["finished"] is True
+        assert manifest["metrics"]["jobs_executed"] > 0
+        records = list(load_events(obs_dir, run))
+        assert {r["pid"] for r in records} == {os.getpid()}
 
     def test_failed_batch_prints_digests_and_manifests_failure(
         self, capsys, tmp_path, monkeypatch

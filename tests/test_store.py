@@ -292,7 +292,7 @@ class TestStoreObservability:
 
     def test_lock_counters(self, tmp_path, seeded_results):
         digest, (job, result) = next(iter(seeded_results.items()))
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         ResultStore(tmp_path / "store").put(digest, result, job=job)
         assert digest in ResultStore(tmp_path / "store")
         counters = rec.counters()
@@ -303,7 +303,7 @@ class TestStoreObservability:
 
     def test_prune_emits_one_compact_span(self, tmp_path, seeded_results):
         digest, (job, result) = next(iter(seeded_results.items()))
-        rec = obs.configure(tmp_path / "obs", export_env=False)
+        rec = obs.configure(tmp_path / "obs")
         store = ResultStore(tmp_path / "store")
         store.put(digest, result, job=job)
         store.prune()
