@@ -64,10 +64,9 @@ bench-check:
 bench-dir:
 	$(PYTHON) -m repro bench --bench bench_directory
 
-# bare --compare: gate against the newest committed BENCH_*.json
-# session (BENCH_baseline.json as fallback)
+# the CI regression gate against the committed baseline
 bench-gate:
-	$(PYTHON) -m repro bench --check --compare
+	$(PYTHON) -m repro bench --check --compare BENCH_baseline.json
 
 # the paper-grid benchmark: every workload (or WORKLOAD=...) for
 # SECONDS seconds each; the last line of each run is its JSON result

@@ -26,6 +26,15 @@ repro suite describe --suite smoke --json
 for s in smoke micro-contention cm-shootout stamp-extended paper-eval; do
     repro suite run --suite "$s" --scale tiny --jobs 2 --cache-dir "$W/cache"
 done
+# observed by environment, over the filled cache: every job a cache hit
+REPRO_OBS=1 REPRO_OBS_DIR="$W/obs" python -m repro suite run --suite smoke --scale tiny --cache-dir "$W/cache"
+# observed, and every job overruns max_cycles: the batch fails (exit 1)
+cat > "$W/overrun.json" <<'JSON'
+{"name": "overrun", "base": {"workload": "counter", "scale": "tiny", "threads": 2, "system": {"max_cycles": 10}}}
+JSON
+status=0
+repro suite run --file "$W/overrun.json" --cache-dir "$W/cache" --obs-dir "$W/obs" || status=$?
+test "$status" -eq 1
 repro suite plan --suite paper-eval --scale tiny --cache-dir "$W/cache"
 repro figures list
 repro figures build --scale tiny --csv --show --cache-dir "$W/cache" --out-dir "$W/figures"

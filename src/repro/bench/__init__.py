@@ -6,7 +6,7 @@ path measurably faster" change is judged against:
 * :mod:`repro.bench.core` — the timing discipline: explicit warmup,
   fixed repetition counts, best-of/mean/stddev statistics, and
   throughput expressed in work units per second (events/sec for the
-  engine, bumps/sec for statistics, sims/sec for whole suites).
+  engine, sims/sec for whole suites).
 * :mod:`repro.bench.benches` — the benchmark definitions, from the
   event-kernel microbenchmark (``bench_engine``) up to the end-to-end
   smoke-suite run (``bench_e2e_suite``).
@@ -21,10 +21,8 @@ from .core import BenchResult, run_timed
 from .report import (
     bench_payload,
     compare_payloads,
-    find_baseline,
     load_bench_json,
     regression_failures,
-    session_check_mode,
     write_bench_json,
 )
 
@@ -34,11 +32,9 @@ __all__ = [
     "available_benchmarks",
     "bench_payload",
     "compare_payloads",
-    "find_baseline",
     "load_bench_json",
     "regression_failures",
     "run_benchmarks",
     "run_timed",
-    "session_check_mode",
     "write_bench_json",
 ]

@@ -13,9 +13,6 @@ Benchmarks
     population (mimicking in-flight memory operations) plus a stream of
     one-shot events, measured in events executed per second.  This is
     the floor every simulated cycle pays.
-``bench_stats``
-    Counter update throughput through pre-resolved handles — the
-    accounting cost of every cache access and transaction event.
 ``bench_timeline``
     State-timeline recording plus the energy layer's interval sweep
     over the recorded change-points (the Eq. 1–5 consumption path).
@@ -32,15 +29,7 @@ Benchmarks
 ``bench_replicates``
     Seed replicates of one spec through the pool executor: one
     dispatch per job, each result pickled back and landed as it
-    finishes.  The pack warm path is ``bench_replicates_marginal``.
-``bench_replicates_marginal``
-    The pack warm path in isolation: one in-process ``execute_pack``
-    over a seed family, reporting the *marginal*-seed cost (members
-    whose machine ``Machine.reset`` rebuilds in place and whose
-    workload comes from the shared prep cache) as the headline rate,
-    with the first-seed cost in ``meta``.  The first seed also pays the
-    workload build; every further seed pays a machine build and the
-    simulation.
+    finishes.
 ``bench_e2e_suite``
     The ``smoke`` scenario suite end-to-end on a cold cache (serial
     executor, no result store) — simulations per second as a user
@@ -96,41 +85,6 @@ def bench_engine(check: bool = False, repeats: int = 5, warmup: int = 2) -> Benc
         repeats=repeats,
         warmup=warmup,
         meta={"population": population, "horizon": horizon, "check": check},
-    )
-
-
-# ----------------------------------------------------------------------
-# micro: statistics registry
-# ----------------------------------------------------------------------
-def bench_stats(check: bool = False, repeats: int = 5, warmup: int = 2) -> BenchResult:
-    from ..sim.stats import StatsRegistry
-
-    ops = 2_000 if check else 400_000
-
-    def one_repetition() -> int:
-        stats = StatsRegistry()
-        # The hot path binds handles once and calls .add(); this is
-        # exactly what processor/cache construction does.
-        hits = stats.counter("proc0.cache.hits")
-        misses = stats.counter("proc0.cache.misses")
-        busy = stats.counter("bus.busy_cycles")
-        add_hit = hits.add
-        add_miss = misses.add
-        add_busy = busy.add
-        for i in range(ops):
-            add_hit()
-            if not i % 16:
-                add_miss()
-            add_busy(3)
-        return ops
-
-    return run_timed(
-        one_repetition,
-        name="bench_stats",
-        unit="bumps",
-        repeats=repeats,
-        warmup=warmup,
-        meta={"ops": ops, "check": check},
     )
 
 
@@ -368,90 +322,6 @@ def bench_replicates(
 
 
 # ----------------------------------------------------------------------
-# meso: marginal-seed cost inside one in-process replicate pack
-# ----------------------------------------------------------------------
-def bench_replicates_marginal(
-    check: bool = False, repeats: int | None = None, warmup: int | None = None
-) -> BenchResult:
-    import math
-
-    from ..exec.jobs import execute_pack
-    from ..scenarios.spec import ScenarioSpec
-
-    replicates = 4 if check else 16
-    if repeats is None:
-        repeats = 2 if check else 5
-    if warmup is None:
-        warmup = 1
-    if repeats < 1:
-        raise BenchmarkError("bench_replicates_marginal: repeats must be >= 1")
-
-    def run_pack():
-        jobs = [
-            ScenarioSpec(
-                workload="counter", scale="tiny", threads=2, seed=seed
-            ).to_job()
-            for seed in range(replicates)
-        ]
-        result = execute_pack(jobs)
-        # Tolerate both return shapes so this benchmark can also be
-        # dropped into an older checkout to capture a "before" session
-        # (execute_pack used to return the outcome list alone).
-        outcomes = result[0] if isinstance(result, tuple) else result
-        if len(outcomes) != replicates or any(o.error for o in outcomes):
-            raise BenchmarkError(
-                "bench_replicates_marginal expected "
-                f"{replicates} clean outcomes"
-            )
-        return outcomes
-
-    for _ in range(warmup):
-        run_pack()
-
-    # Custom timing loop (not run_timed): the measured quantity is the
-    # per-member marginal cost *excluding* the pack's first member, and
-    # execute_pack already times each member individually — so one pack
-    # per repetition yields both numbers, best-of across repetitions.
-    first_samples: list[float] = []
-    marginal_samples: list[float] = []
-    for _ in range(repeats):
-        outcomes = run_pack()
-        first_samples.append(outcomes[0].seconds)
-        marginal_samples.append(
-            math.fsum(o.seconds for o in outcomes[1:]) / (replicates - 1)
-        )
-    best = min(marginal_samples)
-    mean = sum(marginal_samples) / len(marginal_samples)
-    if len(marginal_samples) > 1:
-        var = sum((s - mean) ** 2 for s in marginal_samples) / (
-            len(marginal_samples) - 1
-        )
-    else:
-        var = 0.0
-    if best <= 0.0:
-        best = 1e-9
-    return BenchResult(
-        name="bench_replicates_marginal",
-        unit="sims",
-        units_per_repeat=1,
-        repeats=repeats,
-        warmup=warmup,
-        best_seconds=best,
-        mean_seconds=mean,
-        stddev_seconds=math.sqrt(var),
-        units_per_second=1.0 / best,
-        meta={
-            "replicates": replicates,
-            "first_seed_best_seconds": min(first_samples),
-            "first_seed_mean_seconds": (
-                sum(first_samples) / len(first_samples)
-            ),
-            "check": check,
-        },
-    )
-
-
-# ----------------------------------------------------------------------
 # meso: the smoke suite, end to end, cold cache
 # ----------------------------------------------------------------------
 def bench_e2e_suite(
@@ -505,12 +375,10 @@ def bench_e2e_suite(
 # ----------------------------------------------------------------------
 BENCHMARKS: dict[str, Callable[..., BenchResult]] = {
     "bench_engine": bench_engine,
-    "bench_stats": bench_stats,
     "bench_timeline": bench_timeline,
     "bench_cache": bench_cache,
     "bench_directory": bench_directory,
     "bench_replicates": bench_replicates,
-    "bench_replicates_marginal": bench_replicates_marginal,
     "bench_e2e_suite": bench_e2e_suite,
 }
 

@@ -28,10 +28,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "bench_payload",
     "compare_payloads",
-    "find_baseline",
     "load_bench_json",
     "regression_failures",
-    "session_check_mode",
     "write_bench_json",
     "format_results",
 ]
@@ -146,62 +144,6 @@ def regression_failures(
                 f"allowed floor {floor:.2f}x)"
             )
     return failures
-
-
-def session_check_mode(payload: dict[str, Any]) -> bool:
-    """Was a bench session measured in ``--check`` (smoke) mode?
-
-    Sessions are only comparable within one mode: check-mode work sizes
-    are orders of magnitude smaller, so gating a full run against a
-    check baseline (or vice versa) would always pass or always fail.
-    A session counts as check-mode when every benchmark's recorded
-    ``meta.check`` flag is true (the CLI runs whole sessions in one
-    mode, so mixed payloads do not arise in practice).
-    """
-    benchmarks = payload.get("benchmarks", {})
-    if not benchmarks:
-        return False
-    return all(
-        bool(entry.get("meta", {}).get("check"))
-        for entry in benchmarks.values()
-    )
-
-
-def find_baseline(
-    root: str | Path = ".", check: bool | None = None
-) -> Path | None:
-    """The default gate baseline: the newest committed ``BENCH_*.json``.
-
-    Scans *root* for bench-session payloads (``kind == "bench"`` —
-    comparison reports like ``BENCH_pr3.json`` are skipped) whose
-    check-mode matches *check* (``None`` accepts either), and returns
-    the newest by ``created`` timestamp.  ``BENCH_baseline.json`` is
-    held back as the fallback: it is returned only when no other
-    committed session qualifies, so a PR that lands a fresher
-    ``BENCH_pr<N>.json`` session automatically becomes the bar the next
-    change is measured against.
-    """
-    root = Path(root)
-    fallback: Path | None = None
-    best: tuple[float, Path] | None = None
-    for path in sorted(root.glob("BENCH_*.json")):
-        try:
-            payload = load_bench_json(path)
-        except BenchmarkError:
-            continue
-        if payload.get("kind") != "bench":
-            continue
-        if check is not None and session_check_mode(payload) != check:
-            continue
-        if path.name == "BENCH_baseline.json":
-            fallback = path
-            continue
-        created = float(payload.get("created", 0.0))
-        if best is None or created > best[0]:
-            best = (created, path)
-    if best is not None:
-        return best[1]
-    return fallback
 
 
 def write_bench_json(path: str | Path, payload: dict[str, Any]) -> Path:

@@ -13,9 +13,7 @@ Commands
                 stale ``figures/*.json`` (``--only NAME --show`` prints
                 one artifact, e.g. Fig. 3, as a text table)
 ``bench``       hot-path benchmarks with ``BENCH_*.json`` output; with
-                ``--compare [BASELINE.json]`` a CI regression gate
-                (bare ``--compare`` gates against the newest committed
-                ``BENCH_*.json`` session, baseline as fallback)
+                ``--compare BASELINE.json`` a CI regression gate
 ``exec-status`` inspect (or ``--prune``, optionally ``--older-than`` /
                 ``--label``) a result-cache directory; ``--json`` for
                 the full machine-readable statistics
@@ -283,15 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--baseline", metavar="PATH",
                          help="earlier bench JSON to compare against; the "
                               "report becomes a before/after comparison")
-    p_bench.add_argument("--compare", metavar="PATH", nargs="?",
-                         const="auto", default=None,
+    p_bench.add_argument("--compare", metavar="PATH",
                          help="regression gate: compare against a committed "
-                              "baseline bench JSON and exit non-zero when "
-                              "any benchmark regresses more than "
-                              "--max-regression percent; without PATH, the "
-                              "newest committed BENCH_*.json session "
-                              "matching the run's --check mode is used "
-                              "(BENCH_baseline.json as the fallback)")
+                              "baseline bench JSON (e.g. BENCH_baseline.json) "
+                              "and exit non-zero when any benchmark regresses "
+                              "more than --max-regression percent")
     p_bench.add_argument("--max-regression", type=float, default=25.0,
                          metavar="PCT",
                          help="allowed per-benchmark throughput drop for "
@@ -633,25 +627,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     payload = bench_payload(results, label=args.label)
     gate_failures: list[str] = []
-    compare_path = args.compare
-    if compare_path == "auto":
-        from .bench import find_baseline
-
-        found = find_baseline(".", check=args.check)
-        if found is None:
-            print("bench gate: no committed BENCH_*.json session matches "
-                  f"--check={args.check}; nothing to compare against",
-                  file=sys.stderr)
-            return 1
-        compare_path = str(found)
-        print(f"bench gate baseline: {compare_path} (newest committed "
-              f"session)", file=sys.stderr)
-    if compare_path:
+    if args.compare:
         from .bench import regression_failures
 
-        baseline = load_bench_json(compare_path)
+        baseline = load_bench_json(args.compare)
         comparison = compare_payloads(baseline, payload)
-        print(f"gate comparison vs {compare_path}:")
+        print(f"gate comparison vs {args.compare}:")
         for name, factor in sorted(comparison["speedup"].items()):
             print(f"  {name}: {factor:.2f}x vs baseline")
         gate_failures = regression_failures(
@@ -670,11 +651,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"REGRESSION {failure}", file=sys.stderr)
         print(f"bench gate FAILED: {len(gate_failures)} benchmark(s) "
               f"regressed more than {args.max_regression:g}% vs "
-              f"{compare_path}", file=sys.stderr)
+              f"{args.compare}", file=sys.stderr)
         return 1
-    if compare_path:
+    if args.compare:
         print(f"bench gate OK: no benchmark regressed more than "
-              f"{args.max_regression:g}% vs {compare_path}")
+              f"{args.max_regression:g}% vs {args.compare}")
     return 0
 
 

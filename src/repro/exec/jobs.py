@@ -297,7 +297,8 @@ class PackStats:
 
     #: members served by :meth:`Machine.reset` instead of a rebuild
     reset_reuses: int = 0
-    #: members whose workload build came from the shared prep cache
+    #: always 0: packs share no workload build (kept for paperbench's
+    #: traced replay, which builds and reports it)
     shared_prep_hits: int = 0
 
 
@@ -307,9 +308,9 @@ def execute_pack(
     """Run a seed family back to back in this process.
 
     Each member runs through :func:`run_job` with one shared
-    :class:`~repro.harness.runner.RunReuse`: seed-invariant workload
-    builds are cached across the family, and each member's machine is
-    rebuilt in place by :meth:`repro.htm.machine.Machine.reset`.  The
+    :class:`~repro.harness.runner.RunReuse`: each member builds its own
+    workload, and its machine is rebuilt in place by
+    :meth:`repro.htm.machine.Machine.reset`.  The
     seeds travel inside the jobs, so results are bit-identical to the
     executor's.  A member's failure lands in its outcome and drops the
     cached machine (it may be mid-run), so the next member rebuilds
@@ -325,7 +326,4 @@ def execute_pack(
             reuse.discard_machine()
         outcomes.append(outcome)
     reuse.discard_machine()
-    stats = PackStats(
-        reset_reuses=reuse.machine_resets, shared_prep_hits=reuse.prep_hits
-    )
-    return outcomes, stats
+    return outcomes, PackStats(reset_reuses=reuse.machine_resets)

@@ -10,7 +10,6 @@ with the paper's accounting (cross-checked interval vs direct).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 from ..config import SystemConfig
 from ..errors import HarnessError
@@ -24,7 +23,6 @@ from ..workloads.base import WorkloadInstance
 from ..workloads.registry import (  # WorkloadSpec and workload re-exported
     WorkloadSpec,
     workload,
-    workload_seed_invariant,
 )
 from .validation import check_serializability
 
@@ -63,38 +61,26 @@ class RunResult(TxMetricsMixin):
 class RunReuse:
     """Warm state shared across the runs of one replicate pack.
 
-    Holds (a) one wired :class:`~repro.htm.machine.Machine`, rebuilt in
-    place between runs by :meth:`~repro.htm.machine.Machine.reset` —
+    Holds one wired :class:`~repro.htm.machine.Machine`, rebuilt in
+    place between runs by :meth:`~repro.htm.machine.Machine.reset` and
     keyed by the seed-zeroed config and the validation switch, so only
-    true seed replicates ever share it — and (b) a prep cache of built
-    :class:`WorkloadInstance` values for workloads whose builds are
-    seed-invariant (see
-    :func:`repro.workloads.registry.register_workload`).
+    true seed replicates ever share it.
 
-    PACK-SHARING CONTRACT: everything cached here must be independent
-    of the seed slots and immutable after preparation (cache keys
-    include every seed-relevant input; cached instances are never
-    mutated).  Tier-1 holds the prep cache to it: caching a
-    seed-dependent build fails ``tests/test_machine_reset.py``'s
-    ``test_reset_matches_rebuild`` and
-    ``test_seed_dependent_workload_never_prep_cached``, and changing a
-    cached instance fails ``tests/test_exec.py``'s
+    PACK-SHARING CONTRACT: a reset machine computes exactly what a
+    freshly built one does.  Tier-1 holds the pack to it:
+    ``tests/test_machine_reset.py``'s ``test_reset_matches_rebuild``
+    and ``tests/test_exec.py``'s
     ``test_pack_results_match_per_process_bit_for_bit``.
 
-    Reuse counters (``machine_resets``, ``prep_hits``) become the
-    pack's :class:`~repro.exec.jobs.PackStats`, which ``paperbench``'s
-    traced replay reports.
+    ``machine_resets`` becomes the pack's
+    :class:`~repro.exec.jobs.PackStats`, which ``paperbench``'s traced
+    replay reports.
     """
 
     def __init__(self) -> None:
         self._machine: Machine | None = None
         self._machine_key: tuple[SystemConfig, bool] | None = None
-        # (name, scale, overrides, num_threads) -> seed-invariant build
-        self._prep: dict[
-            tuple[str, str, tuple[tuple[str, Any], ...], int], WorkloadInstance
-        ] = {}
         self.machine_resets = 0
-        self.prep_hits = 0
 
     def discard_machine(self) -> None:
         """Close and drop the cached machine (a failed run leaves it
@@ -109,7 +95,6 @@ class RunReuse:
 def _resolve_instance(
     source: WorkloadInstance | WorkloadSpec | str,
     config: SystemConfig,
-    reuse: RunReuse | None = None,
 ) -> WorkloadInstance:
     if isinstance(source, WorkloadInstance):
         if source.num_threads != config.num_procs:
@@ -121,20 +106,6 @@ def _resolve_instance(
     if isinstance(source, str):
         source = WorkloadSpec(source)
     if isinstance(source, WorkloadSpec):
-        if reuse is not None and workload_seed_invariant(source.name):
-            # Seed-invariant build: share one construction across the
-            # pack.  The key carries every non-seed build input; an
-            # instance holds no seed and is never mutated (instances are
-            # documented reusable — programs are pure generator
-            # factories and the image is copied out).
-            key = (source.name, source.scale, source.overrides,
-                   config.num_procs)
-            instance = reuse._prep.get(key)
-            if instance is None:
-                reuse._prep[key] = instance = source.build(config.num_procs)
-            else:
-                reuse.prep_hits += 1
-            return instance
         return source.build(config.num_procs)
     raise HarnessError(f"cannot interpret workload source {source!r}")
 
@@ -164,7 +135,7 @@ def run_workload(
         :meth:`repro.htm.machine.Machine.reset`.  Ignored when a trace
         is requested (a machine binds its trace at construction).
     """
-    instance = _resolve_instance(source, config, reuse)
+    instance = _resolve_instance(source, config)
     machine: Machine | None = None
     if reuse is not None and trace is None:
         machine_key = (replace(config, seed=0), check_serial)

@@ -51,7 +51,7 @@ class Bus:
     # than delegating to a shared helper: every protocol message crosses
     # one of them, and the extra call frame was a measured cost.  Keep
     # the two bodies in sync (they differ only in the occupancy used).
-    # Counter bumps are likewise inlined (.value +=, not .add()), and the
+    # Counter bumps go straight to .value, as everywhere, and the
     # event tuple is pushed onto the engine's queue directly: the
     # arrival time is >= now by construction (depart >= now, occupancy
     # and wire latency non-negative), so Engine.schedule's past-check

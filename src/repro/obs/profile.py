@@ -6,13 +6,15 @@ it must cross the process-pool pickle boundary), the parent merges rows
 from every job with :func:`merge_rows`, and the manifest reports the
 merged hot spots via :func:`top_rows`.  Rows are
 ``(func, ncalls, tottime_s, cumtime_s)`` with ``func`` rendered as
-``file:line(name)``.
+``file:line(name)``; functions that render alike (every
+dataclass-generated ``__init__`` is ``<string>:2(__init__)``) share
+one row.
 """
 
 from __future__ import annotations
 
 import cProfile
-import pstats
+from types import CodeType
 from typing import Any, Callable, TypeVar
 
 __all__ = ["profile_call", "merge_rows", "top_rows", "PROFILE_ROW_LIMIT"]
@@ -26,18 +28,29 @@ PROFILE_ROW_LIMIT = 50
 
 def profile_call(fn: Callable[..., T], *args: Any,
                  **kwargs: Any) -> tuple[T, list[tuple[str, int, float, float]]]:
-    """Run ``fn`` under cProfile; return (result, top pstats rows)."""
+    """Run ``fn`` under cProfile; return (result, top pstats rows).
+
+    The rows come from the profiler's raw entries, one per code object,
+    summed by label: ``pstats.Stats`` keys its table by label and keeps
+    only the last of the functions that share one.
+    """
     profiler = cProfile.Profile()
     result = profiler.runcall(fn, *args, **kwargs)
-    stats = pstats.Stats(profiler)
-    rows: list[tuple[str, int, float, float]] = []
-    # stats entries: {(file, line, name): (cc, nc, tottime, cumtime, callers)}
-    entries = sorted(stats.stats.items(),  # type: ignore[attr-defined]
-                     key=lambda item: item[1][3], reverse=True)
-    for (filename, line, name), (cc, nc, tottime, cumtime, _callers) in (
-            entries[:PROFILE_ROW_LIMIT]):
-        rows.append((f"{filename}:{line}({name})", nc, tottime, cumtime))
-    return result, rows
+    acc: dict[str, list[float]] = {}
+    merge_rows(acc, [
+        (_label(entry.code), entry.callcount, entry.inlinetime,
+         entry.totaltime)
+        for entry in profiler.getstats()
+    ])
+    return result, top_rows(acc, PROFILE_ROW_LIMIT)
+
+
+def _label(code: CodeType | str) -> str:
+    """pstats' ``file:line(name)`` for a code object; a built-in is a
+    plain string, which pstats files under ``~:0``."""
+    if isinstance(code, str):
+        return f"~:0({code})"
+    return f"{code.co_filename}:{code.co_firstlineno}({code.co_name})"
 
 
 def merge_rows(acc: dict[str, list[float]],

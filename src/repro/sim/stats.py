@@ -1,9 +1,9 @@
 """Lightweight statistics primitives used across the simulator.
 
 ``Counter`` is intentionally tiny — the hot path of the simulator
-increments counters millions of times, so it avoids any indirection
-beyond an attribute add.  ``StatsRegistry`` groups counters under
-dotted names so run results can be serialized/merged uniformly.
+increments counters millions of times, so a bump is one attribute add
+on the handle, with no method call.  ``StatsRegistry`` groups counters
+under dotted names so run results can be serialized/merged uniformly.
 
 Handle binding (the hot-path contract)
 --------------------------------------
@@ -11,7 +11,7 @@ Components resolve their counters **once, at construction**::
 
     self._c_hits = stats.counter("proc0.cache.hits")   # wiring time
     ...
-    self._c_hits.add()                                 # hot path
+    self._c_hits.value += 1                            # hot path
 
 Per-access f-string keys are a measured hot-path cost (see
 ``docs/performance.md``) and must not be reintroduced inside the
@@ -20,9 +20,9 @@ simulation inner loop.
 Counts versus sums
 ------------------
 A ``Counter`` is a plain accumulator; the registry does not distinguish
-*event counts* (``tx.commits`` — one ``add()`` per occurrence) from
-*cycle/quantity sums* (``tx.wasted_cycles``, ``bus.busy_cycles`` — an
-``add(amount)`` per occurrence).  By convention every sum-semantics
+*event counts* (``tx.commits`` — ``value += 1`` per occurrence) from
+*cycle/quantity sums* (``tx.wasted_cycles``, ``bus.busy_cycles`` —
+``value += amount`` per occurrence).  By convention every sum-semantics
 counter is paired with an event count in the same namespace (e.g.
 ``tx.aborts.total`` counts the aborts whose cycles ``tx.wasted_cycles``
 sums), so reporting can always distinguish a rate from a total.  New
@@ -50,9 +50,6 @@ class Counter:
     def __init__(self, name: str, value: int = 0) -> None:
         self.name = name
         self.value = value
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"

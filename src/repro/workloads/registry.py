@@ -54,15 +54,14 @@ __all__ = [
     "load_builders",
     "register_workload",
     "workload_schema",
-    "workload_seed_invariant",
 ]
 
 Builder = Callable[..., "WorkloadInstance"]
 
-#: name -> (builder, schema, seed_invariant); one dict so they can
-#: never drift apart.  A built-in's builder is recorded as the name of
-#: its module until the first build of that workload imports it.
-_REGISTRY: dict[str, tuple[Builder | str, WorkloadSchema, bool]] = {}
+#: name -> (builder, schema); one dict so they can never drift apart.
+#: A built-in's builder is recorded as the name of its module until the
+#: first build of that workload imports it.
+_REGISTRY: dict[str, tuple[Builder | str, WorkloadSchema]] = {}
 
 #: the paper's evaluation applications, in its presentation order
 PAPER_APPS: tuple[str, ...] = ("genome", "yada", "intruder")
@@ -111,7 +110,7 @@ def available_workloads() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _lookup(name: str) -> tuple[Builder | str, WorkloadSchema, bool]:
+def _lookup(name: str) -> tuple[Builder | str, WorkloadSchema]:
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -125,20 +124,12 @@ def register_workload(
     name: str,
     builder: Builder,
     schema: WorkloadSchema | None = None,
-    seed_invariant: bool = False,
 ) -> None:
     """Add a custom workload (overwrites allowed).
 
     Without an explicit ``schema``, one is derived from the builder's
     keyword parameters (:meth:`WorkloadSchema.from_builder`) so unknown
     override keys are still rejected by name.
-
-    ``seed_invariant`` declares that the builder's output does not
-    depend on ``seed`` — no build-time RNG draw and no program closure
-    capturing the seed.  The replicate-pack prep cache shares one build
-    across a whole seed family for such workloads, so a wrong ``True``
-    here silently collapses seeds; leave it ``False`` unless the
-    builder provably never reads ``seed``.
     """
     if not name:
         raise WorkloadError("workload name must be non-empty")
@@ -148,18 +139,12 @@ def register_workload(
         raise WorkloadError(
             f"schema is for {schema.workload!r}, registered as {name!r}"
         )
-    _REGISTRY[name] = (builder, schema, seed_invariant)
+    _REGISTRY[name] = (builder, schema)
 
 
 def workload_schema(name: str) -> WorkloadSchema:
     """The parameter schema of the named workload."""
     return _lookup(name)[1]
-
-
-def workload_seed_invariant(name: str) -> bool:
-    """Whether the named workload's build ignores the seed (see
-    :func:`register_workload`)."""
-    return _lookup(name)[2]
 
 
 def build_workload(
@@ -184,31 +169,26 @@ def load_builders(names: Iterable[str]) -> None:
 
 
 def _builder(name: str) -> Builder:
-    builder, schema, seed_invariant = _lookup(name)
+    builder, schema = _lookup(name)
     if isinstance(builder, str):
         module = importlib.import_module(f".{builder}", __package__)
         builder = getattr(module, f"build_{name}")
-        _REGISTRY[name] = (builder, schema, seed_invariant)
+        _REGISTRY[name] = (builder, schema)
     return builder
 
 
-# The built-in workloads: name -> (module defining build_<name>, schema,
-# seed_invariant).  seed_invariant=True only for builders that provably
-# never read `seed`: counter and array_walk accept it and ignore it
-# (their programs are deterministic in (threads, scale) alone).  Every
-# other builder draws build-time RNG or closes over the seed at run
-# time.
-for _name, _module, _schema, _seedless in (
-    ("genome", "genome", GENOME_SCHEMA, False),
-    ("yada", "yada", YADA_SCHEMA, False),
-    ("intruder", "intruder", INTRUDER_SCHEMA, False),
-    ("kmeans", "kmeans", KMEANS_SCHEMA, False),
-    ("vacation", "vacation", VACATION_SCHEMA, False),
-    ("labyrinth", "labyrinth", LABYRINTH_SCHEMA, False),
-    ("counter", "micro", COUNTER_SCHEMA, True),
-    ("bank", "micro", BANK_SCHEMA, False),
-    ("array_walk", "micro", ARRAY_WALK_SCHEMA, True),
-    ("llist", "micro", LLIST_SCHEMA, False),
+# The built-in workloads: name -> (module defining build_<name>, schema).
+for _name, _module, _schema in (
+    ("genome", "genome", GENOME_SCHEMA),
+    ("yada", "yada", YADA_SCHEMA),
+    ("intruder", "intruder", INTRUDER_SCHEMA),
+    ("kmeans", "kmeans", KMEANS_SCHEMA),
+    ("vacation", "vacation", VACATION_SCHEMA),
+    ("labyrinth", "labyrinth", LABYRINTH_SCHEMA),
+    ("counter", "micro", COUNTER_SCHEMA),
+    ("bank", "micro", BANK_SCHEMA),
+    ("array_walk", "micro", ARRAY_WALK_SCHEMA),
+    ("llist", "micro", LLIST_SCHEMA),
 ):
-    _REGISTRY[_name] = (_module, _schema, _seedless)
-del _name, _module, _schema, _seedless
+    _REGISTRY[_name] = (_module, _schema)
+del _name, _module, _schema

@@ -62,7 +62,7 @@ class TestBenchmarks:
     def test_registry_names(self):
         names = available_benchmarks()
         assert "bench_engine" in names
-        assert "bench_stats" in names
+        assert "bench_cache" in names
         assert "bench_e2e_suite" in names
 
     def test_unknown_name_rejected(self):
@@ -88,13 +88,13 @@ class TestBenchmarks:
 
 class TestReports:
     def test_payload_and_comparison(self, tmp_path):
-        results = run_benchmarks(names=["bench_stats"], check=True,
+        results = run_benchmarks(names=["bench_cache"], check=True,
                                  repeats=1, warmup=0)
         before = bench_payload(results, label="before")
         after = bench_payload(results, label="after")
         comparison = compare_payloads(before, after)
         assert comparison["kind"] == "comparison"
-        assert comparison["speedup"]["bench_stats"] == pytest.approx(1.0)
+        assert comparison["speedup"]["bench_cache"] == pytest.approx(1.0)
 
         path = write_bench_json(tmp_path / "BENCH_test.json", comparison)
         loaded = load_bench_json(path)
@@ -120,7 +120,7 @@ class TestBenchCli:
     def test_check_run_writes_report(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_ci.json"
         code = main([
-            "bench", "--check", "--bench", "bench_stats",
+            "bench", "--check", "--bench", "bench_cache",
             "--repeats", "1", "--warmup", "0", "--out", str(out_path),
             "--label", "ci",
         ])
@@ -128,24 +128,24 @@ class TestBenchCli:
         payload = json.loads(out_path.read_text())
         assert payload["kind"] == "bench"
         assert payload["label"] == "ci"
-        assert "bench_stats" in payload["benchmarks"]
-        assert "bench_stats" in capsys.readouterr().out
+        assert "bench_cache" in payload["benchmarks"]
+        assert "bench_cache" in capsys.readouterr().out
 
     def test_baseline_comparison(self, capsys, tmp_path):
         base = tmp_path / "base.json"
         out_path = tmp_path / "BENCH_cmp.json"
         assert main([
-            "bench", "--check", "--bench", "bench_stats",
+            "bench", "--check", "--bench", "bench_cache",
             "--repeats", "1", "--warmup", "0", "--out", str(base),
         ]) == 0
         assert main([
-            "bench", "--check", "--bench", "bench_stats",
+            "bench", "--check", "--bench", "bench_cache",
             "--repeats", "1", "--warmup", "0",
             "--baseline", str(base), "--out", str(out_path),
         ]) == 0
         payload = json.loads(out_path.read_text())
         assert payload["kind"] == "comparison"
-        assert "bench_stats" in payload["speedup"]
+        assert "bench_cache" in payload["speedup"]
         assert "vs baseline" in capsys.readouterr().out
 
 
@@ -200,24 +200,33 @@ class TestRegressionGate:
     def test_cli_gate_passes_against_own_baseline(self, capsys, tmp_path):
         base = tmp_path / "base.json"
         assert main([
-            "bench", "--check", "--bench", "bench_stats",
+            "bench", "--check", "--bench", "bench_cache",
             "--repeats", "1", "--warmup", "0", "--out", str(base),
         ]) == 0
         capsys.readouterr()
         # generous threshold: the same bench re-run cannot drop by 95%
         assert main([
-            "bench", "--check", "--bench", "bench_stats",
+            "bench", "--check", "--bench", "bench_cache",
             "--repeats", "1", "--warmup", "0",
             "--compare", str(base), "--max-regression", "95",
         ]) == 0
         assert "bench gate OK" in capsys.readouterr().out
+
+    def test_cli_bare_compare_is_a_usage_error(self, capsys):
+        # the gate needs its baseline named: no bench runs without one
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--check", "--bench", "bench_cache", "--compare"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--compare: expected one argument" in captured.err
+        assert "running bench_cache" not in captured.err
 
     def test_cli_gate_fails_on_regression(self, capsys, tmp_path):
         import json as _json
 
         base = tmp_path / "base.json"
         assert main([
-            "bench", "--check", "--bench", "bench_stats",
+            "bench", "--check", "--bench", "bench_cache",
             "--repeats", "1", "--warmup", "0", "--out", str(base),
         ]) == 0
         # forge an impossible baseline: current run must look regressed
@@ -227,111 +236,10 @@ class TestRegressionGate:
         base.write_text(_json.dumps(payload))
         capsys.readouterr()
         code = main([
-            "bench", "--check", "--bench", "bench_stats",
+            "bench", "--check", "--bench", "bench_cache",
             "--repeats", "1", "--warmup", "0", "--compare", str(base),
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert "REGRESSION bench_stats" in err
+        assert "REGRESSION bench_cache" in err
         assert "bench gate FAILED" in err
-
-
-class TestBaselineSelection:
-    """Bare `--compare`: newest committed session wins, baseline falls back."""
-
-    @staticmethod
-    def _session(name: str, created: float, check: bool) -> dict:
-        return {
-            "schema": 1,
-            "kind": "bench",
-            "label": name,
-            "created": created,
-            "benchmarks": {
-                "bench_stats": {
-                    "name": "bench_stats", "unit": "bumps",
-                    "units_per_second": 1.0,
-                    "meta": {"check": check},
-                },
-            },
-        }
-
-    def test_session_check_mode(self):
-        from repro.bench import session_check_mode
-
-        assert session_check_mode(self._session("a", 1.0, check=True))
-        assert not session_check_mode(self._session("a", 1.0, check=False))
-        assert not session_check_mode({"kind": "bench", "benchmarks": {}})
-
-    def test_newest_matching_session_wins(self, tmp_path):
-        from repro.bench import find_baseline, write_bench_json
-
-        write_bench_json(tmp_path / "BENCH_baseline.json",
-                         self._session("baseline", 5.0, check=True))
-        write_bench_json(tmp_path / "BENCH_pr6.json",
-                         self._session("pr6", 10.0, check=True))
-        write_bench_json(tmp_path / "BENCH_pr7.json",
-                         self._session("pr7", 20.0, check=True))
-        found = find_baseline(tmp_path, check=True)
-        assert found is not None and found.name == "BENCH_pr7.json"
-
-    def test_check_mode_filter_and_baseline_fallback(self, tmp_path):
-        from repro.bench import find_baseline, write_bench_json
-
-        write_bench_json(tmp_path / "BENCH_baseline.json",
-                         self._session("baseline", 5.0, check=True))
-        write_bench_json(tmp_path / "BENCH_full.json",
-                         self._session("full", 50.0, check=False))
-        # the full-mode session is newest but mode-incompatible
-        found = find_baseline(tmp_path, check=True)
-        assert found is not None and found.name == "BENCH_baseline.json"
-        found_full = find_baseline(tmp_path, check=False)
-        assert found_full is not None and found_full.name == "BENCH_full.json"
-        # no filter at all: newest session regardless of mode
-        found_any = find_baseline(tmp_path, check=None)
-        assert found_any is not None and found_any.name == "BENCH_full.json"
-
-    def test_comparison_reports_and_garbage_are_skipped(self, tmp_path):
-        import json as _json
-
-        from repro.bench import find_baseline
-
-        (tmp_path / "BENCH_pr3.json").write_text(
-            _json.dumps({"schema": 1, "kind": "comparison", "created": 99.0,
-                         "speedup": {}})
-        )
-        (tmp_path / "BENCH_junk.json").write_text("not json")
-        assert find_baseline(tmp_path) is None
-        from repro.bench import write_bench_json
-
-        write_bench_json(tmp_path / "BENCH_baseline.json",
-                         self._session("baseline", 1.0, check=True))
-        found = find_baseline(tmp_path)
-        assert found is not None and found.name == "BENCH_baseline.json"
-
-    def test_cli_bare_compare_uses_newest_session(self, capsys, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main([
-            "bench", "--check", "--bench", "bench_stats",
-            "--repeats", "1", "--warmup", "0",
-            "--out", "BENCH_pr_test.json",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "bench", "--check", "--bench", "bench_stats",
-            "--repeats", "1", "--warmup", "0",
-            "--compare", "--max-regression", "95",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "BENCH_pr_test.json" in captured.err
-        assert "bench gate OK" in captured.out
-
-    def test_cli_bare_compare_without_any_baseline_fails(self, capsys,
-                                                         tmp_path,
-                                                         monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main([
-            "bench", "--check", "--bench", "bench_stats",
-            "--repeats", "1", "--warmup", "0", "--compare",
-        ]) == 1
-        assert "nothing to compare against" in capsys.readouterr().err

@@ -480,14 +480,14 @@ class TestReplicatePacks:
         assert all(replicate_key(job) not in family for job in strangers)
 
     def test_pack_results_match_per_process_bit_for_bit(self):
-        """A pack's members (machine reset, shared prep) compute exactly
-        what the executor computes, serial or pooled: paperbench's traced
+        """A pack's members (machine reset) compute exactly what the
+        executor computes, serial or pooled: paperbench's traced
         seeds-pool replay is checked against the pins through this."""
         from repro.exec.jobs import execute_pack
 
         jobs = self.seed_family()
         outcomes, stats = execute_pack(jobs)
-        assert stats.reset_reuses and stats.shared_prep_hits
+        assert stats.reset_reuses and stats.shared_prep_hits == 0
         packed = [result_to_dict(outcome.result) for outcome in outcomes]
         assert packed == [
             result_to_dict(r) for r in Executor(jobs=1).run(jobs)

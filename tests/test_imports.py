@@ -106,12 +106,12 @@ print(json.dumps([m in sys.modules for m in (
         assert run_fresh(code) == [True, True, False]
 
     def test_bench_loads_the_simulator_before_timing(self):
-        # bench_stats itself loads neither the runner nor a builder.
+        # bench_cache itself loads neither the runner nor a builder.
         code = """
 import contextlib, io, json, sys
 from repro.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["bench", "--check", "--bench", "bench_stats"]) == 0
+    assert main(["bench", "--check", "--bench", "bench_cache"]) == 0
 print(json.dumps([m for m in ("repro.harness.runner", "repro.workloads.micro",
                               "repro.workloads.genome") if m not in sys.modules]))
 """

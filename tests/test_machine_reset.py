@@ -12,11 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError
 from repro.exec.jobs import PackStats, RunJob, execute_pack
 from repro.harness.runner import RunReuse, run_workload, workload
 from repro.htm.machine import Machine
-from repro.workloads.registry import build_workload, workload_seed_invariant
+from repro.workloads.registry import build_workload
 
 
 def config_for(seed: int, *, procs: int = 2, gated: bool = True) -> SystemConfig:
@@ -124,36 +124,6 @@ class TestMachineResetParity:
 
 
 class TestRunReuse:
-    def test_prep_cache_hits_only_seed_invariant_workloads(self):
-        assert workload_seed_invariant("counter")
-        assert workload_seed_invariant("array_walk")
-        assert not workload_seed_invariant("bank")
-        assert not workload_seed_invariant("kmeans")
-        with pytest.raises(WorkloadError):
-            workload_seed_invariant("no-such-workload")
-
-    def test_prep_cache_restamps_seed(self):
-        reuse = RunReuse()
-        for seed in (1, 2):
-            result = run_workload(
-                workload("counter", scale="tiny", seed=seed),
-                config_for(seed),
-                reuse=reuse,
-            )
-            assert result.config.seed == seed
-        assert reuse.prep_hits == 1
-
-    def test_seed_dependent_workload_never_prep_cached(self):
-        reuse = RunReuse()
-        for seed in (1, 2):
-            run_workload(
-                workload("bank", scale="tiny", seed=seed),
-                config_for(seed),
-                reuse=reuse,
-            )
-        assert reuse.prep_hits == 0
-        assert reuse.machine_resets == 1  # machine reuse is independent
-
     def test_discard_machine_forces_rebuild(self):
         reuse = RunReuse()
         run_workload(
@@ -203,4 +173,4 @@ class TestPackResetIdentity:
     def test_pack_stats_count_warm_members(self):
         outcomes, stats = execute_pack(self.seed_family())
         assert all(o.error is None for o in outcomes)
-        assert stats == PackStats(reset_reuses=3, shared_prep_hits=3)
+        assert stats == PackStats(reset_reuses=3, shared_prep_hits=0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -17,6 +18,7 @@ from repro.exec.store import ResultStore
 from repro.harness.runner import workload
 from repro.obs import ObsRecorder, new_run_id
 from repro.obs.manifest import percentile
+from repro.obs.profile import profile_call
 from repro.obs.recorder import FLUSH_EVERY
 from repro.obs.summary import (
     list_runs,
@@ -214,6 +216,39 @@ class TestSummaryHelpers:
         assert summary["kind"] == "obs-summary"
         assert summary["totals"]["runs"] == 1
         assert summary["skipped"] == ["19990101-000-p1"]
+
+
+# ----------------------------------------------------------------------
+# --profile rows
+# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class _First:
+    x: int
+
+
+@dataclasses.dataclass
+class _Second:
+    x: int
+
+
+class TestProfileCall:
+    def test_functions_sharing_a_label_share_one_row(self):
+        """Both generated ``__init__``s render as ``<string>:2(__init__)``,
+        and pstats' table would keep one of them with 1,000 calls."""
+        def construct():
+            for i in range(1000):
+                _First(i)
+            for i in range(300):
+                _Second(i)
+
+        _result, rows = profile_call(construct)
+        labels = {
+            f"{code.co_filename}:{code.co_firstlineno}({code.co_name})"
+            for code in (_First.__init__.__code__,
+                         _Second.__init__.__code__)
+        }
+        calls = {func: ncalls for func, ncalls, _tot, _cum in rows}
+        assert sum(calls[label] for label in labels) == 1300
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ from repro.sim.trace import NullTrace, TraceRecorder
 class TestCounter:
     def test_basic(self):
         c = Counter("x")
-        c.add()
-        c.add(5)
+        c.value += 1
+        c.value += 5
         assert c.value == 6
 
 
@@ -21,23 +21,23 @@ class TestStatsRegistry:
     def test_counter_reuse(self):
         reg = StatsRegistry()
         handle = reg.counter("a.b")
-        handle.add()
-        reg.counter("a.b").add(2)
+        handle.value += 1
+        reg.counter("a.b").value += 2
         assert reg.counter("a.b") is handle
         reg.counter("missing")  # registered, never bumped
         assert reg.counters() == {"a.b": 3}
 
     def test_counters_sorted(self):
         reg = StatsRegistry()
-        reg.counter("z").add()
-        reg.counter("a").add()
+        reg.counter("z").value += 1
+        reg.counter("a").value += 1
         assert list(reg.counters()) == ["a", "z"]
 
     def test_late_registration_stays_sorted(self):
         reg = StatsRegistry()
-        reg.counter("m.mid").add(1)
+        reg.counter("m.mid").value += 1
         assert list(reg.counters()) == ["m.mid"]
-        reg.counter("a.early").add(1)  # registers after the first pass
+        reg.counter("a.early").value += 1  # registers after the first pass
         assert list(reg.counters()) == ["a.early", "m.mid"]
 
     def test_counter_names_are_shared_across_registries(self):
